@@ -27,18 +27,10 @@ at the repository root:
   byte-identical to the cold tweaked run.  ``--skip-warm`` drops these
   legs.
 
-``--pool-workers N`` adds a ``seconds_pooled`` column (engine +
-pruning + an N-worker process pool); it is opt-in because on a
-single-CPU host the pool only adds IPC overhead.  ``--transport``
-adds a ``transport_sweep`` table: parallel-eval scaling at 1/2/4/8
-workers over both execution transports (``pipe`` fork+pipe workers
-vs ``socket`` framed-TCP-on-localhost workers), so the socket
-framing/heartbeat overhead is measured rather than assumed.  Every
-sweep cell is checked byte-identical to the serial result.  ``--skip-scratch``
-records large workloads (e.g. ``NGXM`` at scale 0.25) without the
-slow baselines: the record carries the optimized legs and
-``feasible`` with ``speedup: null``.  The regression check falls back
-to comparing ``seconds_pruned`` against the baseline's
+``--skip-scratch`` records large workloads (e.g. ``NGXM`` at scale
+0.25) without the slow baselines: the record carries the optimized
+legs and ``feasible`` with ``speedup: null``.  The regression check
+falls back to comparing ``seconds_pruned`` against the baseline's
 ``seconds_pruned`` for such records (pruned-vs-previous-pruned), so
 skip-scratch rows are still guarded rather than silently skipped.
 
@@ -91,20 +83,17 @@ RECORD_SCHEMA = {
     "seconds_incremental": None,
     "seconds_pruned": None,
     "seconds_bound_abort": None,
-    "seconds_pooled": None,
     "seconds_warm_start": None,
     "seconds_exact_hit": None,
     "speedup": None,
     "speedup_incremental": None,
     "speedup_bound_abort": None,
     "speedup_warm_start": None,
-    "pool_workers": None,
     "prune_cut": None,
     "sched_abort": None,
     "sched_runs": None,
     "abort_rate": None,
     "fragments_preloaded": None,
-    "transport_sweep": None,
     "cost": None,
     "feasible": None,
     "identical": None,
@@ -126,13 +115,11 @@ def _canonical(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _timed_run(spec, incremental: bool, prune: bool, parallel_eval: int = 0,
-               timeline: str = "auto", bound_abort: bool = False,
-               cache_dir=None, exec_transport: str = "pipe"):
+def _timed_run(spec, incremental: bool, prune: bool, timeline: str = "auto",
+               bound_abort: bool = False, cache_dir=None):
     config = CrusadeConfig(
-        incremental=incremental, prune=prune, parallel_eval=parallel_eval,
-        timeline=timeline, bound_abort=bound_abort, cache_dir=cache_dir,
-        exec_transport=exec_transport,
+        incremental=incremental, prune=prune, timeline=timeline,
+        bound_abort=bound_abort, cache_dir=cache_dir,
     )
     tracer = Tracer()
     started = time.perf_counter()
@@ -196,52 +183,9 @@ def warm_start_legs(spec, timeline: str, store_parent=None) -> dict:
         }
 
 
-#: Worker counts for the ``--transport`` scaling sweep.  1 worker is
-#: the serial path (parallel_eval <= 1 never builds a pool, so the
-#: transport axis collapses to a single reference row); 2/4/8 run
-#: both transports.
-TRANSPORT_SWEEP_WORKERS = (1, 2, 4, 8)
-
-
-def transport_sweep(spec, timeline: str, reference: str) -> dict:
-    """The pipe-vs-socket parallel-eval scaling table.
-
-    One row per (workers, transport) cell: ``workers`` counts worker
-    processes (1 is the serial path, recorded once as transport
-    ``serial``), ``seconds`` is the end-to-end synthesis wall time.
-    Every cell's canonical result is compared against ``reference``
-    (the serial pruned run) -- the transports are a wire detail and
-    may never move a placement.
-    """
-    rows = []
-    identical = True
-    for workers in TRANSPORT_SWEEP_WORKERS:
-        transports = ("serial",) if workers < 2 else ("pipe", "socket")
-        for transport in transports:
-            seconds, result, _ = _timed_run(
-                spec, incremental=True, prune=True,
-                parallel_eval=0 if workers < 2 else workers,
-                timeline=timeline,
-                exec_transport="pipe" if transport == "serial"
-                else transport,
-            )
-            same = _canonical(result) == reference
-            identical = identical and same
-            rows.append({
-                "workers": workers,
-                "transport": transport,
-                "seconds": round(seconds, 3),
-            })
-            print("  transport %-6s x%d: %.2fs%s" % (
-                transport, workers, seconds,
-                "" if same else "  RESULT DIVERGED"))
-    return {"transport_sweep": rows, "identical_transport": identical}
-
-
-def bench_example(name: str, scale: float, pool_workers: int = 0,
-                  skip_scratch: bool = False, timeline: str = "auto",
-                  skip_warm: bool = False, store_parent=None,
-                  transports: bool = False) -> dict:
+def bench_example(name: str, scale: float, skip_scratch: bool = False,
+                  timeline: str = "auto", skip_warm: bool = False,
+                  store_parent=None) -> dict:
     """One record: the mode timings plus the identity checks."""
     spec = build_example(name, scale=scale)
     seconds_pruned, pruned, counters = _timed_run(
@@ -288,12 +232,6 @@ def bench_example(name: str, scale: float, pool_workers: int = 0,
             record["identical"] and warm.pop("identical_warm")
         )
         record.update(warm)
-    if transports:
-        sweep = transport_sweep(spec, timeline, canonical_pruned)
-        record["identical"] = (
-            record["identical"] and sweep.pop("identical_transport")
-        )
-        record.update(sweep)
     if skip_scratch:
         print("  baselines skipped (--skip-scratch)")
         return normalize_record(record)
@@ -324,17 +262,6 @@ def bench_example(name: str, scale: float, pool_workers: int = 0,
         ),
         "identical": identical,
     })
-    if pool_workers >= 2:
-        seconds_pooled, pooled, _ = _timed_run(
-            spec, incremental=True, prune=True, parallel_eval=pool_workers,
-            timeline=timeline,
-        )
-        print("  pooled (%d):   %.2fs" % (pool_workers, seconds_pooled))
-        record["seconds_pooled"] = round(seconds_pooled, 3)
-        record["pool_workers"] = pool_workers
-        record["identical"] = (
-            record["identical"] and canonical_scratch == _canonical(pooled)
-        )
     return normalize_record(record)
 
 
@@ -408,17 +335,11 @@ def main(argv=None) -> int:
                         help="example scale factor (default 0.1)")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
                         help="output JSON (default BENCH_inner_loop.json)")
-    parser.add_argument("--pool-workers", type=int, default=0, metavar="N",
-                        help="also time an N-worker process pool (N >= 2)")
     parser.add_argument("--skip-scratch", action="store_true",
                         help="record only the pruned run (no baselines, "
                              "no speedup) -- for large workloads")
     parser.add_argument("--skip-warm", action="store_true",
                         help="drop the warm-start / exact-hit legs")
-    parser.add_argument("--transport", action="store_true",
-                        help="also sweep parallel-eval scaling at "
-                             "1/2/4/8 workers over the pipe and socket "
-                             "execution transports")
     parser.add_argument("--timeline", choices=("auto", "list", "tree"),
                         default="auto",
                         help="timeline implementation for the engine legs "
@@ -435,12 +356,10 @@ def main(argv=None) -> int:
     for name in args.examples or ["A1TR"]:
         print("%s @ scale %g" % (name, args.scale))
         record = bench_example(name, args.scale,
-                               pool_workers=args.pool_workers,
                                skip_scratch=args.skip_scratch,
                                timeline=args.timeline,
                                skip_warm=args.skip_warm,
-                               store_parent=args.out.resolve().parent,
-                               transports=args.transport)
+                               store_parent=args.out.resolve().parent)
         if record["speedup"] is not None:
             print("  speedup: %.2fx (engine only %.2fx), identical: %s" % (
                 record["speedup"], record["speedup_incremental"],

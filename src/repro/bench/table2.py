@@ -89,7 +89,6 @@ def run_table2_row(
         fast_inner_loop=config.fast_inner_loop,
         link_strategies=config.link_strategies,
         incremental=config.incremental,
-        parallel_eval=config.parallel_eval,
         prune=config.prune,
         policy=config.policy,
     )

@@ -82,7 +82,6 @@ def run_table3_row(
         fast_inner_loop=config.fast_inner_loop,
         link_strategies=config.link_strategies,
         incremental=config.incremental,
-        parallel_eval=config.parallel_eval,
         prune=config.prune,
     )
     without = crusade_ft(

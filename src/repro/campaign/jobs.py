@@ -2,7 +2,7 @@
 
 A :class:`Job` is one independent cell of a campaign grid; the
 executor :func:`execute_job` runs inside a persistent worker process
-(a :mod:`repro.exec` transport with target
+(a :class:`repro.exec.PipeTransport` with target
 ``"repro.campaign.jobs:execute_job"``) and returns a compact,
 JSON-able, *deterministic* result -- wall-clock times never appear in
 it, so the final manifest is byte-identical across reruns and

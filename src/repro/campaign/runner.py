@@ -4,13 +4,12 @@
 the grid, skips jobs the checkpoint log already settled, dispatches
 the rest to persistent workers supervised by
 :class:`~repro.exec.supervise.SupervisedWorker` (the execution
-substrate's single crash/timeout/error state machine, over the
-transport ``REPRO_EXEC_TRANSPORT`` resolves -- pipes by default),
-and survives the three failure shapes a long campaign meets --
+substrate's single crash/timeout/error state machine over forked
+pipe workers), and survives the three failure shapes a long campaign
+meets --
 
 * **worker crash** (hard process death: segfault, OOM kill,
-  ``os._exit``): detected via the process sentinel / a dead pipe (or,
-  on the socket transport, a dropped connection or stale heartbeat);
+  ``os._exit``): detected via the process sentinel / a dead pipe;
   the worker is respawned and the job re-attempted;
 * **per-job timeout**: a worker past its attempt deadline is killed
   and respawned, and the attempt counts as a failure;
@@ -41,7 +40,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.obs import JsonlSink, Tracer
 from repro.obs.trace import resolve_tracer
-from repro.exec import SupervisedWorker, make_job_transport
+from repro.exec import PipeTransport, SupervisedWorker
 from repro.exec import supervise as _supervision
 from repro.campaign.checkpoint import CampaignDir
 from repro.campaign.grid import CampaignSpec, expand_jobs
@@ -183,9 +182,8 @@ def run_campaign(
         if pending:
             n_workers = max(1, min(workers, len(pending)))
             slots = [
-                _Slot(SupervisedWorker(
-                    make_job_transport(JOB_TARGET), tracer=tracer
-                ))
+                _Slot(SupervisedWorker(PipeTransport(JOB_TARGET),
+                                       tracer=tracer))
                 for _ in range(n_workers)
             ]
             interrupted = not _supervise(
@@ -287,7 +285,7 @@ def _supervise(
             job, attempt = slot.job, slot.attempt
             wall_s = now - slot.started_at
             # The substrate's state machine classifies the attempt:
-            # reply (ok/error), transport death (crash; the worker is
+            # reply (ok/error), worker death (crash; the worker is
             # already replaced), or deadline (timeout; killed with the
             # escalated terminate and replaced).
             outcome = slot.worker.poll(now, deadline=slot.deadline)

@@ -26,9 +26,6 @@ Commands
 ``submit SPEC.json``
     Post one specification to a running service and print (or save)
     the response document.
-``worker --connect HOST:PORT``
-    Join a remote scorer or service pool as a dial-in worker over the
-    framed-TCP execution substrate (see :mod:`repro.exec`).
 """
 
 from __future__ import annotations
@@ -46,18 +43,6 @@ from repro.graph.generator import GeneratorConfig, generate_spec
 from repro.io.result_json import save_result_file
 from repro.io.spec_json import load_spec_file, save_spec_file, spec_to_dict
 from repro.bench.examples import EXAMPLE_NAMES, build_example
-
-
-def _parallel_eval_arg(value: str) -> int:
-    """``--parallel-eval`` accepts an integer or ``auto`` (cpu count)."""
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected an integer or 'auto', got %r" % (value,)
-        ) from None
 
 
 def _add_synthesize(subparsers) -> None:
@@ -88,14 +73,6 @@ def _add_synthesize(subparsers) -> None:
     p.add_argument("--no-bound-abort", action="store_true",
                    help="disable incumbent-driven bound aborts "
                         "(evaluate every candidate to completion)")
-    p.add_argument("--pool-batch", type=int, default=4, metavar="N",
-                   help="candidate submissions per pool-worker message "
-                        "(default 4; 1 = the unbatched protocol)")
-    p.add_argument("--parallel-eval", type=_parallel_eval_arg, default=0,
-                   metavar="N|auto",
-                   help="score allocation candidates with N worker processes "
-                        "('auto' = os.cpu_count(); 0 or 1 = serial; results "
-                        "are identical either way)")
     p.add_argument("--timeline", choices=("auto", "list", "tree"),
                    default="auto",
                    help="scheduler timeline implementation: flat bisected "
@@ -117,17 +94,6 @@ def _add_synthesize(subparsers) -> None:
                    help="do not read the store (cold run); the store is "
                         "still written, so the run warms it for later "
                         "resubmissions")
-    p.add_argument("--exec-transport", choices=("pipe", "socket"),
-                   default="pipe", dest="exec_transport",
-                   help="worker transport for --parallel-eval: forked "
-                        "pipes (default) or framed TCP sockets; results "
-                        "are identical either way (REPRO_EXEC_TRANSPORT "
-                        "overrides)")
-    p.add_argument("--worker-port", type=int, default=None, metavar="PORT",
-                   dest="worker_port",
-                   help="accept remote 'repro worker --connect' scorers "
-                        "on this TCP port (0 = ephemeral) to widen the "
-                        "--parallel-eval pool across hosts")
 
 
 def _add_generate(subparsers) -> None:
@@ -240,25 +206,6 @@ def _add_serve(subparsers) -> None:
                    help="per-attempt wall-clock budget in seconds")
     p.add_argument("--trace", metavar="FILE", default=None,
                    help="stream service.* events as JSON lines to FILE")
-    p.add_argument("--exec-transport", choices=("pipe", "socket"),
-                   default="pipe", dest="exec_transport",
-                   help="shard worker transport: forked pipes (default) "
-                        "or framed TCP sockets (REPRO_EXEC_TRANSPORT "
-                        "overrides)")
-    p.add_argument("--worker-port", type=int, default=None, metavar="PORT",
-                   dest="worker_port",
-                   help="accept remote 'repro worker --connect' shards "
-                        "on this TCP port (0 = ephemeral); with "
-                        "--workers 0 the pool is remote-only")
-
-
-def _add_worker(subparsers) -> None:
-    p = subparsers.add_parser(
-        "worker",
-        help="join a remote pool as a dial-in worker (repro.exec)",
-    )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="address of a pool listening with --worker-port")
 
 
 def _add_submit(subparsers) -> None:
@@ -291,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign(subparsers)
     _add_serve(subparsers)
     _add_submit(subparsers)
-    _add_worker(subparsers)
     experiments = subparsers.add_parser(
         "experiments",
         help="splice the latest benchmarks/results tables into EXPERIMENTS.md",
@@ -343,13 +289,9 @@ def _cmd_synthesize(args) -> int:
         incremental=not args.no_incremental,
         prune=not args.no_prune,
         bound_abort=not args.no_bound_abort,
-        parallel_eval=args.parallel_eval,
-        pool_batch=args.pool_batch,
         timeline=args.timeline,
         cache_dir=args.cache_dir,
         warm_start=not args.no_warm_start,
-        exec_transport=args.exec_transport,
-        worker_port=args.worker_port,
     )
     tracer = _build_tracer(args)
     profiler = None
@@ -641,16 +583,11 @@ def _cmd_serve(args) -> int:
             host=args.host, port=args.port, workers=args.workers,
             cache_dir=args.cache_dir, retries=args.retries,
             timeout_s=args.timeout, tracer=tracer,
-            transport=args.exec_transport, worker_port=args.worker_port,
         )
         await server.start()
         print("serving on http://%s:%d  (workers=%d, cache=%s)"
               % (server.host, server.port, args.workers,
                  args.cache_dir or "off"), flush=True)
-        listen_port = getattr(server.pool, "listen_port", None)
-        if listen_port is not None:
-            print("accepting dial-in workers on port %d" % listen_port,
-                  flush=True)
         loop = asyncio.get_running_loop()
         stop = loop.create_future()
 
@@ -672,17 +609,6 @@ def _cmd_serve(args) -> int:
 
     asyncio.run(_run())
     return 0
-
-
-def _cmd_worker(args) -> int:
-    from repro.exec import connect_and_serve
-
-    host, sep, port = args.connect.rpartition(":")
-    if not sep or not port.isdigit():
-        print("--connect expects HOST:PORT, got %r" % (args.connect,),
-              file=sys.stderr)
-        return 2
-    return connect_and_serve(host or "127.0.0.1", int(port))
 
 
 def _cmd_submit(args) -> int:
@@ -746,7 +672,6 @@ _HANDLERS = {
     "campaign": _cmd_campaign,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
-    "worker": _cmd_worker,
 }
 
 

@@ -57,13 +57,6 @@ class CrusadeConfig:
         byte-identical either way; ``False`` (or the
         ``REPRO_NO_INCREMENTAL=1`` environment variable) restores the
         from-scratch inner loop.
-    parallel_eval:
-        Worker *processes* for parallel candidate scoring.  ``0`` and
-        ``1`` both mean the serial path -- a 1-worker pool can never
-        beat it, so no pool is ever spun up below 2.  Selection stays
-        first-feasible-by-index, so results are byte-identical to the
-        serial loop.  The CLI maps ``--parallel-eval auto`` to
-        ``os.cpu_count()``.
     prune:
         Admissible candidate pruning (:mod:`repro.perf.prune`):
         candidates whose finish-time/demand lower bounds provably miss
@@ -98,13 +91,6 @@ class CrusadeConfig:
         ``REPRO_NO_BOUND_ABORT=1`` environment variable) evaluates
         every candidate to completion.  Aborts are reported as
         ``sched.abort`` / ``sched.abort.<reason>`` counters.
-    pool_batch:
-        Candidate submissions per pool-worker message in the parallel
-        scorer (:mod:`repro.perf.procpool`), amortizing pipe IPC; the
-        parent rebroadcasts the freshest incumbent bound between
-        batches.  ``1`` restores the PR-6 one-option-per-message
-        protocol exactly (the batched-pool kill switch).  Results are
-        byte-identical for any value.
     policy:
         Name of the registered :class:`~repro.core.stages.policies.
         SynthesisPolicy` steering the heuristic's open decision points
@@ -130,22 +116,6 @@ class CrusadeConfig:
         ``REPRO_NO_WARM_START=1`` environment kill switch -- forces a
         cold run that still *writes* the store, warming it for later
         runs.  Meaningless without ``cache_dir``/``REPRO_CACHE_DIR``.
-    exec_transport:
-        Worker transport for the parallel scorer's execution substrate
-        (:mod:`repro.exec`): ``"pipe"`` (default) forks workers over
-        duplex pickle pipes; ``"socket"`` runs them over
-        length-prefixed canonical-JSON TCP frames with heartbeat
-        liveness -- the substrate remote ``repro worker --connect``
-        hosts join through.  Results are byte-identical either way
-        (the pool's first-feasible-by-index selection is
-        transport-independent).  The ``REPRO_EXEC_TRANSPORT``
-        environment variable overrides this knob as a kill switch.
-    worker_port:
-        TCP port on which the parallel scorer accepts remote
-        ``repro worker --connect`` dial-ins for the duration of a
-        synthesis run (``None`` disables, ``0`` binds an ephemeral
-        port).  Joined workers enlarge scoring waves; selection and
-        results stay byte-identical.
     """
 
     reconfiguration: bool = True
@@ -161,36 +131,16 @@ class CrusadeConfig:
     combine_modes: bool = True
     interface_retries: int = 6
     incremental: bool = True
-    parallel_eval: int = 0
     prune: bool = True
     timeline: str = "auto"
     bound_abort: bool = True
-    pool_batch: int = 4
     policy: str = "default"
     cache_dir: Optional[str] = None
     warm_start: bool = True
-    exec_transport: str = "pipe"
-    worker_port: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise SpecificationError("cache_dir must be a string path or None")
-        if self.parallel_eval < 0:
-            raise SpecificationError("parallel_eval must be >= 0")
-        if self.exec_transport not in ("pipe", "socket"):
-            raise SpecificationError(
-                "exec_transport must be 'pipe' or 'socket'"
-            )
-        if self.worker_port is not None and (
-            not isinstance(self.worker_port, int)
-            or isinstance(self.worker_port, bool)
-            or not 0 <= self.worker_port <= 65535
-        ):
-            raise SpecificationError(
-                "worker_port must be a port number (0-65535) or None"
-            )
-        if self.pool_batch < 1:
-            raise SpecificationError("pool_batch must be >= 1")
         if self.timeline not in ("list", "tree", "auto"):
             raise SpecificationError(
                 "timeline must be one of 'list', 'tree', 'auto'"

@@ -3,9 +3,9 @@
 Clusters are allocated in policy order.  For each cluster an
 allocation array of candidate placements is built (cheapest first,
 re-ordered by the policy's candidate preference) and scored by one of
-three interchangeable paths -- the serial clone path, the
-copy-on-write engine path, or the process-pool path -- all feeding the
-same :class:`CandidateSelection` core, so the first-feasible /
+two interchangeable paths -- the serial clone path or the
+copy-on-write engine path -- both feeding the same
+:class:`CandidateSelection` core, so the first-feasible /
 least-infeasible choice is byte-identical regardless of path.  The
 winning candidate is committed and priorities are recomputed with the
 new allocation.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.errors import AllocationError, SynthesisError
 from repro.arch.architecture import Architecture
@@ -53,8 +53,7 @@ class CandidateSelection:
     ``(badness, seq)``, where ``seq`` numbers candidates in
     consideration order across strategies; tracking the key explicitly
     lets pruned candidates (which carry admissible badness *floors*)
-    and the pool path (which ships verdict summaries, not
-    architectures) reconstruct the identical choice.
+    reconstruct the identical choice.
     """
 
     def __init__(self) -> None:
@@ -65,8 +64,6 @@ class CandidateSelection:
         self.from_fallback: bool = False
         self.fallback: Optional[EvalResult] = None
         self.fallback_key: Optional[tuple] = None
-        #: Unevaluated ``(option, strategy)`` incumbent (pool path).
-        self.fallback_lazy: Optional[tuple] = None
         #: Deferred ``(floor, seq, option, strategy)`` pruned entries.
         self.pruned: List[tuple] = []
         self.seq = 0
@@ -92,20 +89,17 @@ class CandidateSelection:
         """Park a pruned candidate for possible fallback evaluation."""
         self.pruned.append((floor, self.seq, option, strategy))
 
-    def offer(self, badness: tuple, make_verdict=None, lazy=None) -> None:
+    def offer(self, badness: tuple, make_verdict) -> None:
         """Offer an infeasible candidate at the current seq.
 
         Keeps the argmin of ``(badness, seq)``.  ``make_verdict`` is
         called only when the offer improves (the copy-on-write path
-        clones the applied architecture lazily); ``lazy`` instead
-        defers evaluation entirely (the pool path re-scores the
-        incumbent locally once, at the end).
+        clones the applied architecture lazily).
         """
         key = (badness, self.seq)
         if self.fallback_key is None or key < self.fallback_key:
             self.fallback_key = key
-            self.fallback = make_verdict() if make_verdict is not None else None
-            self.fallback_lazy = lazy
+            self.fallback = make_verdict()
 
 
 class Allocation(Stage):
@@ -127,11 +121,10 @@ class Allocation(Stage):
         # pessimistic pre-allocation levels price intra-cluster edges
         # differently).
         ctx.allocation_aware = False
-        with ctx.allocation_scorer() as scorer:
-            for cluster in ctx.policy.cluster_order(ctx.clustering):
-                ctx.tracer.incr("alloc.clusters")
-                selection = self.allocate_cluster(ctx, scorer, cluster)
-                self.commit(ctx, cluster, selection)
+        for cluster in ctx.policy.cluster_order(ctx.clustering):
+            ctx.tracer.incr("alloc.clusters")
+            selection = self.allocate_cluster(ctx, cluster)
+            self.commit(ctx, cluster, selection)
 
     # -- candidate generation ------------------------------------------
     def candidate_options(
@@ -153,7 +146,7 @@ class Allocation(Stage):
 
     # -- scoring -------------------------------------------------------
     def allocate_cluster(
-        self, ctx: SynthesisContext, scorer, cluster: Cluster
+        self, ctx: SynthesisContext, cluster: Cluster
     ) -> CandidateSelection:
         """Score candidates strategy by strategy until one is chosen."""
         selection = CandidateSelection()
@@ -162,17 +155,11 @@ class Allocation(Stage):
             if ctx.prune_on
             else None
         )
-        gen_token: Optional[int] = None
         for strategy in ctx.config.link_strategies:
             options = self.candidate_options(ctx, cluster)
             if not options:
                 continue
-            if scorer is not None and scorer.worth_pool(len(options)):
-                gen_token = self.score_with_pool(
-                    ctx, scorer, cluster, options, strategy, selection,
-                    gen_token,
-                )
-            elif ctx.engine is not None:
+            if ctx.engine is not None:
                 self.score_cow(ctx, cluster, options, strategy, selection,
                                pruner)
             else:
@@ -208,7 +195,7 @@ class Allocation(Stage):
     def evaluate_candidate(
         self, ctx: SynthesisContext, cluster: Cluster, option, strategy
     ) -> Optional[EvalResult]:
-        """Evaluate one candidate locally on a cloned architecture."""
+        """Evaluate one candidate on a cloned architecture."""
         trial = ctx.arch.clone()
         try:
             apply_option(
@@ -232,72 +219,6 @@ class Allocation(Stage):
             tracer=ctx.tracer,
             engine=ctx.engine,
         )
-
-    def score_with_pool(
-        self,
-        ctx: SynthesisContext,
-        scorer,
-        cluster: Cluster,
-        options: List,
-        strategy: str,
-        selection: CandidateSelection,
-        gen_token: Optional[int],
-    ) -> int:
-        """Score options on the worker pool (one generation/cluster).
-
-        Decision counters are incremented on the consuming side, in
-        index order, exactly like the serial paths; records past the
-        first feasible one (same wave) are drained without counting,
-        matching the documented deterministic evaluation-counter
-        overshoot.
-        """
-        if gen_token is None:
-            gen_token = scorer.begin_cluster({
-                "spec": ctx.spec,
-                "assoc": ctx.assoc,
-                "clustering": ctx.clustering,
-                "arch": ctx.arch,
-                "cluster": cluster,
-                "priorities": ctx.priorities,
-                "preemption": ctx.config.preemption,
-                "fast": ctx.fast,
-                "prune": ctx.prune_on,
-                "bound_abort": ctx.bound_abort_on,
-            })
-        records = scorer.score(
-            gen_token, options, strategy, ctx.tracer,
-            bound=self.incumbent_bound(ctx, selection),
-        )
-        for offset, record in enumerate(records):
-            kind, badness, floor, reason = record
-            option = options[offset]
-            ctx.tracer.incr("alloc.options.considered")
-            selection.advance()
-            if kind == "apply_failed":
-                ctx.tracer.incr("alloc.options.apply_failed")
-                continue
-            if kind == "pruned":
-                ctx.tracer.incr("prune.cut")
-                ctx.tracer.incr("prune.cut." + reason)
-                selection.defer_pruned(tuple(floor), option, strategy)
-                continue
-            if ctx.prune_on:
-                ctx.tracer.incr("prune.kept")
-            if kind == "aborted":
-                # Worker-side bound abort: provably loses to an
-                # earlier-seq incumbent, dropped like the serial path.
-                self.count_abort(ctx, reason)
-                continue
-            if kind == "feasible":
-                # Workers ship verdict summaries, not schedules;
-                # materialize the winner locally.
-                selection.choose(
-                    self.evaluate_candidate(ctx, cluster, option, strategy)
-                )
-                break
-            ctx.tracer.incr("alloc.options.infeasible")
-            selection.offer(tuple(badness), lazy=(option, strategy))
-        return gen_token
 
     def score_cow(
         self,
@@ -465,17 +386,6 @@ class Allocation(Stage):
                 if selection.fallback_key is None or key < selection.fallback_key:
                     selection.fallback = verdict
                     selection.fallback_key = key
-                    selection.fallback_lazy = None
-        if (
-            selection.chosen is None
-            and selection.fallback is None
-            and selection.fallback_lazy is not None
-        ):
-            # Pool path: the incumbent was tracked lazily; build its
-            # full verdict now.
-            selection.fallback = self.evaluate_candidate(
-                ctx, cluster, *selection.fallback_lazy
-            )
         if selection.chosen is None:
             if selection.fallback is None:
                 raise SynthesisError(

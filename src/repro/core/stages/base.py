@@ -16,8 +16,8 @@ stage                     context fields written
                           ``compat``
 ``Clustering``            ``clustering`` (skipped when donated)
 ``Allocation``            ``arch``, ``priorities``, ``fast``,
-                          ``prune_on``, ``allocation_feasible``,
-                          ``allocation_aware``, ``scorer`` (transient)
+                          ``prune_on``, ``bound_abort_on``,
+                          ``allocation_feasible``, ``allocation_aware``
 ``FullCheck``             ``full``, ``best``
 ``Repair``                ``full``, ``best``, ``arch``, ``priorities``,
                           ``allocation_feasible``

@@ -4,15 +4,14 @@
 read and write; it owns what the old monolithic driver threaded
 through nested closures -- specification, library, configuration,
 clustering, association array, the working architecture, priority
-levels, tracer, incremental engine, process-pool scorer, compatibility
-analysis and validation warnings -- plus the evolving verdicts
-(``full``, ``best``) and reconfiguration artifacts (``interface``,
+levels, tracer, incremental engine, compatibility analysis and
+validation warnings -- plus the evolving verdicts (``full``,
+``best``) and reconfiguration artifacts (``interface``,
 ``merge_stats``) the later stages produce.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -27,7 +26,6 @@ from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import Tracer, resolve_tracer
 from repro.perf.engine import IncrementalEngine, resolve_engine
-from repro.perf.procpool import ProcessPoolScorer
 from repro.reconfig.compatibility import CompatibilityAnalysis
 from repro.reconfig.interface import InterfacePlan
 from repro.resources.catalog import default_library
@@ -70,8 +68,6 @@ class SynthesisContext:
     # -- allocation stage ----------------------------------------------
     arch: Optional[Architecture] = None
     priorities: Optional[Dict[str, Dict[str, float]]] = None
-    #: Live process-pool scorer while the allocation stage holds one.
-    scorer: Optional[ProcessPoolScorer] = None
     fast: bool = False
     prune_on: bool = False
     bound_abort_on: bool = False
@@ -122,33 +118,3 @@ class SynthesisContext:
             clustering=clustering,
             baseline=baseline,
         )
-
-    @contextlib.contextmanager
-    def allocation_scorer(self):
-        """Acquire (and always release) the candidate scorer.
-
-        Yields a :class:`~repro.perf.procpool.ProcessPoolScorer` when
-        ``config.parallel_eval`` asks for one, else ``None`` (the
-        serial path).  The scorer's own context manager guarantees the
-        worker processes are shut down even if a stage raises between
-        construction and first use; ``self.scorer`` tracks the live
-        instance for observability and is cleared on release.
-        """
-        if self.config.parallel_eval >= 2:
-            # 0 and 1 both mean the serial path: a 1-worker pool can
-            # never beat it (see repro.perf.procpool).
-            with ProcessPoolScorer(
-                self.config.parallel_eval,
-                use_engine=self.engine is not None,
-                timeline=self.config.timeline,
-                batch=self.config.pool_batch,
-                transport=self.config.exec_transport,
-                worker_port=self.config.worker_port,
-            ) as scorer:
-                self.scorer = scorer
-                try:
-                    yield scorer
-                finally:
-                    self.scorer = None
-        else:
-            yield None

@@ -16,12 +16,11 @@ the tie-break (route (a) wins cost ties).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SynthesisError
 from repro.arch.architecture import Architecture
-from repro.core.config import CrusadeConfig
 from repro.core.stages.base import Stage
 from repro.core.stages.context import SynthesisContext
 from repro.core.stages.support import (
@@ -120,40 +119,20 @@ class ModeMerge(Stage):
         """Synthesize the reconfiguration-free baseline if absent.
 
         The baseline synthesis re-enters the full pipeline (sharing
-        the parent's tracer, engine and clustering) and records its
+        the parent's tracer, engine and clustering) under the caller's
+        configuration with reconfiguration turned off, and records its
         time under the ordinary phase names: the exclusive phase
         timers pause this stage's "merge" window while the nested
-        stages run.
+        stages run.  Store plumbing rides along for faithfulness only:
+        the nested synthesis enters via ``SynthesisContext.begin``, so
+        the full-result tier never sees this config, and the shared
+        parent engine already carries the fragment-tier binding.
         """
         if ctx.baseline is not None:
             return
         from repro.core.stages.pipeline import synthesize
 
-        baseline_config = CrusadeConfig(
-            reconfiguration=False,
-            clustering=ctx.config.clustering,
-            max_explicit_copies=ctx.config.max_explicit_copies,
-            max_cluster_size=ctx.config.max_cluster_size,
-            delay_policy=ctx.config.delay_policy,
-            preemption=ctx.config.preemption,
-            max_existing_options=ctx.config.max_existing_options,
-            fast_inner_loop=ctx.config.fast_inner_loop,
-            link_strategies=ctx.config.link_strategies,
-            incremental=ctx.config.incremental,
-            parallel_eval=ctx.config.parallel_eval,
-            prune=ctx.config.prune,
-            timeline=ctx.config.timeline,
-            bound_abort=ctx.config.bound_abort,
-            pool_batch=ctx.config.pool_batch,
-            policy=ctx.config.policy,
-            # Store plumbing rides along for faithfulness only: the
-            # nested synthesis enters via SynthesisContext.begin, so
-            # the full-result tier never sees this config, and the
-            # shared parent engine already carries the fragment-tier
-            # binding.
-            cache_dir=ctx.config.cache_dir,
-            warm_start=ctx.config.warm_start,
-        )
+        baseline_config = replace(ctx.config, reconfiguration=False)
         ctx.baseline = synthesize(
             SynthesisContext.begin(
                 ctx.spec, library=ctx.library, config=baseline_config,

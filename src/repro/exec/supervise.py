@@ -1,19 +1,15 @@
 """The one crash/timeout/error/retry supervision state machine.
 
-Before ``repro.exec``, three layers each hand-rolled this machine
-over a pipe-coupled worker: the campaign runner's ``_Slot`` loop, the
-service ``ShardPool``'s attempt loop, and the ``JobWorker`` primitive
-they shared.  :class:`SupervisedWorker` is the single implementation,
-written against :class:`~repro.exec.transport.WorkerTransport` only,
-so every call site gets the same verdicts over every transport:
+Before ``repro.exec``, the campaign runner's ``_Slot`` loop and the
+service ``ShardPool``'s attempt loop each hand-rolled this machine
+over a pipe-coupled worker.  :class:`SupervisedWorker` is the single
+implementation, wrapping one :class:`~repro.exec.transport.
+PipeTransport`, so both call sites get the same verdicts:
 
-* **crash** -- the transport died mid-job (process death, dropped
-  connection, torn frame, stale heartbeat); the worker is replaced
-  when the transport can respawn.
+* **crash** -- the worker died mid-job (process death, broken pipe);
+  the worker is replaced.
 * **timeout** -- the attempt outlived its deadline; the worker is
-  killed (the single SIGTERM -> SIGKILL escalation for local
-  processes; connection close for remotes) and replaced when
-  possible.
+  killed (the single SIGTERM -> SIGKILL escalation) and replaced.
 * **error** -- the job itself raised; the traceback travels back as
   the outcome detail.
 * **ok** -- the job's result travels back as the outcome value.
@@ -36,7 +32,7 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Dict, NamedTuple, Optional
 
 from repro.obs.trace import Tracer, resolve_tracer
-from repro.exec.transport import TransportDead, WorkerTransport
+from repro.exec.transport import PipeTransport, TransportDead
 
 #: Outcome kinds, shared vocabulary across campaign + service.
 OK = "ok"
@@ -69,21 +65,20 @@ class AttemptOutcome(NamedTuple):
 class SupervisedWorker:
     """One worker under the unified supervision state machine.
 
-    Wraps a :class:`~repro.exec.transport.WorkerTransport` with the
+    Wraps a :class:`~repro.exec.transport.PipeTransport` with the
     job protocol (``("job", id, attempt, payload)`` out;
     ``("ok"|"error", id, value)`` back), busy-tracking, deadline
     enforcement and crash recovery.  A worker holds at most one job
     at a time, which keeps supervision exact: a dead busy worker
     names exactly the job that must be retried.
 
-    ``exec.workers.*`` counters (``spawned``, ``restarts``,
-    ``transport.<kind>``) land on ``tracer`` so pool owners (the
-    service's ``/stats``) can report substrate health without
-    reaching into transports.
+    ``exec.workers.*`` counters (``spawned``, ``restarts``) land on
+    ``tracer`` so pool owners (the service's ``/stats``) can report
+    worker health without reaching into transports.
     """
 
     def __init__(
-        self, transport: WorkerTransport, tracer: Optional[Tracer] = None
+        self, transport: PipeTransport, tracer: Optional[Tracer] = None
     ) -> None:
         """Supervise ``transport``; counters land on ``tracer``."""
         self.transport = transport
@@ -101,13 +96,8 @@ class SupervisedWorker:
     # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
-        """Whether the underlying transport judges the worker live."""
+        """Whether the worker process is running."""
         return self.transport.alive
-
-    @property
-    def can_respawn(self) -> bool:
-        """Whether a replacement can be started (false for remotes)."""
-        return self.transport.can_respawn
 
     def spawn(self) -> None:
         """Start the worker (idempotent while alive)."""
@@ -115,7 +105,6 @@ class SupervisedWorker:
         self.busy = None
         self._spawned = True
         self.tracer.incr("exec.workers.spawned")
-        self.tracer.incr("exec.workers.transport.%s" % self.transport.kind)
 
     def respawn(self) -> None:
         """Kill whatever is left and start a replacement."""
@@ -127,7 +116,7 @@ class SupervisedWorker:
         self.tracer.incr("exec.workers.restarts")
 
     def kill(self) -> None:
-        """Hard-stop the worker (escalated for local processes)."""
+        """Hard-stop the worker (the escalated kill)."""
         self.transport.kill()
         self.busy = None
 
@@ -163,11 +152,11 @@ class SupervisedWorker:
     ) -> Optional[AttemptOutcome]:
         """Non-blocking: the in-flight attempt's outcome, or ``None``.
 
-        Checks, in order: a reply (``ok``/``error``), transport death
-        (``crash`` -- the worker is replaced when possible), then the
-        ``deadline`` (``timeout`` -- the worker is killed, escalated,
-        and replaced when possible).  After any non-``None`` return
-        the worker is idle.
+        Checks, in order: a reply (``ok``/``error``), worker death
+        (``crash`` -- the worker is replaced), then the ``deadline``
+        (``timeout`` -- the worker is killed, escalated, and
+        replaced).  After any non-``None`` return the worker is
+        idle.
         """
         if self.busy is None:
             return None
@@ -187,25 +176,14 @@ class SupervisedWorker:
             if now is None:
                 now = time.monotonic()
             if now >= deadline:
-                self.transport.kill()
-                self._maybe_respawn()
-                self.busy = None
+                self.respawn()
                 return AttemptOutcome(TIMEOUT, TIMEOUT_DETAIL)
         return None
 
     def _crashed(self) -> AttemptOutcome:
         """Mark the in-flight attempt crashed and replace the worker."""
-        self.transport.kill()
-        self._maybe_respawn()
-        self.busy = None
+        self.respawn()
         return AttemptOutcome(CRASH, CRASH_DETAIL)
-
-    def _maybe_respawn(self) -> None:
-        """Start a replacement when the transport supports it."""
-        if self.transport.can_respawn:
-            self.transport.spawn()
-            self.restarts += 1
-            self.tracer.incr("exec.workers.restarts")
 
     # ------------------------------------------------------------------
     def attempt(
@@ -218,20 +196,16 @@ class SupervisedWorker:
     ) -> AttemptOutcome:
         """Blocking: run one attempt to its typed outcome.
 
-        Spawns/replaces a dead worker first (``crash`` immediately if
-        it cannot be replaced), submits, then waits in bounded slices
-        so a deadline overrun kills the worker within ``slice_s`` of
-        the deadline.  Never hangs: every exit path is a typed
-        :class:`AttemptOutcome`.
+        Spawns/replaces a dead worker first, submits, then waits in
+        bounded slices so a deadline overrun kills the worker within
+        ``slice_s`` of the deadline.  Never hangs: every exit path is
+        a typed :class:`AttemptOutcome`.
         """
         if not self.alive:
-            try:
-                if self._spawned:
-                    self.respawn()
-                else:
-                    self.spawn()
-            except TransportDead:
-                return AttemptOutcome(CRASH, CRASH_DETAIL)
+            if self._spawned:
+                self.respawn()
+            else:
+                self.spawn()
         try:
             self.submit(job_id, attempt, payload)
         except TransportDead:
@@ -247,8 +221,4 @@ class SupervisedWorker:
             wait_s = slice_s
             if deadline is not None:
                 wait_s = min(wait_s, max(0.0, deadline - now))
-            handles = self.wait_handles()
-            if handles:
-                _conn_wait(handles, timeout=wait_s)
-            else:  # pragma: no cover - killed mid-attempt
-                time.sleep(min(wait_s, 0.05))
+            _conn_wait(self.wait_handles(), timeout=wait_s)

@@ -77,11 +77,9 @@ SERVICE_CONFIG_FIELDS: Dict[str, tuple] = {
     "combine_modes": (bool,),
     "interface_retries": (int,),
     "incremental": (bool,),
-    "parallel_eval": (int,),
     "prune": (bool,),
     "timeline": (str,),
     "bound_abort": (bool,),
-    "pool_batch": (int,),
     "policy": (str,),
 }
 

@@ -64,8 +64,6 @@ SERVICE_EVENT_NAMES = (
     "service.job.start",
     "service.job.retry",
     "service.job.failed",
-    "service.worker.join",
-    "service.worker.left",
     "service.drain",
     "service.end",
 )

@@ -116,8 +116,11 @@ class Fragment:
 class IncrementalEngine:
     """Schedule/verdict cache shared across one synthesis run.
 
-    Thread-safe: the parallel candidate scorer's workers evaluate
-    concurrently against the same engine.  Cached fragments are
+    Thread-safe: one lock guards the fragment cache and its store
+    binding, so an engine may be shared across threads.  Synthesis
+    itself runs on one thread and every worker process owns its own
+    engine; the lock stays because it is cheap and keeps an engine
+    safe for callers that do share one.  Cached fragments are
     immutable once stored (schedules handed out are never mutated by
     consumers), so sharing them across evaluations is safe.
     """

@@ -11,10 +11,10 @@ keys are stable across processes and machines:
   fields, name-sorted;
 * :func:`config_digest` -- over the *semantic* ``CrusadeConfig``
   fields only: knobs that are proven byte-identity-preserving
-  (``incremental``, ``prune``, ``timeline``, ``bound_abort``,
-  ``parallel_eval``, ``pool_batch``) and the store's own plumbing
-  (``cache_dir``, ``warm_start``) are excluded, so a pruned run can
-  serve an exact hit to an unpruned resubmission of the same problem;
+  (``incremental``, ``prune``, ``timeline``, ``bound_abort``) and the
+  store's own plumbing (``cache_dir``, ``warm_start``) are excluded,
+  so a pruned run can serve an exact hit to an unpruned resubmission
+  of the same problem;
 * :func:`fingerprint_digest` -- over a component value fingerprint
   (:func:`repro.perf.fingerprint.component_fingerprint`), turning the
   in-memory cache key into a file name.
@@ -54,15 +54,11 @@ STORE_SCHEMA_VERSION = 1
 #: fracture the key space without ever distinguishing results.
 IDENTITY_NEUTRAL_CONFIG_FIELDS = frozenset({
     "incremental",
-    "parallel_eval",
     "prune",
     "timeline",
     "bound_abort",
-    "pool_batch",
     "cache_dir",
     "warm_start",
-    "exec_transport",
-    "worker_port",
 })
 
 

@@ -212,3 +212,31 @@ class TestPolicyHooks:
         assert vetoed.merges_accepted == 0
         assert vetoed.merges_rejected >= 1
         assert vetoed.result.cost == initial.cost
+
+
+class TestModeMergeBaseline:
+    def test_baseline_runs_under_the_callers_config(self, tiny_spec,
+                                                    monkeypatch):
+        """Route (b)'s reconfiguration-free baseline keeps every knob
+        the caller set; only ``reconfiguration`` is turned off."""
+        from dataclasses import replace
+
+        from repro.core.stages import pipeline
+        from repro.core.stages.modemerge import ModeMerge
+
+        nested = []
+
+        def fake_synthesize(ctx):
+            nested.append(ctx.config)
+            return "baseline result"
+
+        monkeypatch.setattr(pipeline, "synthesize", fake_synthesize)
+        config = CrusadeConfig(
+            fast_threshold_tasks=100, combine_modes=False,
+            interface_retries=2, max_explicit_copies=2,
+            policy="largest-first", timeline="tree",
+        )
+        ctx = SynthesisContext.begin(tiny_spec, config=config)
+        ModeMerge().ensure_baseline(ctx)
+        assert nested == [replace(config, reconfiguration=False)]
+        assert ctx.baseline == "baseline result"

@@ -2,10 +2,10 @@
 
 Property suite fuzzing generated workloads: the synthesized result --
 architecture, schedule, deadline report, costs -- must be byte
-identical with the engine on, off, killed via the environment, and
-under parallel candidate scoring; the decision counters (which options
-were considered/rejected) must match exactly between the
-copy-on-write and the clone-based inner loops.
+identical with the engine on, off, and killed via the environment;
+the decision counters (which options were considered/rejected) must
+match exactly between the copy-on-write and the clone-based inner
+loops.
 """
 
 import json
@@ -62,14 +62,6 @@ def test_incremental_equals_from_scratch(seed, reconfig):
     scratch = canonical(seed, reconfiguration=reconfig, incremental=False)
     incremental = canonical(seed, reconfiguration=reconfig, incremental=True)
     assert scratch == incremental
-
-
-@PROPERTY_SETTINGS
-@given(seed=st.integers(min_value=0, max_value=60))
-def test_parallel_scoring_equals_serial(seed):
-    serial = canonical(seed, incremental=True, parallel_eval=0)
-    parallel = canonical(seed, incremental=True, parallel_eval=2)
-    assert serial == parallel
 
 
 @PROPERTY_SETTINGS

@@ -107,11 +107,26 @@ class TestDigests:
             CrusadeConfig(prune=False),
             CrusadeConfig(bound_abort=False),
             CrusadeConfig(timeline="tree"),
-            CrusadeConfig(parallel_eval=4),
-            CrusadeConfig(pool_batch=1),
             CrusadeConfig(cache_dir="/tmp/x", warm_start=False),
         ):
             assert config_digest(variant) == config_digest(base)
+
+    def test_store_keys_are_pinned(self, tmp_path):
+        """Existing stores stay addressable: config fields that were
+        identity-neutral can be removed without moving any key, so
+        these values must never change unless STORE_SCHEMA_VERSION
+        does."""
+        assert config_digest(CrusadeConfig()) == (
+            "d343d88a5ab5d42e957c17a2dcf6e8de"
+        )
+        key = SynthesisStore(tmp_path).result_key(
+            _spec(), default_library(), CrusadeConfig()
+        )
+        assert key == (
+            "76269b3de598e0e578f393291481289d-"
+            "42103f95f79f400c4190d96f4bdce010-"
+            "d343d88a5ab5d42e957c17a2dcf6e8de"
+        )
 
     def test_config_digest_sees_semantic_knobs(self):
         base = config_digest(CrusadeConfig())

@@ -61,10 +61,15 @@ def test_every_envelope_error_is_collected_in_one_pass():
 
 
 def test_unknown_config_field_is_rejected_not_ignored():
-    payload = valid_payload()
-    payload["config"] = {"cache_dir": "/tmp/x"}
-    (error,) = errors_of(payload)
-    assert "config.cache_dir" in error and "non-overridable" in error
+    # cache_dir is server-owned; parallel_eval and pool_batch are the
+    # removed scorer-pool knobs, which once set how many processes a
+    # shard forked.
+    for field, value in (("cache_dir", "/tmp/x"), ("parallel_eval", 64),
+                         ("pool_batch", 1)):
+        payload = valid_payload()
+        payload["config"] = {field: value}
+        (error,) = errors_of(payload)
+        assert "config.%s" % field in error and "non-overridable" in error
 
 
 def test_boolean_does_not_pass_an_integer_knob():

@@ -92,12 +92,29 @@ class TestCli:
         assert path_a != path_b
         assert _profile_path(Args, spec_a) == path_a
 
-    def test_synthesize_parallel_eval_accepts_auto(self, spec_file, capsys):
-        code = main([
-            "synthesize", str(spec_file), "--copies", "2",
-            "--parallel-eval", "auto",
-        ])
-        assert code == 0
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(["synthesize", "s.json", "--parallel-eval", "2"],
+                     "unrecognized", id="synthesize-parallel-eval"),
+        pytest.param(["synthesize", "s.json", "--pool-batch", "1"],
+                     "unrecognized", id="synthesize-pool-batch"),
+        pytest.param(["synthesize", "s.json", "--exec-transport", "pipe"],
+                     "unrecognized", id="synthesize-exec-transport"),
+        pytest.param(["synthesize", "s.json", "--worker-port", "0"],
+                     "unrecognized", id="synthesize-worker-port"),
+        pytest.param(["serve", "--exec-transport", "pipe"],
+                     "unrecognized", id="serve-exec-transport"),
+        pytest.param(["serve", "--worker-port", "0"],
+                     "unrecognized", id="serve-worker-port"),
+        pytest.param(["worker", "--connect", "127.0.0.1:9131"],
+                     "invalid choice", id="worker"),
+    ])
+    def test_removed_pool_and_transport_surface_is_rejected(
+        self, argv, error, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert error in capsys.readouterr().err
 
     def test_synthesize_ft(self, spec_file, capsys):
         code = main(["synthesize", str(spec_file), "--ft", "--copies", "2"])
