@@ -5,10 +5,15 @@ examples in three configurations, verifies all results are
 byte-identical, and records the timings in ``BENCH_inner_loop.json``
 at the repository root:
 
-* ``seconds_from_scratch`` -- engine off, pruning off: every candidate
-  is rescheduled from scratch by the legacy scheduler;
-* ``seconds_incremental`` -- engine on, pruning off: per-component
-  fragment caching, planned scheduling, copy-on-write application;
+* ``seconds_from_scratch`` -- pruning and bound aborts off, every
+  candidate rescheduled from scratch by the reference scheduler:
+  ``crusade(spec, config=CrusadeConfig(prune=False,
+  bound_abort=False), engine=ReferenceEngine())`` with the engine
+  test double from ``tests/sched/reference_scheduler.py``;
+* ``seconds_incremental`` -- the production engine, pruning and bound
+  aborts off (``CrusadeConfig(prune=False, bound_abort=False)``):
+  per-component fragment caching, planned scheduling, copy-on-write
+  application;
 * ``seconds_pruned`` -- engine on, pruning on, bound aborts *off*:
   admissible candidate pruning layered over the engine (directly
   comparable to records from before the bound-abort layer existed).
@@ -39,10 +44,10 @@ run skipped are ``null``, never absent, and ``merge_records``
 back-fills records written by older revisions of this script so the
 committed JSON stays schema-uniform.
 
-Run directly (not under pytest)::
+Run directly (not under pytest) from any directory; the script puts
+``src/`` and the repository root on ``sys.path`` itself::
 
-    PYTHONPATH=src python benchmarks/bench_inner_loop.py \
-        --example A1TR --scale 0.1
+    python benchmarks/bench_inner_loop.py --example A1TR --scale 0.1
 
 Records merge by (example, scale) so repeated runs update in place.
 ``--check-against`` compares the measured speedups to a committed
@@ -59,7 +64,9 @@ import sys
 import tempfile
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.bench.examples import EXAMPLE_NAMES, build_example  # noqa: E402
 from repro.core.config import CrusadeConfig  # noqa: E402
@@ -67,8 +74,9 @@ from repro.core.crusade import crusade  # noqa: E402
 from repro.io.result_json import result_to_dict  # noqa: E402
 from repro.obs.trace import Tracer  # noqa: E402
 from repro.perf.warmstart import tweak_deadline  # noqa: E402
+from tests.sched.reference_scheduler import ReferenceEngine  # noqa: E402
 
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_inner_loop.json"
+DEFAULT_OUT = ROOT / "BENCH_inner_loop.json"
 
 #: The uniform record shape.  Every record written by this script
 #: carries exactly these keys (plus nothing else); ``None`` means the
@@ -77,7 +85,6 @@ DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_inner_loop
 RECORD_SCHEMA = {
     "example": None,
     "scale": None,
-    "timeline": None,
     "tasks": None,
     "seconds_from_scratch": None,
     "seconds_incremental": None,
@@ -101,9 +108,10 @@ RECORD_SCHEMA = {
 
 
 def normalize_record(record: dict) -> dict:
-    """``record`` back-filled to the full uniform key set."""
+    """``record`` back-filled to the full uniform key set, with keys
+    the schema no longer carries dropped."""
     full = dict(RECORD_SCHEMA)
-    full.update(record)
+    full.update((k, v) for k, v in record.items() if k in RECORD_SCHEMA)
     return full
 
 
@@ -115,19 +123,18 @@ def _canonical(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _timed_run(spec, incremental: bool, prune: bool, timeline: str = "auto",
-               bound_abort: bool = False, cache_dir=None):
+def _timed_run(spec, prune: bool, bound_abort: bool = False, cache_dir=None,
+               engine=None):
     config = CrusadeConfig(
-        incremental=incremental, prune=prune, timeline=timeline,
-        bound_abort=bound_abort, cache_dir=cache_dir,
+        prune=prune, bound_abort=bound_abort, cache_dir=cache_dir,
     )
     tracer = Tracer()
     started = time.perf_counter()
-    result = crusade(spec, config=config, tracer=tracer)
+    result = crusade(spec, config=config, tracer=tracer, engine=engine)
     return time.perf_counter() - started, result, tracer.counters.as_dict()
 
 
-def warm_start_legs(spec, timeline: str, store_parent=None) -> dict:
+def warm_start_legs(spec, store_parent=None) -> dict:
     """The cross-run legs: populate, tweak one deadline, resubmit.
 
     The denominator is a *cold* bound-abort run of the tweaked spec
@@ -145,26 +152,19 @@ def warm_start_legs(spec, timeline: str, store_parent=None) -> dict:
         prefix="crusade-store-",
         dir=str(store_parent) if store_parent else None,
     ) as cache_dir:
-        _, _, _ = _timed_run(
-            spec, incremental=True, prune=True, timeline=timeline,
-            bound_abort=True, cache_dir=cache_dir,
-        )
+        _timed_run(spec, prune=True, bound_abort=True, cache_dir=cache_dir)
         tweaked = tweak_deadline(spec)
-        seconds_cold, cold, _ = _timed_run(
-            tweaked, incremental=True, prune=True, timeline=timeline,
-            bound_abort=True,
-        )
+        seconds_cold, cold, _ = _timed_run(tweaked, prune=True,
+                                           bound_abort=True)
         print("  cold tweaked: %.2fs" % (seconds_cold,))
         seconds_warm, warm, counters = _timed_run(
-            tweaked, incremental=True, prune=True, timeline=timeline,
-            bound_abort=True, cache_dir=cache_dir,
+            tweaked, prune=True, bound_abort=True, cache_dir=cache_dir,
         )
         preloaded = counters.get("perf.store.fragments_preloaded", 0)
         print("  warm-start:   %.2fs (%d fragments preloaded)" % (
             seconds_warm, preloaded))
         seconds_hit, hit, hit_counters = _timed_run(
-            tweaked, incremental=True, prune=True, timeline=timeline,
-            bound_abort=True, cache_dir=cache_dir,
+            tweaked, prune=True, bound_abort=True, cache_dir=cache_dir,
         )
         print("  exact hit:    %.4fs (perf.store.hit %d)" % (
             seconds_hit, hit_counters.get("perf.store.hit", 0)))
@@ -184,20 +184,16 @@ def warm_start_legs(spec, timeline: str, store_parent=None) -> dict:
 
 
 def bench_example(name: str, scale: float, skip_scratch: bool = False,
-                  timeline: str = "auto", skip_warm: bool = False,
-                  store_parent=None) -> dict:
+                  skip_warm: bool = False, store_parent=None) -> dict:
     """One record: the mode timings plus the identity checks."""
     spec = build_example(name, scale=scale)
-    seconds_pruned, pruned, counters = _timed_run(
-        spec, incremental=True, prune=True, timeline=timeline
-    )
+    seconds_pruned, pruned, counters = _timed_run(spec, prune=True)
     prune_cut = counters.get("prune.cut", 0)
     print("  pruned:       %.2fs (cost $%.0f, %s, prune.cut %d)" % (
         seconds_pruned, pruned.cost,
         "feasible" if pruned.feasible else "INFEASIBLE", prune_cut))
     seconds_bound, bounded, bound_counters = _timed_run(
-        spec, incremental=True, prune=True, timeline=timeline,
-        bound_abort=True,
+        spec, prune=True, bound_abort=True,
     )
     sched_abort = bound_counters.get("sched.abort", 0)
     sched_runs = bound_counters.get("sched.runs", 0)
@@ -210,7 +206,6 @@ def bench_example(name: str, scale: float, skip_scratch: bool = False,
     record = {
         "example": name,
         "scale": scale,
-        "timeline": timeline,
         "tasks": spec.total_tasks,
         "seconds_from_scratch": None,
         "seconds_incremental": None,
@@ -227,7 +222,7 @@ def bench_example(name: str, scale: float, skip_scratch: bool = False,
         "identical": canonical_pruned == _canonical(bounded),
     }
     if not skip_warm:
-        warm = warm_start_legs(spec, timeline, store_parent=store_parent)
+        warm = warm_start_legs(spec, store_parent=store_parent)
         record["identical"] = (
             record["identical"] and warm.pop("identical_warm")
         )
@@ -237,12 +232,10 @@ def bench_example(name: str, scale: float, skip_scratch: bool = False,
         return normalize_record(record)
 
     seconds_scratch, scratch, _ = _timed_run(
-        spec, incremental=False, prune=False
+        spec, prune=False, engine=ReferenceEngine()
     )
     print("  from-scratch: %.2fs" % (seconds_scratch,))
-    seconds_incr, incr, _ = _timed_run(
-        spec, incremental=True, prune=False, timeline=timeline
-    )
+    seconds_incr, incr, _ = _timed_run(spec, prune=False)
     print("  incremental:  %.2fs" % (seconds_incr,))
     canonical_scratch = _canonical(scratch)
     identical = (
@@ -340,11 +333,6 @@ def main(argv=None) -> int:
                              "no speedup) -- for large workloads")
     parser.add_argument("--skip-warm", action="store_true",
                         help="drop the warm-start / exact-hit legs")
-    parser.add_argument("--timeline", choices=("auto", "list", "tree"),
-                        default="auto",
-                        help="timeline implementation for the engine legs "
-                             "(default auto; results are identical either "
-                             "way -- this is a timing axis)")
     parser.add_argument("--check-against", type=pathlib.Path, default=None,
                         metavar="BASELINE.json",
                         help="fail when speedup regresses vs this file")
@@ -357,7 +345,6 @@ def main(argv=None) -> int:
         print("%s @ scale %g" % (name, args.scale))
         record = bench_example(name, args.scale,
                                skip_scratch=args.skip_scratch,
-                               timeline=args.timeline,
                                skip_warm=args.skip_warm,
                                store_parent=args.out.resolve().parent)
         if record["speedup"] is not None:

@@ -6,9 +6,9 @@ architecture -- either a clone, or the working architecture itself via
 :mod:`repro.perf.cow`.  ``evaluate_architecture`` runs the scheduler
 and finish-time estimation and wraps the verdict for the
 allocation-evaluation step, which compares candidates on total dollar
-cost (Section 5).  When an :class:`~repro.perf.engine.IncrementalEngine`
-is supplied, scheduling reuses cached per-component fragments instead
-of starting from scratch.
+cost (Section 5).  Scheduling goes through an
+:class:`~repro.perf.engine.IncrementalEngine`, which reuses cached
+per-component fragments across evaluations.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resources.link import LinkType
-from repro.sched.finish_time import DeadlineReport, evaluate_deadlines
-from repro.sched.scheduler import Schedule, ScheduleRequest, build_schedule
+from repro.perf.engine import IncrementalEngine
+from repro.sched.finish_time import DeadlineReport
+from repro.sched.scheduler import Schedule
 from repro.alloc.array import AllocationKind, AllocationOption
 
 #: (library id, strategy) -> (library n_links, chosen LinkType).  The
@@ -226,7 +227,7 @@ def evaluate_architecture(
     preemption: bool = True,
     graphs: Optional[List[str]] = None,
     tracer: Tracer = NULL_TRACER,
-    engine=None,
+    engine: Optional[IncrementalEngine] = None,
     bound: Optional[tuple] = None,
 ) -> EvalResult:
     """Schedule ``arch`` and wrap the finish-time verdict.
@@ -235,8 +236,8 @@ def evaluate_architecture(
     fast inner-loop path); the driver always re-validates the final
     architecture with the full graph set.  ``engine`` (an
     :class:`~repro.perf.engine.IncrementalEngine`) reuses cached
-    per-component schedule fragments; the verdict is byte-identical to
-    the from-scratch path either way.  ``bound`` (an incumbent badness
+    per-component schedule fragments across calls; None schedules
+    through a fresh one.  ``bound`` (an incumbent badness
     tuple) enables bounded search: scheduling raises
     :class:`~repro.sched.scheduler.ScheduleAbort` the moment the
     candidate provably loses to the incumbent -- callers passing a
@@ -248,25 +249,12 @@ def evaluate_architecture(
         scoped_spec, scoped_assoc = _scope(spec, assoc, graphs, tracer)
     else:
         scoped_spec, scoped_assoc = spec, assoc
-    if engine is not None:
-        schedule, report = engine.evaluate(
-            scoped_spec, scoped_assoc, clustering, arch, priorities,
-            boot_time_fn, preemption, tracer, bound=bound,
-        )
-    else:
-        request = ScheduleRequest(
-            spec=scoped_spec,
-            assoc=scoped_assoc,
-            clustering=clustering,
-            arch=arch,
-            priorities=priorities,
-            boot_time_fn=boot_time_fn,
-            preemption=preemption,
-            tracer=tracer,
-            bound=bound,
-        )
-        schedule = build_schedule(request)
-        report = evaluate_deadlines(schedule, scoped_spec, scoped_assoc)
+    if engine is None:
+        engine = IncrementalEngine()
+    schedule, report = engine.evaluate(
+        scoped_spec, scoped_assoc, clustering, arch, priorities,
+        boot_time_fn, preemption, tracer, bound=bound,
+    )
     return EvalResult(arch=arch, schedule=schedule, report=report, cost=arch.cost)
 
 

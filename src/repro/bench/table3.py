@@ -7,7 +7,7 @@ of 30.7-53.2 %, with FT architectures costlier than Table 2's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional
 
 from repro.core.config import CrusadeConfig
@@ -60,7 +60,12 @@ def run_table3_row(
     spec: Optional[SystemSpec] = None,
 ) -> Table3Row:
     """Synthesize one fault-tolerant example with and without
-    reconfiguration."""
+    reconfiguration.
+
+    The baseline runs under the caller's ``config`` with only
+    ``reconfiguration`` turned off, as the merge stage's own baseline
+    does.
+    """
     if scale is None:
         scale = bench_scale()
     if library is None:
@@ -71,19 +76,7 @@ def run_table3_row(
         ft_config = FtConfig()
     if spec is None:
         spec = build_example(example, scale=scale, library=library)
-    baseline_config = CrusadeConfig(
-        reconfiguration=False,
-        clustering=config.clustering,
-        max_explicit_copies=config.max_explicit_copies,
-        max_cluster_size=config.max_cluster_size,
-        delay_policy=config.delay_policy,
-        preemption=config.preemption,
-        max_existing_options=config.max_existing_options,
-        fast_inner_loop=config.fast_inner_loop,
-        link_strategies=config.link_strategies,
-        incremental=config.incremental,
-        prune=config.prune,
-    )
+    baseline_config = replace(config, reconfiguration=False)
     without = crusade_ft(
         spec, library=library, config=baseline_config, ft_config=ft_config
     )

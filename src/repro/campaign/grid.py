@@ -8,17 +8,18 @@ each with a stable human-readable id like
 ``table2:A1TR@0.05:pruned``.  Job ids are the keys of the checkpoint
 log, so expansion refuses grids that would produce duplicates.
 
-Variants map onto :class:`repro.core.config.CrusadeConfig` knobs; the
-named presets in :data:`VARIANT_PRESETS` cover the kill-switch
-matrix (pruning and the incremental engine on/off) that the
-benchmark ablations sweep.
+Variants map onto :class:`repro.core.config.CrusadeConfig` knobs and
+are checked against its fields when built; the named presets in
+:data:`VARIANT_PRESETS` cover the pruning kill switch and the
+alternative cluster-order policy that the benchmark ablations sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.config import CrusadeConfig
 from repro.errors import SpecificationError
 from repro.io.campaign_json import CAMPAIGN_SCHEMA_VERSION
 from repro.campaign.jobs import JOB_KINDS, Job
@@ -29,12 +30,13 @@ from repro.campaign.jobs import JOB_KINDS, Job
 #: allocation biggest-first instead of by priority.
 VARIANT_PRESETS: Dict[str, Dict[str, Any]] = {
     "default": {},
-    "pruned": {"prune": True, "incremental": True},
+    "pruned": {"prune": True},
     "no-prune": {"prune": False},
-    "no-incremental": {"incremental": False},
-    "from-scratch": {"prune": False, "incremental": False},
     "largest-first": {"policy": "largest-first"},
 }
+
+#: The keys a variant's ``config`` may carry.
+CONFIG_FIELDS = frozenset(f.name for f in fields(CrusadeConfig))
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,16 @@ class Variant:
     name: str
     #: CrusadeConfig keyword overrides (e.g. ``{"prune": False}``).
     config: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Reject keys that are not ``CrusadeConfig`` fields here,
+        rather than as a retried ``TypeError`` inside a worker."""
+        unknown = sorted(set(self.config) - CONFIG_FIELDS)
+        if unknown:
+            raise SpecificationError(
+                "variant %r: unknown config field(s) %s"
+                % (self.name, ", ".join(unknown))
+            )
 
     @classmethod
     def preset(cls, name: str) -> "Variant":

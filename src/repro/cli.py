@@ -64,21 +64,12 @@ def _add_synthesize(subparsers) -> None:
                    help="print per-phase timings and synthesis counters")
     p.add_argument("--trace", metavar="TRACE.jsonl",
                    help="stream structured trace events to a JSON-lines file")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable the incremental evaluation engine "
-                        "(schedule caching + copy-on-write inner loop)")
     p.add_argument("--no-prune", action="store_true",
                    help="disable admissible candidate pruning "
                         "(evaluate every allocation candidate)")
     p.add_argument("--no-bound-abort", action="store_true",
                    help="disable incumbent-driven bound aborts "
                         "(evaluate every candidate to completion)")
-    p.add_argument("--timeline", choices=("auto", "list", "tree"),
-                   default="auto",
-                   help="scheduler timeline implementation: flat bisected "
-                        "lists ('list'), blocked index ('tree'), or "
-                        "length-switched ('auto', default); results are "
-                        "identical either way")
     p.add_argument("--profile", type=int, default=0, metavar="N",
                    help="run synthesis under cProfile, print the top-N "
                         "cumulative functions and write "
@@ -286,10 +277,8 @@ def _cmd_synthesize(args) -> int:
     config = CrusadeConfig(
         reconfiguration=not args.no_reconfig,
         max_explicit_copies=args.copies,
-        incremental=not args.no_incremental,
         prune=not args.no_prune,
         bound_abort=not args.no_bound_abort,
-        timeline=args.timeline,
         cache_dir=args.cache_dir,
         warm_start=not args.no_warm_start,
     )

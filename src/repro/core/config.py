@@ -2,7 +2,10 @@
 
 Defaults follow the paper: ERUF 70 % / EPUF 80 %, clustering enabled,
 restricted preemption on, dynamic reconfiguration on.  The ablation
-benchmarks flip individual knobs.
+benchmarks flip individual knobs.  The performance layer has no mode
+switches beyond ``prune`` and ``bound_abort``: every run evaluates
+through the incremental engine (:mod:`repro.perf.engine`) on the one
+production timeline pair (:mod:`repro.perf.treetimeline`).
 """
 
 from __future__ import annotations
@@ -50,13 +53,6 @@ class CrusadeConfig:
     interface_retries:
         How many times the boot-time requirement is halved when the
         synthesized interface's boot times break the schedule.
-    incremental:
-        Incremental evaluation engine (per-component schedule caching,
-        copy-on-write candidate application, incremental priority
-        recomputation -- see :mod:`repro.perf`).  Results are
-        byte-identical either way; ``False`` (or the
-        ``REPRO_NO_INCREMENTAL=1`` environment variable) restores the
-        from-scratch inner loop.
     prune:
         Admissible candidate pruning (:mod:`repro.perf.prune`):
         candidates whose finish-time/demand lower bounds provably miss
@@ -65,21 +61,6 @@ class CrusadeConfig:
         architecture are byte-identical either way; ``False`` (or the
         ``REPRO_NO_PRUNE=1`` environment variable) restores exhaustive
         evaluation.
-    timeline:
-        Timeline implementation for scheduler resources (see
-        :mod:`repro.perf.treetimeline`): ``"list"`` keeps the
-        bisect-indexed flat lists, ``"tree"`` uses the blocked index
-        from the first interval, and ``"auto"`` (default) starts flat
-        and converts a timeline to the blocked index when it grows
-        past the conversion threshold -- the right choice everywhere,
-        since short timelines pay zero overhead and the long,
-        fragmented timelines of full-scale workloads escape the O(n)
-        insert memmove.  All three are bit-for-bit interchangeable
-        (enforced by the differential oracle in ``tests/sched``); the
-        ``REPRO_TIMELINE`` environment variable overrides this knob as
-        a kill switch.  Only consulted on the engine path -- the
-        legacy from-scratch scheduler always uses the linear reference
-        timelines.
     bound_abort:
         Incumbent-driven bounded search: candidate evaluations carry
         the incumbent's badness tuple into the scheduler, which aborts
@@ -130,9 +111,7 @@ class CrusadeConfig:
     link_strategies: Tuple[str, ...] = ("cheapest", "fastest")
     combine_modes: bool = True
     interface_retries: int = 6
-    incremental: bool = True
     prune: bool = True
-    timeline: str = "auto"
     bound_abort: bool = True
     policy: str = "default"
     cache_dir: Optional[str] = None
@@ -141,10 +120,6 @@ class CrusadeConfig:
     def __post_init__(self) -> None:
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise SpecificationError("cache_dir must be a string path or None")
-        if self.timeline not in ("list", "tree", "auto"):
-            raise SpecificationError(
-                "timeline must be one of 'list', 'tree', 'auto'"
-            )
         if self.max_explicit_copies < 1:
             raise SpecificationError("max_explicit_copies must be >= 1")
         if self.max_cluster_size < 1:

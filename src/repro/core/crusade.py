@@ -88,11 +88,13 @@ def crusade(
     synthesized result -- only observes it.
 
     ``engine`` (see :mod:`repro.perf`) is the incremental evaluation
-    engine; by default one is created per call when
-    ``config.incremental`` holds (and ``REPRO_NO_INCREMENTAL`` is
-    unset).  The nested baseline synthesis of route (b) shares its
-    parent's engine, so fragments cached during the main allocation
-    are reused there.  Engine or not, results are byte-identical.
+    engine every candidate is scheduled through; by default one is
+    created per call.  The nested baseline synthesis of route (b)
+    shares its parent's engine, so fragments cached during the main
+    allocation are reused there.  Any object with the engine's
+    ``evaluate`` / ``cache_info`` / ``bind_store`` / ``store``
+    surface may be donated -- the equivalence suites donate the
+    reference scheduler's engine and get byte-identical results.
 
     ``config.policy`` names the :class:`~repro.core.stages.policies.
     SynthesisPolicy` whose hooks steer the heuristic's open decision
@@ -146,7 +148,7 @@ def crusade(
         tracer=resolved_tracer,
         engine=engine,
     )
-    if store is not None and ctx.engine is not None and ctx.engine.store is None:
+    if store is not None and ctx.engine.store is None:
         from repro.perf.warmstart import bind_engine
 
         bind_engine(ctx.engine, store, spec, ctx.library, config,

@@ -2,11 +2,10 @@
 
 Clusters are allocated in policy order.  For each cluster an
 allocation array of candidate placements is built (cheapest first,
-re-ordered by the policy's candidate preference) and scored by one of
-two interchangeable paths -- the serial clone path or the
-copy-on-write engine path -- both feeding the same
-:class:`CandidateSelection` core, so the first-feasible /
-least-infeasible choice is byte-identical regardless of path.  The
+re-ordered by the policy's candidate preference) and scored as
+copy-on-write overlays on the working architecture, each evaluated
+through the run's engine and fed to the :class:`CandidateSelection`
+core that makes the first-feasible / least-infeasible choice.  The
 winning candidate is committed and priorities are recomputed with the
 new allocation.
 
@@ -49,7 +48,7 @@ _log = logging.getLogger("repro.crusade")
 class CandidateSelection:
     """First-feasible / least-infeasible bookkeeping for one cluster.
 
-    The serial loop's strict improvement rule is the argmin of
+    The scoring loop's strict improvement rule is the argmin of
     ``(badness, seq)``, where ``seq`` numbers candidates in
     consideration order across strategies; tracking the key explicitly
     lets pruned candidates (which carry admissible badness *floors*)
@@ -93,7 +92,7 @@ class CandidateSelection:
         """Offer an infeasible candidate at the current seq.
 
         Keeps the argmin of ``(badness, seq)``.  ``make_verdict`` is
-        called only when the offer improves (the copy-on-write path
+        called only when the offer improves (the copy-on-write scorer
         clones the applied architecture lazily).
         """
         key = (badness, self.seq)
@@ -159,12 +158,8 @@ class Allocation(Stage):
             options = self.candidate_options(ctx, cluster)
             if not options:
                 continue
-            if ctx.engine is not None:
-                self.score_cow(ctx, cluster, options, strategy, selection,
-                               pruner)
-            else:
-                self.score_serial(ctx, cluster, options, strategy, selection,
-                                  pruner)
+            self.score_cow(ctx, cluster, options, strategy, selection,
+                           pruner)
             if selection.done:
                 break
         self.resolve_fallback(ctx, cluster, selection)
@@ -296,63 +291,6 @@ class Allocation(Stage):
             if selection.done:
                 break
 
-    def score_serial(
-        self,
-        ctx: SynthesisContext,
-        cluster: Cluster,
-        options: List,
-        strategy: str,
-        selection: CandidateSelection,
-        pruner: Optional[CandidatePruner],
-    ) -> None:
-        """Score options serially, each on its own cloned architecture."""
-        for option in options:
-            ctx.tracer.incr("alloc.options.considered")
-            selection.advance()
-            trial = ctx.arch.clone()
-            try:
-                apply_option(
-                    option, trial, cluster, ctx.clustering, ctx.spec, strategy
-                )
-            except AllocationError:
-                ctx.tracer.incr("alloc.options.apply_failed")
-                continue
-            # Coupled graphs are computed on the *trial* so the
-            # placement's new resource sharing is verified too.
-            graphs = (
-                coupled_graphs(trial, ctx.clustering, cluster.graph)
-                if ctx.fast
-                else None
-            )
-            if pruner is not None:
-                cut = pruner.bound(trial, option, graphs, ctx.tracer)
-                if cut is not None:
-                    ctx.tracer.incr("prune.cut")
-                    ctx.tracer.incr("prune.cut." + cut.reason)
-                    selection.defer_pruned(cut.floor, option, strategy)
-                    continue
-                ctx.tracer.incr("prune.kept")
-            try:
-                verdict = evaluate_architecture(
-                    ctx.spec,
-                    ctx.assoc,
-                    ctx.clustering,
-                    trial,
-                    ctx.priorities,
-                    preemption=ctx.config.preemption,
-                    graphs=graphs,
-                    tracer=ctx.tracer,
-                    bound=self.incumbent_bound(ctx, selection),
-                )
-            except ScheduleAbort as abort:
-                self.count_abort(ctx, abort.reason)
-                continue
-            if verdict.feasible:
-                selection.choose(verdict)
-                break
-            ctx.tracer.incr("alloc.options.infeasible")
-            selection.offer(verdict.badness(), make_verdict=lambda: verdict)
-
     # -- fallback resolution -------------------------------------------
     def resolve_fallback(
         self,
@@ -431,11 +369,7 @@ class Allocation(Stage):
         )
         context = allocation_aware_context(ctx.library, ctx.arch,
                                            ctx.clustering)
-        if (
-            ctx.engine is not None
-            and ctx.allocation_aware
-            and selection.chosen_touched is not None
-        ):
+        if ctx.allocation_aware and selection.chosen_touched is not None:
             dirty = {cluster.graph}
             for name, (pe_id, _) in ctx.arch.cluster_alloc.items():
                 if pe_id in selection.chosen_touched:

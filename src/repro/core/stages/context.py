@@ -25,7 +25,7 @@ from repro.core.stages.policies import SynthesisPolicy, resolve_policy
 from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import Tracer, resolve_tracer
-from repro.perf.engine import IncrementalEngine, resolve_engine
+from repro.perf.engine import IncrementalEngine
 from repro.reconfig.compatibility import CompatibilityAnalysis
 from repro.reconfig.interface import InterfacePlan
 from repro.resources.catalog import default_library
@@ -47,7 +47,7 @@ class SynthesisContext:
     library: ResourceLibrary
     config: CrusadeConfig
     tracer: Tracer
-    engine: Optional[IncrementalEngine]
+    engine: IncrementalEngine
     policy: SynthesisPolicy
     #: Wall-clock origin for the result's ``cpu_seconds``.
     started: float
@@ -100,7 +100,7 @@ class SynthesisContext:
 
         Mirrors the public ``crusade()`` signature: ``None`` arguments
         mean "use the default" (catalog library, default config, null
-        tracer, config-resolved engine, config-named policy).
+        tracer, a fresh engine, config-named policy).
         """
         started = time.perf_counter()
         if library is None:
@@ -112,7 +112,7 @@ class SynthesisContext:
             library=library,
             config=config,
             tracer=resolve_tracer(tracer),
-            engine=resolve_engine(config, engine),
+            engine=engine if engine is not None else IncrementalEngine(),
             policy=resolve_policy(config.policy),
             started=started,
             clustering=clustering,

@@ -52,9 +52,8 @@ class Finalize(Stage):
                 cost=ctx.best.arch.cost,
             )
             ctx.result.stats = ctx.tracer.stats(total_seconds=cpu_seconds)
-            if ctx.engine is not None:
-                # Engine cache gauges, set on the snapshot (not incr'd
-                # through the tracer) so the nested baseline's earlier
-                # finalize cannot double-count them.
-                for name, value in ctx.engine.cache_info().items():
-                    ctx.result.stats.counters["perf.cache." + name] = value
+            # Engine cache gauges, set on the snapshot (not incr'd
+            # through the tracer) so the nested baseline's earlier
+            # finalize cannot double-count them.
+            for name, value in ctx.engine.cache_info().items():
+                ctx.result.stats.counters["perf.cache." + name] = value

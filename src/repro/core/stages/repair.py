@@ -31,7 +31,6 @@ from repro.sched.scheduler import ScheduleAbort
 from repro.alloc.array import build_allocation_array
 from repro.alloc.evaluate import (
     EvalResult,
-    apply_option,
     apply_option_cow,
     evaluate_architecture,
 )
@@ -58,11 +57,12 @@ def repair_pass(
     Each round takes the latest full evaluation's worst offenders,
     deallocates each offender's cluster on a cloned architecture, and
     retries its allocation array under *full* (not subset) evaluation;
-    the first strictly-badness-reducing placement wins.  With the
-    incremental engine, each re-homing is applied as a copy-on-write
-    overlay on the stripped architecture (cloned only when kept) and
-    its evaluation reuses cached component fragments -- repair moves
-    one cluster at a time, so almost every component is a cache hit.
+    the first strictly-badness-reducing placement wins.  Each
+    re-homing is applied as a copy-on-write overlay on the stripped
+    architecture (cloned only when kept) and its evaluation through
+    ``engine`` (a fresh one when None) reuses cached component
+    fragments -- repair moves one cluster at a time, so almost every
+    component is a cache hit.
 
     With pruning active, each re-homing's full-scope badness floor
     (:class:`~repro.perf.prune.RepairBound`) is checked first: a
@@ -70,6 +70,8 @@ def repair_pass(
     neither be feasible (its floor then has >= 1 miss/overload) nor
     strictly improve, so it is skipped without scheduling.
     """
+    if engine is None:
+        engine = IncrementalEngine()
     repair_bound = (
         RepairBound(spec, assoc, clustering) if pruning_active(config) else None
     )
@@ -174,63 +176,17 @@ def repair_pass(
             )
             for option in options:
                 tracer.incr("repair.rehomings_tried")
-                if engine is not None:
-                    try:
-                        handle = apply_option_cow(
-                            option, stripped, cluster, clustering, spec,
-                            "fastest",
-                        )
-                    except AllocationError:
-                        continue
-                    tracer.incr("perf.cow.applies")
-                    try:
-                        if repair_bound is not None:
-                            floor = repair_bound.badness_floor(stripped)
-                            if floor >= current.badness():
-                                tracer.incr("prune.cut")
-                                tracer.incr("prune.cut.repair")
-                                continue
-                            tracer.incr("prune.kept")
-                            tracer.incr("prune.kept.repair")
-                        try:
-                            verdict = evaluate_architecture(
-                                spec,
-                                assoc,
-                                clustering,
-                                stripped,
-                                priorities,
-                                preemption=config.preemption,
-                                tracer=tracer,
-                                engine=engine,
-                                bound=abort_bound(round_best),
-                            )
-                        except ScheduleAbort as abort:
-                            tracer.incr("sched.abort")
-                            tracer.incr("sched.abort." + abort.reason)
-                            continue
-                        # Materialize the applied state only for
-                        # verdicts the selection below will keep.
-                        if verdict.report.all_met or (
-                            verdict.badness() < current.badness()
-                            and (
-                                round_best is None
-                                or verdict.badness() < round_best.badness()
-                            )
-                        ):
-                            verdict = replace(verdict, arch=stripped.clone())
-                    finally:
-                        handle.revert()
-                        tracer.incr("perf.cow.reverts")
-                else:
-                    trial = stripped.clone()
-                    try:
-                        apply_option(
-                            option, trial, cluster, clustering, spec, "fastest"
-                        )
-                    except AllocationError:
-                        continue
+                try:
+                    handle = apply_option_cow(
+                        option, stripped, cluster, clustering, spec,
+                        "fastest",
+                    )
+                except AllocationError:
+                    continue
+                tracer.incr("perf.cow.applies")
+                try:
                     if repair_bound is not None:
-                        floor = repair_bound.badness_floor(trial)
+                        floor = repair_bound.badness_floor(stripped)
                         if floor >= current.badness():
                             tracer.incr("prune.cut")
                             tracer.incr("prune.cut.repair")
@@ -242,16 +198,30 @@ def repair_pass(
                             spec,
                             assoc,
                             clustering,
-                            trial,
+                            stripped,
                             priorities,
                             preemption=config.preemption,
                             tracer=tracer,
+                            engine=engine,
                             bound=abort_bound(round_best),
                         )
                     except ScheduleAbort as abort:
                         tracer.incr("sched.abort")
                         tracer.incr("sched.abort." + abort.reason)
                         continue
+                    # Materialize the applied state only for verdicts
+                    # the selection below will keep.
+                    if verdict.report.all_met or (
+                        verdict.badness() < current.badness()
+                        and (
+                            round_best is None
+                            or verdict.badness() < round_best.badness()
+                        )
+                    ):
+                        verdict = replace(verdict, arch=stripped.clone())
+                finally:
+                    handle.revert()
+                    tracer.incr("perf.cow.reverts")
                 if verdict.report.all_met:
                     current = verdict
                     solved = True

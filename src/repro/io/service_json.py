@@ -76,9 +76,7 @@ SERVICE_CONFIG_FIELDS: Dict[str, tuple] = {
     "fast_threshold_tasks": (int,),
     "combine_modes": (bool,),
     "interface_retries": (int,),
-    "incremental": (bool,),
     "prune": (bool,),
-    "timeline": (str,),
     "bound_abort": (bool,),
     "policy": (str,),
 }

@@ -28,10 +28,10 @@ Counter name prefixes and what they measure:
     ``.commits`` / ``.reverts`` for copy-on-write candidate
     application, ``perf.priorities.recomputed`` / ``.reused`` for
     incremental priority recomputation, and ``perf.plan.hits`` /
-    ``.misses`` for the fast scheduler's per-spec plan cache
+    ``.misses`` for the scheduler's per-spec plan cache
     (:mod:`repro.perf.fastsched`).  ``sched.runs`` equals
-    ``perf.schedule.misses`` when the engine is active (every
-    scheduler run builds exactly one cached fragment).
+    ``perf.schedule.misses`` (every scheduler run builds exactly one
+    cached fragment).
 ``perf.store.*``
     The persistent content-addressed synthesis store
     (:mod:`repro.perf.store`): ``perf.store.hit`` / ``.miss`` for the

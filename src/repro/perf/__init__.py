@@ -1,21 +1,22 @@
 """Performance layer for the synthesis inner loop.
 
 Cooperating pieces, all observable through ``perf.*`` / ``prune.*``
-tracer counters and each individually killable
-(``CrusadeConfig.incremental=False`` / ``REPRO_NO_INCREMENTAL=1``,
-``CrusadeConfig.prune=False`` / ``REPRO_NO_PRUNE=1``):
+tracer counters:
 
 * :mod:`repro.perf.fingerprint` -- partitions the specification's
   graphs into resource-coupled components and fingerprints each
   component's scheduling inputs by value;
 * :mod:`repro.perf.engine` -- the per-component schedule/verdict cache
-  (:class:`IncrementalEngine`) threaded through
-  ``evaluate_architecture``;
+  (:class:`IncrementalEngine`) every ``evaluate_architecture`` call
+  schedules through;
+* :mod:`repro.perf.fastsched` -- the scheduler's cross-run caches
+  (plans, routes, transfer times) and its timeline factory pair;
 * :mod:`repro.perf.cow` -- copy-on-write application of allocation
   options (undo journals instead of architecture clones);
 * :mod:`repro.perf.prune` -- admissible candidate pruning: per-
   candidate finish-time/demand lower bounds cut provably infeasible
-  candidates before the scheduler runs (pure dominance pruning);
+  candidates before the scheduler runs (pure dominance pruning;
+  ``CrusadeConfig.prune=False`` / ``REPRO_NO_PRUNE=1`` switch it off);
 * :mod:`repro.perf.store` / :mod:`repro.perf.warmstart` -- the
   persistent content-addressed synthesis store (full-result tier +
   cross-run fragment tier under ``CrusadeConfig.cache_dir``) and the
@@ -23,22 +24,19 @@ tracer counters and each individually killable
   prior run and rebinds still-valid schedule fragments; reads killed
   by ``warm_start=False`` / ``REPRO_NO_WARM_START=1``;
 * :mod:`repro.perf.fasttimeline` / :mod:`repro.perf.treetimeline` --
-  the fast implementations of the :class:`repro.sched.timeline`
-  abstract timelines: bisect-indexed flat lists, and the blocked
-  index for long fragmented timelines, selected per run by
-  ``CrusadeConfig.timeline`` (``REPRO_TIMELINE`` overrides) and held
-  byte-identical by the differential oracle in ``tests/sched``.
+  the production implementations of the :class:`repro.sched.timeline`
+  abstract timelines: bisect-indexed flat lists that switch to a
+  blocked index once a timeline grows long, held byte-identical to
+  the linear reference classes by the differential oracle in
+  ``tests/sched``.
 
-All paths are byte-identical to the from-scratch pipeline; the
-property suites in ``tests/perf`` assert it.
+Results are byte-identical to the reference scheduler in
+``tests/sched/reference_scheduler.py``; the property suites in
+``tests/perf`` assert it.
 """
 
 from repro.perf.cow import AppliedOption, undo_journal
-from repro.perf.engine import (
-    IncrementalEngine,
-    incremental_disabled_by_env,
-    resolve_engine,
-)
+from repro.perf.engine import IncrementalEngine
 from repro.perf.fingerprint import component_fingerprint, partition_components
 from repro.perf.prune import (
     CandidatePruner,
@@ -47,11 +45,7 @@ from repro.perf.prune import (
     prune_disabled_by_env,
     pruning_active,
 )
-from repro.perf.treetimeline import (
-    TreePpeModeTimeline,
-    TreeTimeline,
-    resolve_timeline,
-)
+from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
 
 __all__ = [
     "AppliedOption",
@@ -60,12 +54,9 @@ __all__ = [
     "PruneVerdict",
     "RepairBound",
     "component_fingerprint",
-    "incremental_disabled_by_env",
     "partition_components",
     "prune_disabled_by_env",
     "pruning_active",
-    "resolve_engine",
-    "resolve_timeline",
     "TreePpeModeTimeline",
     "TreeTimeline",
     "undo_journal",

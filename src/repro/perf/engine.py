@@ -17,7 +17,8 @@ and leaves the rest untouched, so repair rounds, merge trials, full
 checks and the nested baseline synthesis (which shares the engine)
 mostly replay cached fragments.
 
-The merged verdict reproduces the from-scratch one exactly:
+The merged verdict reproduces a monolithic schedule plus
+:func:`~repro.sched.finish_time.evaluate_deadlines` exactly:
 
 * lateness entries are inserted in ``spec.graph_names()`` order (the
   order ``evaluate_deadlines`` uses), preserving downstream tie-breaks
@@ -33,15 +34,16 @@ processors or buses (e.g. the large Table 2 examples) nearly every
 evaluation is a fresh single component.  The engine therefore also
 owns a :class:`repro.perf.fastsched.SchedulerContext`: cache misses
 are scheduled over precomputed per-spec plans, memoized routes and
-transfer times, and bisect-indexed timelines
-(:mod:`repro.perf.fasttimeline`) -- byte-identical to the legacy
-scheduler but roughly twice as fast, which is where the engine's
-speedup comes from when fingerprints never repeat.
+transfer times, and the bisect-indexed production timelines
+(:mod:`repro.perf.treetimeline`) -- byte-identical to the reference
+scheduler in ``tests/sched/reference_scheduler.py`` but roughly twice
+as fast, which is where the engine's speedup comes from when
+fingerprints never repeat.
 
-The engine is enabled by default (``CrusadeConfig.incremental``) and
-killed by ``incremental=False`` or the ``REPRO_NO_INCREMENTAL=1``
-environment variable.  All cache traffic is reported through the
-tracer as ``perf.schedule.hits`` / ``perf.schedule.misses`` /
+Every synthesis evaluates through an engine: ``crusade()`` and
+``evaluate_architecture`` create one when the caller donates none.
+All cache traffic is reported through the tracer as
+``perf.schedule.hits`` / ``perf.schedule.misses`` /
 ``perf.schedule.evictions`` and ``perf.plan.hits`` /
 ``perf.plan.misses``.
 
@@ -55,7 +57,6 @@ freshly built fragment is persisted for future runs.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
@@ -67,12 +68,7 @@ from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import Tracer
 from repro.reconfig.reboot import default_boot_time
-from repro.sched.finish_time import (
-    _OVERLOAD_TOLERANCE,
-    DeadlineReport,
-    deadline_lateness,
-    resource_demand,
-)
+from repro.sched.finish_time import _OVERLOAD_TOLERANCE, DeadlineReport
 from repro.sched.scheduler import (
     Schedule,
     ScheduleAbort,
@@ -82,10 +78,6 @@ from repro.sched.scheduler import (
 from repro.perf.fastsched import SchedulerContext
 from repro.perf.fingerprint import component_fingerprint, partition_components
 from repro.units import TIME_EPS
-
-#: Environment kill switch: restore the from-scratch evaluation path.
-KILL_SWITCH_ENV = "REPRO_NO_INCREMENTAL"
-
 
 class Fragment:
     """Cached verdict for one resource-coupled component."""
@@ -102,7 +94,7 @@ class Fragment:
         """Freeze one component's schedule, lateness and demand."""
         self.schedule = schedule
         #: graph name -> {task key -> lateness}, per-graph insertion
-        #: order identical to the from-scratch evaluation's.
+        #: order identical to ``evaluate_deadlines``'.
         self.lateness = lateness
         self.demand = demand
         #: Count of missed deadline instances (lateness > TIME_EPS).
@@ -125,11 +117,9 @@ class IncrementalEngine:
     consumers), so sharing them across evaluations is safe.
     """
 
-    def __init__(self, max_entries: int = 32, timeline: str = "auto") -> None:
+    def __init__(self, max_entries: int = 32) -> None:
         """Create an empty engine holding up to ``max_entries``
-        cached fragments (LRU beyond that), scheduling onto
-        ``timeline``-mode timelines (``"list" | "tree" | "auto"``,
-        see :mod:`repro.perf.treetimeline`)."""
+        cached fragments (LRU beyond that)."""
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
@@ -138,7 +128,7 @@ class IncrementalEngine:
         #: plus the timeline factory pair -- the engine's second, and
         #: on workloads whose graphs all couple through shared
         #: resources its main, source of reuse.
-        self.context = SchedulerContext(timeline=timeline)
+        self.context = SchedulerContext()
         self._lock = threading.Lock()
         self._cluster_map: Optional[
             Tuple[ClusteringResult, Dict[str, list]]
@@ -299,25 +289,15 @@ class IncrementalEngine:
             bound_base=bound_base,
         )
         schedule = build_schedule(request)
-        # The planned scheduler emits both verdict by-products inline
-        # (same insertion orders, same float accumulation -- see
-        # build_schedule_planned); recompute only when a request fell
-        # back to the legacy path.
-        lateness = getattr(schedule, "planned_lateness", None)
-        if lateness is None:
-            lateness = {
-                name: deadline_lateness(schedule, spec, assoc, [name])
-                for name in component
-            }
-        demand = getattr(schedule, "planned_demand", None)
-        if demand is None:
-            demand = resource_demand(schedule, assoc, set(component))
+        # The scheduler emits both verdict by-products inline (same
+        # insertion orders, same float accumulation as
+        # deadline_lateness / resource_demand).
         misses = 0
-        for per_graph in lateness.values():
+        for per_graph in schedule.lateness.values():
             for value in per_graph.values():
                 if value > TIME_EPS:
                     misses += 1
-        return Fragment(schedule, lateness, demand, misses)
+        return Fragment(schedule, schedule.lateness, schedule.demand, misses)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -375,23 +355,3 @@ class IncrementalEngine:
                 "misses": self._misses,
                 "disk_hits": self._disk_hits,
             }
-
-
-def incremental_disabled_by_env() -> bool:
-    """True when the environment kill switch is set (non-empty, not 0)."""
-    value = os.environ.get(KILL_SWITCH_ENV, "")
-    return value not in ("", "0")
-
-
-def resolve_engine(config, engine: Optional[IncrementalEngine] = None):
-    """The engine a ``crusade`` call should use, or None.
-
-    ``config.incremental=False`` and ``REPRO_NO_INCREMENTAL=1`` both
-    force the from-scratch path even when a caller donates an engine
-    (the nested baseline synthesis shares its parent's).
-    """
-    if not getattr(config, "incremental", True) or incremental_disabled_by_env():
-        return None
-    if engine is not None:
-        return engine
-    return IncrementalEngine(timeline=getattr(config, "timeline", "auto"))

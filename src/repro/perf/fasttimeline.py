@@ -10,9 +10,9 @@ comparisons per synthesis run.
 :class:`FastTimeline` maintains a parallel, sorted list of interval
 *end* times so both hot operations start from a bisected index:
 
-* ``earliest_fit`` skips -- in O(log n) -- exactly the prefix of
-  intervals the linear scan would skip (every interval ending at or
-  before the ready time, within :data:`repro.units.TIME_EPS`);
+* ``earliest_fit`` skips -- in O(log n) -- the prefix of intervals
+  ending at or before the ready time, all of which the linear scan
+  would skip too;
 * ``occupy`` collision-checks only the insertion point's neighbors:
   with intervals sorted and pairwise non-overlapping, any colliding
   interval must neighbor the insertion index;
@@ -83,16 +83,18 @@ class FastTimeline(IntervalTimeline):
         intervals = self._intervals
         ends = self._ends
         candidate = ready
-        # Every interval ending at or before ready (within epsilon)
-        # would be skipped by the linear scan; bisect past all of them.
-        index = bisect.bisect_right(ends, candidate + TIME_EPS)
+        # Every interval ending at or before ready would be skipped by
+        # the linear scan (end - TIME_EPS <= end <= ready); bisect past
+        # all of them.  The few ending within epsilon after ready meet
+        # the exact test in the loop.
+        index = bisect.bisect_right(ends, candidate)
         for i in range(index, len(intervals)):
             end = ends[i]
-            if end <= candidate + TIME_EPS:  # time_leq(end, candidate)
+            if candidate >= end - TIME_EPS:  # not time_lt(candidate, end)
                 continue
             start = intervals[i].start
-            # time_leq(candidate + duration, start)
-            if candidate + duration <= start + TIME_EPS:
+            # not time_lt(start, candidate + duration)
+            if start >= candidate + duration - TIME_EPS:
                 return candidate
             if end > candidate:
                 candidate = end

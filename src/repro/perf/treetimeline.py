@@ -37,31 +37,26 @@ invariant flattens the blocks back and flips the timeline into
 :class:`FastTimeline`'s degraded linear mode.  The differential
 oracle (``tests/sched/oracle.py``) replays randomized, adversarial
 and trace-recorded operation streams against all implementations
-simultaneously to enforce exactly this.
+simultaneously to enforce exactly this; its ``convert_at`` settings
+(0 and a dozen intervals) drive the blocked phase on streams far
+shorter than :data:`DEFAULT_CONVERT_AT`.
 
-:class:`TreePpeModeTimeline` is the tree-mode companion for
-programmable devices.  Measurement drives its shape: mode-window
-lists stay two orders of magnitude shorter than interval timelines
-(64 windows max across 1.4 million placements at NGXM@0.1, because
-same-mode tasks join existing windows instead of inserting), so it
-keeps :class:`~repro.perf.fasttimeline.FastPpeModeTimeline`'s
-bisected flat layout -- a blocked index would tax every placement and
-recoup nothing.  The class exists so the ``timeline="tree"``
-configuration swaps a coherent factory pair and so a future
-fragmented-window workload has one obvious place to grow a blocked
-window store.
+:class:`TreePpeModeTimeline` is the companion for programmable
+devices.  Measurement drives its shape: mode-window lists stay two
+orders of magnitude shorter than interval timelines (64 windows max
+across 1.4 million placements at NGXM@0.1, because same-mode tasks
+join existing windows instead of inserting), so it keeps
+:class:`~repro.perf.fasttimeline.FastPpeModeTimeline`'s bisected flat
+layout unchanged -- a blocked index would tax every placement and
+recoup nothing.
 
-Selection is owned by :func:`resolve_timeline`:
-``CrusadeConfig.timeline`` picks ``"list"`` (flat fast timelines),
-``"tree"`` (blocked from the first interval), or ``"auto"`` (blocked
-past :data:`DEFAULT_CONVERT_AT`); the ``REPRO_TIMELINE`` environment
-variable overrides the config as a kill switch.
+Together the two classes are the scheduler's one production timeline
+pair (:class:`repro.perf.fastsched.SchedulerContext`).
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from repro.errors import SchedulingError
@@ -69,10 +64,7 @@ from repro.sched.timeline import BusyInterval
 from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
 from repro.units import TIME_EPS
 
-#: Environment kill switch / override: ``list``, ``tree`` or ``auto``.
-TIMELINE_ENV = "REPRO_TIMELINE"
-
-#: Interval count past which an ``"auto"`` timeline converts to the
+#: Interval count past which a :class:`TreeTimeline` converts to the
 #: blocked index.  Below this the flat memmove (a C memcpy of a few
 #: KB) is cheaper than block bookkeeping; the measured crossover on
 #: scheduler-shaped op streams sits near 1000 intervals, with the
@@ -90,9 +82,10 @@ class TreeTimeline(FastTimeline):
     ``occupy`` is the inherited flat implementation, untouched -- and
     converts to the blocked index (:class:`_BlockedTimeline`, via a
     ``__class__`` swap) when the interval count crosses
-    ``convert_at``; 0 means blocked from the first interval, as the
-    ``"tree"`` configuration requests.  All placements are bit-for-bit
-    the flat implementation's; see the module docstring.
+    ``convert_at``; 0 means blocked from the first interval, which the
+    differential oracle uses to fuzz the blocked phase.  All
+    placements are bit-for-bit the flat implementation's; see the
+    module docstring.
     """
 
     def __init__(self, convert_at: Optional[int] = None) -> None:
@@ -249,21 +242,20 @@ class _BlockedTimeline(TreeTimeline):
         if duration < 0:
             raise SchedulingError("duration must be non-negative")
         candidate = ready
-        key = candidate + TIME_EPS
         bivs = self._bivs
         bens = self._bens
-        b0 = bisect_right(self._last_end, key)
+        b0 = bisect_right(self._last_end, candidate)
         for b in range(b0, len(bivs)):
             ends = bens[b]
             items = bivs[b]
-            for i in range(bisect_right(ends, key) if b == b0 else 0,
+            for i in range(bisect_right(ends, candidate) if b == b0 else 0,
                            len(items)):
                 end = ends[i]
-                if end <= candidate + TIME_EPS:  # time_leq(end, candidate)
+                if candidate >= end - TIME_EPS:  # not time_lt(candidate, end)
                     continue
                 start = items[i].start
-                # time_leq(candidate + duration, start)
-                if candidate + duration <= start + TIME_EPS:
+                # not time_lt(start, candidate + duration)
+                if start >= candidate + duration - TIME_EPS:
                     return candidate
                 if end > candidate:
                     candidate = end
@@ -417,60 +409,13 @@ class _BlockedTimeline(TreeTimeline):
 
 
 class TreePpeModeTimeline(FastPpeModeTimeline):
-    """Tree-mode companion for programmable devices.
+    """The production mode timeline for programmable devices.
 
-    Deliberately inherits the bisected flat-window implementation:
-    mode-window lists stay short even at full scale (same-mode tasks
-    *join* windows instead of inserting -- 64 windows max across 1.4
-    million placements at NGXM@0.1), so the flat memmove never
-    dominates and a blocked index would tax every placement for
-    nothing.  See the module docstring for the measurement, and grow a
-    blocked window store here if a workload ever fragments windows.
+    Deliberately adds nothing to the bisected flat-window
+    implementation: mode-window lists stay short even at full scale
+    (same-mode tasks *join* windows instead of inserting -- 64 windows
+    max across 1.4 million placements at NGXM@0.1), so the flat
+    memmove never dominates and a blocked index would tax every
+    placement for nothing.  The empty subclass remains only because
+    the benchmark's layer tracer binds it by name.
     """
-
-
-def _tree_eager() -> TreeTimeline:
-    """Factory: a :class:`TreeTimeline` blocked from the first
-    interval (the ``"tree"`` configuration; module-level so factories
-    stay picklable for the process-pool workers)."""
-    return TreeTimeline(convert_at=0)
-
-
-#: mode name -> (serial timeline factory, PPE timeline factory).
-_FACTORIES = {
-    "list": (FastTimeline, FastPpeModeTimeline),
-    "tree": (_tree_eager, TreePpeModeTimeline),
-    "auto": (TreeTimeline, TreePpeModeTimeline),
-}
-
-#: Recognized ``CrusadeConfig.timeline`` / ``REPRO_TIMELINE`` values.
-TIMELINE_MODES = tuple(sorted(_FACTORIES))
-
-
-def timeline_mode_from_env() -> Optional[str]:
-    """The ``REPRO_TIMELINE`` override, or None when unset/unknown.
-
-    Unknown values are ignored rather than fatal: the variable is an
-    operational kill switch and a typo must not take synthesis down.
-    """
-    value = os.environ.get(TIMELINE_ENV, "").strip().lower()
-    return value if value in _FACTORIES else None
-
-
-def resolve_timeline(mode: str) -> Tuple[type, type]:
-    """(serial factory, PPE factory) for a timeline ``mode``.
-
-    ``REPRO_TIMELINE`` overrides ``mode`` when set to a recognized
-    value, mirroring the other perf kill switches.  Unknown modes
-    raise :class:`~repro.errors.SchedulingError`.
-    """
-    override = timeline_mode_from_env()
-    if override is not None:
-        mode = override
-    try:
-        return _FACTORIES[mode]
-    except KeyError:
-        raise SchedulingError(
-            "unknown timeline mode %r (expected one of %s)"
-            % (mode, ", ".join(TIMELINE_MODES))
-        ) from None

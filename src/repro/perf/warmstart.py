@@ -201,19 +201,15 @@ def bind_engine(
     library,
     config,
     tracer,
-) -> Optional[SpecDiff]:
+) -> SpecDiff:
     """Bind ``engine``'s fragment cache to the persistent store.
 
     Computes the run's digests once, diffs against the indexed prior
     run (reported via the ``warmstart.diff`` event and
     ``perf.store.graphs_changed`` / ``graphs_unchanged`` counters when
     a prior exists), and attaches the read-through/write-through
-    :class:`StoreBinding`.  Returns the diff, or ``None`` when the
-    engine is absent (``incremental=False`` runs have no fragment
-    cache to warm; the full-result tier still applies to them).
+    :class:`StoreBinding`.  Returns the diff.
     """
-    if engine is None:
-        return None
     binding = StoreBinding(
         store=store,
         graph_digest_of=graph_digests(spec),

@@ -27,13 +27,24 @@ Semantics per resource kind:
 Copies beyond the association array's explicit set are not
 materialized; their timing is the representative copy's shifted by
 whole periods (see :mod:`repro.graph.association`).
+
+:func:`build_schedule` is the one scheduling loop.  It runs over a
+:class:`repro.perf.fastsched.SchedulerContext` -- the cross-run caches
+the incremental engine owns: a per-spec plan of instance records,
+route and transfer-time memos, and the production timeline pair
+(:mod:`repro.perf.treetimeline`).  Requests without a context get a
+fresh one.  Its oracle is the reference loop in
+``tests/sched/reference_scheduler.py``, which re-derives every
+decision input from the specification on every run and schedules onto
+the linear timelines of :mod:`repro.sched.timeline`; the test suites
+hold the two to byte-identical schedules and results.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AllocationError, SchedulingError
 from repro.arch.architecture import Architecture
@@ -44,8 +55,11 @@ from repro.graph.spec import SystemSpec
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.reconfig.reboot import default_boot_time
 from repro.resources.pe import PEKind, ProcessorType
-from repro.sched.timeline import IntervalTimeline, PpeModeTimeline
+from repro.sched.timeline import ModeTimeline, Timeline
 from repro.units import TIME_EPS
+
+if TYPE_CHECKING:
+    from repro.perf.fastsched import SchedulerContext
 
 #: (graph name, copy index, task name)
 TaskKey = Tuple[str, int, str]
@@ -130,15 +144,10 @@ class ScheduleRequest:
         the unfiltered run exactly -- the incremental engine uses it
         to schedule one resource-coupled component at a time.
     context:
-        Optional :class:`repro.perf.fastsched.SchedulerContext`.  When
-        set, scheduling runs over the context's cached plan and its
-        timeline factory pair -- any
-        :class:`~repro.sched.timeline.Timeline` /
-        :class:`~repro.sched.timeline.ModeTimeline` implementation
-        pair selected by ``CrusadeConfig.timeline`` (byte-identical
-        results, enforced by the differential oracle in
-        ``tests/sched``); None keeps the legacy from-scratch path
-        below on the linear reference timelines.
+        Optional :class:`repro.perf.fastsched.SchedulerContext` whose
+        cached plan, memos and timeline factory pair the run uses;
+        the incremental engine passes its own so the caches persist
+        across runs.  None schedules over a fresh context.
     bound:
         Optional incumbent badness tuple (as returned by
         ``DeadlineReport.badness()`` or ``EvalResult.badness()``;
@@ -164,21 +173,36 @@ class ScheduleRequest:
     preemption: bool = True
     tracer: Tracer = NULL_TRACER
     graphs: Optional[frozenset] = None
-    context: Optional[object] = None
+    context: Optional["SchedulerContext"] = None
     bound: Optional[tuple] = None
     bound_base: int = 0
 
 
 @dataclass
 class Schedule:
-    """Complete output of one scheduling run."""
+    """Complete output of one scheduling run.
+
+    ``lateness`` and ``demand`` are the verdict by-products
+    :func:`build_schedule` computes inline -- per-graph
+    ``{task key: finish - absolute deadline}`` in
+    :func:`repro.sched.finish_time.deadline_lateness` order, and the
+    copy-0 hyperperiod demand per serial resource -- bit-identical to
+    the post-pass recomputation.  They are None on schedules assembled
+    any other way (e.g. the engine's merge of several fragments).
+    """
 
     tasks: Dict[TaskKey, ScheduledTask] = field(default_factory=dict)
     edges: Dict[EdgeKey, ScheduledEdge] = field(default_factory=dict)
-    proc_timelines: Dict[str, IntervalTimeline] = field(default_factory=dict)
-    ppe_timelines: Dict[str, PpeModeTimeline] = field(default_factory=dict)
-    link_timelines: Dict[str, IntervalTimeline] = field(default_factory=dict)
+    proc_timelines: Dict[str, Timeline] = field(default_factory=dict)
+    ppe_timelines: Dict[str, ModeTimeline] = field(default_factory=dict)
+    link_timelines: Dict[str, Timeline] = field(default_factory=dict)
     preemptions: int = 0
+    lateness: Optional[Dict[str, Dict[TaskKey, float]]] = field(
+        default=None, repr=False, compare=False
+    )
+    demand: Optional[Dict[str, float]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def reconfigurations(self) -> int:
@@ -199,54 +223,58 @@ class Schedule:
         return max(t.finish for t in self.tasks.values())
 
 
-def _placement_of_task(
-    request: ScheduleRequest, graph_name: str, task_name: str
-) -> Tuple[Optional[PEInstance], int]:
-    """(PE instance, mode) a task is allocated to via its cluster, or
-    (None, -1) when the cluster has no placement yet."""
-    cluster = request.clustering.cluster_of(graph_name, task_name)
-    if not request.arch.is_allocated(cluster.name):
-        return None, -1
-    pe_id, mode = request.arch.placement_of(cluster.name)
-    return request.arch.pe(pe_id), mode
-
-
-def _best_case_comm(request: ScheduleRequest) -> "Callable[[int], float]":
-    """Best-case transfer-time estimator over the link library, used
-    for edges touching virtually placed tasks."""
-    links = request.arch.library.links_by_cost()
-
-    def comm(bytes_: int) -> float:
-        if bytes_ == 0 or not links:
-            return 0.0
-        return min(l.comm_time(bytes_) for l in links)
-
-    return comm
-
-
 def build_schedule(request: ScheduleRequest) -> Schedule:
     """Run the list scheduler over all explicit copy instances.
+
+    Scheduling runs over the request's
+    :class:`~repro.perf.fastsched.SchedulerContext` -- its cached
+    plan, route and transfer-time memos and timeline factory pair --
+    or over a fresh context when the request carries none.
 
     Raises :class:`SchedulingError` on internal inconsistencies (e.g.
     an unallocated task) and :class:`AllocationError` when two
     communicating tasks sit on unconnected PEs.  Missed deadlines do
-    *not* raise; they are reported by finish-time evaluation.
+    *not* raise; they are reported by finish-time evaluation (and
+    pre-computed in :attr:`Schedule.lateness` / :attr:`Schedule.demand`).
     """
-    if request.context is not None:
-        from repro.perf.fastsched import build_schedule_planned
+    context = request.context
+    if context is None:
+        # Deferred: repro.perf imports this module.
+        from repro.perf.fastsched import SchedulerContext
 
-        return build_schedule_planned(request, request.context)
+        context = SchedulerContext()
     schedule = Schedule()
-    spec = request.spec
+    arch = request.arch
+    priorities = request.priorities
     boot_time_fn = request.boot_time_fn or default_boot_time
+    preemption = request.preemption
     tracer = request.tracer
     tracer.incr("sched.runs")
+    context._sync_library(arch.library)
+    timeline_cls = context.timeline_cls
+    ppe_timeline_cls = context.ppe_timeline_cls
+    # The architecture is frozen for the duration of one scheduler run,
+    # so per-arch/per-run lookups hoist out of the task loop entirely:
+    # the route memo for the current topology, the transfer-time memo,
+    # and per-run memos for the PPE placement inputs (a device's modes
+    # carrying a cluster, and boot times, are pure functions of the
+    # frozen architecture -- the fingerprint layer already relies on
+    # boot_time_fn purity).
+    route_table = context.route_table(arch)
+    comm_cache = context._comm
+    #: (pe id, cluster) -> ({mode: boot}, sorted items) for PPE hosts.
+    allowed_memo: Dict[tuple, tuple] = {}
+    boot_memo: Dict[tuple, float] = {}
 
-    # Bounded-search bookkeeping (only when a bound is supplied): the
-    # copy-0 demand per serial resource and the absolute deadline per
-    # deadline-task instance are tracked inline, mirroring exactly what
-    # finish-time evaluation would recompute afterwards, so the abort
-    # trigger (violations > bound[0]) is a pure-dominance test.
+    plan = context.plan_for(request)
+    records = plan.records
+    wcet_memo = plan.wcet
+    ncopies = plan.ncopies
+    # Bounded-search bookkeeping: the inline demand map below is
+    # already bit-identical to the post-pass recomputation, so the
+    # abort trigger (violations > bound[0]) only needs the crossing
+    # checks and the plan's absolute deadlines (see
+    # :class:`ScheduleAbort`).
     bound = request.bound
     if bound is not None:
         from repro.sched.finish_time import _OVERLOAD_TOLERANCE
@@ -255,147 +283,180 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         violations = request.bound_base
         capacity = request.assoc.hyperperiod
         crossed: set = set()
-        bound_demand: Dict[str, float] = {}
-        bound_ncopies: Dict[str, int] = {}
-        deadline_by_key: Dict[TaskKey, float] = {}
+        deadline_by_key = plan.deadline_map()
+    indegree = dict(plan.indegree)
+    heap: List[Tuple[float, float, tuple]] = []
+    for key in plan.roots:
+        record = records[key]
+        heapq.heappush(heap, (-priorities[key[0]][key[2]], record[0], key))
 
-    # Build instance-level precedence bookkeeping.
-    indegree: Dict[TaskKey, int] = {}
-    arrival: Dict[TaskKey, float] = {}
-    heap: List[Tuple[float, float, TaskKey]] = []
-    for instance in request.assoc.iter_explicit():
-        if request.graphs is not None and instance.graph not in request.graphs:
-            continue
-        graph = spec.graph(instance.graph)
-        if bound is not None:
-            bound_ncopies[instance.graph] = request.assoc.n_copies(
-                instance.graph
-            )
-            for task_name in graph.deadline_tasks():
-                deadline_by_key[(instance.graph, instance.copy, task_name)] = (
-                    instance.arrival + graph.effective_deadline(task_name)
-                )
-        for task_name in graph.topological_order():
-            key = (instance.graph, instance.copy, task_name)
-            indegree[key] = len(graph.predecessors(task_name))
-            arrival[key] = instance.arrival
-            if indegree[key] == 0:
-                priority = request.priorities[instance.graph][task_name]
-                heapq.heappush(heap, (-priority, instance.arrival, key))
-
+    cluster_alloc = arch.cluster_alloc
+    pes = arch.pes
+    library = arch.library
+    tasks = schedule.tasks
+    edges = schedule.edges
     scheduled_count = 0
-    total_instances = len(indegree)
-    best_comm = _best_case_comm(request)
+    # Per-run decision counters, flushed in one batch after the loop
+    # (identical totals, a fraction of the Tracer.incr call volume).
+    n_virtual = 0
+    n_real = 0
+    split_counts = [0, 0]
+    # Copy-0 hyperperiod demand, accumulated inline.  Per-resource
+    # accumulation order equals the post-pass
+    # :func:`repro.sched.finish_time.resource_demand` order (schedule
+    # insertion order; processor/PPE buckets touched only from task
+    # placements, link buckets only from edge placements), so the
+    # float sums are bit-identical; consumers sort the keys.
+    demand: Dict[str, float] = {}
     while heap:
         _, _, key = heapq.heappop(heap)
-        graph_name, copy_index, task_name = key
-        graph = spec.graph(graph_name)
-        task = graph.task(task_name)
-        pe, mode = _placement_of_task(request, graph_name, task_name)
+        graph_name, _, task_name = key
+        arrival, preds, succs, task, cluster_name = records[key]
+        placement = cluster_alloc.get(cluster_name)
+        if placement is None:
+            pe, mode, pe_id = None, -1, None
+        else:
+            pe_id, mode = placement
+            pe = pes[pe_id]
 
         # 1. Schedule incoming edges; compute data-ready time.
-        ready = arrival[key]
-        for pred_name in graph.predecessors(task_name):
-            pred_key = (graph_name, copy_index, pred_name)
-            pred_finish = schedule.finish_of(pred_key)
-            pred_pe_id = schedule.tasks[pred_key].pe_id
-            edge = graph.edge(pred_name, task_name)
-            edge_key = (graph_name, copy_index, pred_name, task_name)
+        ready = arrival
+        for pred_key, bytes_, edge_key in preds:
+            pred_task = tasks[pred_key]
+            pred_finish = pred_task.finish
+            pred_pe_id = pred_task.pe_id
             if pe is None or pred_pe_id is None:
                 # Virtual endpoint: best-case communication estimate,
                 # no link occupied.
-                finish = pred_finish + best_comm(edge.bytes_)
-                schedule.edges[edge_key] = ScheduledEdge(
+                finish = pred_finish + context.best_comm(library, bytes_)
+                edges[edge_key] = ScheduledEdge(
                     key=edge_key, link_id=None, start=pred_finish, finish=finish
                 )
-                ready = max(ready, finish)
+                if finish > ready:
+                    ready = finish
                 continue
-            if pred_pe_id == pe.id or edge.bytes_ == 0:
-                schedule.edges[edge_key] = ScheduledEdge(
-                    key=edge_key, link_id=None, start=pred_finish, finish=pred_finish
+            if pred_pe_id == pe_id or bytes_ == 0:
+                edges[edge_key] = ScheduledEdge(
+                    key=edge_key, link_id=None, start=pred_finish,
+                    finish=pred_finish,
                 )
-                ready = max(ready, pred_finish)
+                if pred_finish > ready:
+                    ready = pred_finish
                 continue
-            link = request.arch.find_link_between(pred_pe_id, pe.id)
+            pair = (pred_pe_id, pe_id)
+            try:
+                link = route_table[pair]
+            except KeyError:
+                link = route_table[pair] = arch.find_link_between(
+                    pred_pe_id, pe_id
+                )
             if link is None:
                 raise AllocationError(
                     "no link connects %r and %r for edge %s->%s"
-                    % (pred_pe_id, pe.id, pred_name, task_name)
+                    % (pred_pe_id, pe_id, pred_key[2], task_name)
                 )
-            timeline = schedule.link_timelines.setdefault(
-                link.id, IntervalTimeline()
-            )
-            duration = link.comm_time(edge.bytes_)
+            timeline = schedule.link_timelines.get(link.id)
+            if timeline is None:
+                timeline = schedule.link_timelines[link.id] = timeline_cls()
+            # Transfer time is a pure function of (link type, current
+            # port count, payload) -- the paper's recomputed
+            # communication vectors.
+            ports = link.ports_used
+            ckey = (link.link_type.name, ports if ports > 2 else 2, bytes_)
+            try:
+                duration = comm_cache[ckey]
+            except KeyError:
+                duration = comm_cache[ckey] = link.comm_time(bytes_)
             start = timeline.earliest_fit(pred_finish, duration)
             start, finish = timeline.occupy(start, duration, edge_key)
-            schedule.edges[edge_key] = ScheduledEdge(
-                key=edge_key, link_id=link.id, start=start, finish=finish
+            link_id = link.id
+            edges[edge_key] = ScheduledEdge(
+                key=edge_key, link_id=link_id, start=start, finish=finish
             )
-            ready = max(ready, finish)
-            if bound is not None and copy_index == 0:
-                load = bound_demand.get(link.id, 0.0) + (
+            if key[1] == 0:
+                load = demand.get(link_id, 0.0) + (
                     finish - start
-                ) * bound_ncopies[graph_name]
-                bound_demand[link.id] = load
+                ) * ncopies[graph_name]
+                demand[link_id] = load
                 if (
-                    link.id not in crossed
+                    bound is not None
+                    and link_id not in crossed
                     and load / capacity > _OVERLOAD_TOLERANCE
                 ):
-                    crossed.add(link.id)
+                    crossed.add(link_id)
                     violations += 1
                     if violations > bound_limit:
                         raise ScheduleAbort("overload")
+            if finish > ready:
+                ready = finish
 
         # 2. Place the task on its resource.
         was_split = False
         if pe is None:
             # Virtual placement: best-case execution, no contention.
-            tracer.incr("sched.tasks.virtual")
+            n_virtual += 1
             start, finish = ready, ready + task.min_exec_time
         else:
-            tracer.incr("sched.tasks.real")
-            wcet = task.wcet_on(pe.pe_type.name)
-            if pe.pe_type.kind is PEKind.PROCESSOR:
-                start, finish, was_split = _place_on_processor(
-                    schedule, request, pe, key, ready, wcet
-                )
-            elif pe.pe_type.kind is PEKind.ASIC:
+            n_real += 1
+            pe_type = pe.pe_type
+            wkey = (id(task), pe_type.name)
+            wcet = wcet_memo.get(wkey)
+            if wcet is None:
+                wcet = wcet_memo[wkey] = task.wcet_on(pe_type.name)
+            kind = pe_type.kind
+            if kind is PEKind.ASIC:
                 # Independent circuit block: no contention.
                 start, finish = ready, ready + wcet
             else:
-                timeline = schedule.ppe_timelines.setdefault(
-                    pe.id, PpeModeTimeline()
-                )
-                cluster = request.clustering.cluster_of(graph_name, task_name)
-                allowed = {
-                    m: boot_time_fn(pe, m)
-                    for m in pe.modes_of_cluster(cluster.name)
-                }
-                start, finish = timeline.place(
-                    mode, ready, wcet, boot_time_fn(pe, mode), allowed=allowed
-                )
-            if (
-                bound is not None
-                and copy_index == 0
-                and pe.pe_type.kind is not PEKind.ASIC
-            ):
-                # Serial resource (processor or PPE): accumulate the
-                # same per-PE demand finish-time evaluation sums.
-                load = bound_demand.get(pe.id, 0.0) + (
-                    finish - start
-                ) * bound_ncopies[graph_name]
-                bound_demand[pe.id] = load
-                if (
-                    pe.id not in crossed
-                    and load / capacity > _OVERLOAD_TOLERANCE
-                ):
-                    crossed.add(pe.id)
-                    violations += 1
-                    if violations > bound_limit:
-                        raise ScheduleAbort("overload")
-        schedule.tasks[key] = ScheduledTask(
+                if kind is PEKind.PROCESSOR:
+                    start, finish, was_split = _place_on_processor(
+                        schedule, pe, key, ready, wcet, preemption,
+                        timeline_cls, split_counts,
+                    )
+                else:
+                    timeline = schedule.ppe_timelines.get(pe_id)
+                    if timeline is None:
+                        timeline = schedule.ppe_timelines[pe_id] = (
+                            ppe_timeline_cls()
+                        )
+                    akey = (pe_id, cluster_name)
+                    entry = allowed_memo.get(akey)
+                    if entry is None:
+                        allowed = {
+                            m: boot_time_fn(pe, m)
+                            for m in pe.modes_of_cluster(cluster_name)
+                        }
+                        entry = allowed_memo[akey] = (
+                            allowed, sorted(allowed.items()),
+                        )
+                    allowed, allowed_sorted = entry
+                    bkey = (pe_id, mode)
+                    boot = boot_memo.get(bkey)
+                    if boot is None:
+                        boot = boot_memo[bkey] = boot_time_fn(pe, mode)
+                    start, finish = timeline.place(
+                        mode, ready, wcet, boot, allowed=allowed,
+                        allowed_sorted=allowed_sorted,
+                    )
+                if key[1] == 0:
+                    # Serial resource (processor or PPE): the per-PE
+                    # demand finish-time evaluation sums.
+                    load = demand.get(pe_id, 0.0) + (
+                        finish - start
+                    ) * ncopies[graph_name]
+                    demand[pe_id] = load
+                    if (
+                        bound is not None
+                        and pe_id not in crossed
+                        and load / capacity > _OVERLOAD_TOLERANCE
+                    ):
+                        crossed.add(pe_id)
+                        violations += 1
+                        if violations > bound_limit:
+                            raise ScheduleAbort("overload")
+        tasks[key] = ScheduledTask(
             key=key,
-            pe_id=pe.id if pe is not None else None,
+            pe_id=pe_id,
             mode=mode,
             start=start,
             finish=finish,
@@ -410,38 +471,60 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                     raise ScheduleAbort("deadline")
 
         # 3. Release successors.
-        priority_table = request.priorities[graph_name]
-        for succ_name in graph.successors(task_name):
-            succ_key = (graph_name, copy_index, succ_name)
-            indegree[succ_key] -= 1
-            if indegree[succ_key] == 0:
-                heapq.heappush(
-                    heap,
-                    (-priority_table[succ_name], arrival[succ_key], succ_key),
-                )
+        if succs:
+            priority_table = priorities[graph_name]
+            for succ_key, succ_name in succs:
+                remaining = indegree[succ_key] - 1
+                indegree[succ_key] = remaining
+                if remaining == 0:
+                    heapq.heappush(
+                        heap,
+                        (
+                            -priority_table[succ_name],
+                            records[succ_key][0],
+                            succ_key,
+                        ),
+                    )
 
-    if scheduled_count != total_instances:
+    if scheduled_count != plan.total:
         raise SchedulingError(
             "scheduled %d of %d task instances; precedence graph is inconsistent"
-            % (scheduled_count, total_instances)
+            % (scheduled_count, plan.total)
         )
+    if n_real:
+        tracer.incr("sched.tasks.real", n_real)
+    if n_virtual:
+        tracer.incr("sched.tasks.virtual", n_virtual)
+    if split_counts[0]:
+        tracer.incr("sched.preemption.splits_declined", split_counts[0])
+    if split_counts[1]:
+        tracer.incr("sched.preemption.splits_taken", split_counts[1])
+
+    # Verdict by-products: per-graph lateness in the contract
+    # insertion order (the plan's rows) and the inline demand map --
+    # both bit-identical to the post-pass recomputation.
+    lateness: Dict[str, dict] = {}
+    for name, rows in plan.deadline_rows.items():
+        per_graph: Dict[tuple, float] = {}
+        for row_key, absolute in rows:
+            placed = tasks.get(row_key)
+            if placed is not None:
+                per_graph[row_key] = placed.finish - absolute
+        lateness[name] = per_graph
+    schedule.lateness = lateness
+    schedule.demand = demand
     return schedule
-
-
-def _priority_of_key(request: ScheduleRequest, key: TaskKey) -> float:
-    graph_name, _, task_name = key
-    return request.priorities[graph_name][task_name]
 
 
 def _place_on_processor(
     schedule: Schedule,
-    request: ScheduleRequest,
     pe: PEInstance,
     key: TaskKey,
     ready: float,
     wcet: float,
-    timeline_cls: type = IntervalTimeline,
-    split_counts: Optional[list] = None,
+    preemption: bool,
+    timeline_cls: type,
+    split_counts: list,
 ) -> Tuple[float, float, bool]:
     """Place a task on a processor.
 
@@ -453,15 +536,10 @@ def _place_on_processor(
     (Section 5's restricted preemptive scheduling).  The split is used
     only when it strictly improves the task's finish time.
 
-    ``timeline_cls`` is any :class:`~repro.sched.timeline.Timeline`
-    factory; the legacy path passes the linear reference, the planned
-    fast path threads its context's configured implementation
-    (flat-bisected or blocked -- all bit-for-bit interchangeable).
-
+    ``timeline_cls`` builds the processor's timeline on first use;
     ``split_counts`` (a ``[declined, taken]`` pair) batches the split
-    decision counters for the planned fast path, which flushes them to
-    the tracer once per run; without it each decision is traced
-    directly.
+    decision counters, which the caller flushes to the tracer once
+    per run.
     """
     processor = pe.pe_type
     assert isinstance(processor, ProcessorType)
@@ -470,31 +548,22 @@ def _place_on_processor(
     if timeline is None:
         timeline = schedule.proc_timelines[pe.id] = timeline_cls()
     start = timeline.earliest_fit(ready, duration)
-    if start <= ready or not request.preemption:
+    if start <= ready or not preemption:
         return timeline.occupy(start, duration, key) + (False,)
 
     segments = timeline.split_fit(
         ready, duration, processor.preemption_overhead
     )
     if segments is None or len(segments) < 2:
-        if split_counts is None:
-            request.tracer.incr("sched.preemption.splits_declined")
-        else:
-            split_counts[0] += 1
+        split_counts[0] += 1
         return timeline.occupy(start, duration, key) + (False,)
     contiguous_finish = start + duration
     split_finish = segments[-1][1]
     if split_finish >= contiguous_finish:
-        if split_counts is None:
-            request.tracer.incr("sched.preemption.splits_declined")
-        else:
-            split_counts[0] += 1
+        split_counts[0] += 1
         return timeline.occupy(start, duration, key) + (False,)
     for seg_start, seg_end in segments:
         timeline.occupy(seg_start, seg_end - seg_start, key)
     schedule.preemptions += 1
-    if split_counts is None:
-        request.tracer.incr("sched.preemption.splits_taken")
-    else:
-        split_counts[1] += 1
+    split_counts[1] += 1
     return segments[0][0], split_finish, True

@@ -15,14 +15,17 @@ they need no timeline at all.
 
 Both timeline kinds sit behind small abstract bases -- :class:`Timeline`
 and :class:`ModeTimeline` -- that name exactly the operations the
-scheduler and its consumers use.  Three implementations of each exist:
-the naive linear classes here (the reference semantics), the
-bisect-indexed flat-list classes in :mod:`repro.perf.fasttimeline`,
-and the blocked-index classes in :mod:`repro.perf.treetimeline` for
-the long, fragmented timelines of full-scale workloads.  They are
-selected per run by ``CrusadeConfig.timeline`` and are bit-for-bit
-interchangeable (enforced by the differential oracle in
-``tests/sched/oracle.py``).
+scheduler and its consumers use.  The scheduler builds one production
+pair, from :mod:`repro.perf.treetimeline`: bisect-indexed flat lists
+(the algorithms of :mod:`repro.perf.fasttimeline`) that switch to a
+blocked index once a timeline grows past
+:data:`~repro.perf.treetimeline.DEFAULT_CONVERT_AT` intervals.  The
+naive linear classes here stay in production too: they are the
+reference semantics the differential oracle
+(``tests/sched/oracle.py``) and the reference scheduler
+(``tests/sched/reference_scheduler.py``) hold the production pair to,
+bit for bit, and the fast classes fall back to their methods whenever
+an epsilon-sliver insert breaks the bisect invariants (degraded mode).
 """
 
 from __future__ import annotations
@@ -40,15 +43,13 @@ class Timeline(abc.ABC):
     """Abstract busy-interval timeline of one serially used resource.
 
     This is the contract the scheduler (:mod:`repro.sched.scheduler`)
-    and the planned fast path (:mod:`repro.perf.fastsched`) actually
-    program against: earliest-gap queries from a ready time, interval
-    inserts, the restricted-preemption gap-splitting sweep, and the
-    busy/span reductions the reporting layer reads after a run.
-    Implementations are swappable per run (see
-    ``CrusadeConfig.timeline``); the differential oracle in
-    ``tests/sched/oracle.py`` holds every registered implementation to
-    bit-identical answers, which is what makes swapping safe under the
-    repo's byte-identity contract.
+    actually programs against: earliest-gap queries from a ready time,
+    interval inserts, the restricted-preemption gap-splitting sweep,
+    and the busy/span reductions the reporting layer reads after a
+    run.  The differential oracle in ``tests/sched/oracle.py`` holds
+    every implementation to bit-identical answers, which is what lets
+    the production timelines stand in for the linear reference under
+    the repo's byte-identity contract.
     """
 
     @abc.abstractmethod
@@ -94,8 +95,8 @@ class ModeTimeline(abc.ABC):
     The scheduler only ever calls :meth:`place`; the validation,
     Gantt, JSON-export and sharing-analysis layers read
     :attr:`windows` and the reboot reductions afterwards.  Like
-    :class:`Timeline`, implementations are swappable per run and held
-    to bit-identical placements by the differential oracle.
+    :class:`Timeline`, every implementation is held to bit-identical
+    placements by the differential oracle.
     """
 
     #: Mode windows in time order; implementations must expose a
@@ -172,14 +173,21 @@ class IntervalTimeline(Timeline):
         self._starts.insert(index, interval.start)
 
     def earliest_fit(self, ready: float, duration: float) -> float:
-        """Earliest start >= ``ready`` with ``duration`` of free time."""
+        """Earliest start >= ``ready`` with ``duration`` of free time.
+
+        Both tests are the exact negations of :meth:`occupy`'s two
+        collision terms, so a start returned here is always accepted
+        there.  (``time_leq(a, b)`` is not the float negation of
+        ``time_lt(b, a)``: ``b + TIME_EPS`` and ``a - TIME_EPS`` round
+        differently when ``a`` and ``b`` sit one epsilon apart.)
+        """
         if duration < 0:
             raise SchedulingError("duration must be non-negative")
         candidate = ready
         for interval in self._intervals:
-            if time_leq(interval.end, candidate):
+            if not time_lt(candidate, interval.end):
                 continue
-            if time_leq(candidate + duration, interval.start):
+            if not time_lt(interval.start, candidate + duration):
                 return candidate
             candidate = max(candidate, interval.end)
         return candidate

@@ -7,16 +7,15 @@ real synthesis produces (bursts of same-resource occupies, ready
 times that revisit earlier gaps, mode joins dominating inserts).
 This module captures the *real* thing once: set
 ``REPRO_TIMELINE_TRACE=/path/ops.jsonl`` and every timeline the
-planned scheduler builds is wrapped in a recording proxy that appends
+scheduler builds is wrapped in a recording proxy that appends
 one JSON line per operation.  The capture can then be replayed --
 ``tests/sched/oracle.py::replay_trace`` -- against every registered
 implementation simultaneously, turning one NGXM run into a permanent
 deterministic regression case (see ``tests/sched/traces/``).
 
-Recording wraps the engine path's timeline factories (see
-:meth:`repro.perf.fastsched.SchedulerContext` -- the path every real
-workload runs); the legacy from-scratch scheduler is the linear
-reference itself and needs no capture.  Proxies delegate everything
+Recording wraps the timeline factories of
+:class:`repro.perf.fastsched.SchedulerContext`, which builds every
+timeline a synthesis schedules onto.  Proxies delegate everything
 and record only the scheduler-facing mutations and queries, so a
 traced run still produces byte-identical results; tracing costs one
 dict + file append per operation, which is why it hides behind an

@@ -1,8 +1,10 @@
 """Benchmark harness: examples, table renderers, Figure 2."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro import SpecificationError, validate_spec
+from repro import CrusadeConfig, SpecificationError, validate_spec
 from repro.bench.examples import EXAMPLE_NAMES, build_example, example_profile
 from repro.bench.figure2 import figure2_library, figure2_spec, run_figure2
 from repro.bench.runner import pct, render_table
@@ -127,6 +129,44 @@ class TestTable2Bench:
         text = render_table2([row])
         assert "Table 2" in text
         assert "A1TR" in text
+
+
+class TestBaselineConfig:
+    """Table 2/3 baselines run under the caller's configuration with
+    only ``reconfiguration`` turned off -- every other knob a caller
+    sets reaches the baseline run too."""
+
+    CONFIG = CrusadeConfig(
+        combine_modes=False, fast_threshold_tasks=100, interface_retries=2,
+        bound_abort=False, policy="largest-first", max_explicit_copies=2,
+    )
+
+    @staticmethod
+    def _recorder(calls):
+        def fake(spec, library=None, config=None, **kwargs):
+            calls.append(config)
+            return "result"
+        return fake
+
+    def test_table2_baseline_keeps_the_callers_knobs(self, monkeypatch,
+                                                     tiny_spec):
+        import repro.bench.table2 as table2
+
+        calls = []
+        monkeypatch.setattr(table2, "crusade", self._recorder(calls))
+        run_table2_row("tiny", config=self.CONFIG, spec=tiny_spec)
+        assert calls == [replace(self.CONFIG, reconfiguration=False),
+                         self.CONFIG]
+
+    def test_table3_baseline_keeps_the_callers_knobs(self, monkeypatch,
+                                                     tiny_spec):
+        import repro.bench.table3 as table3
+
+        calls = []
+        monkeypatch.setattr(table3, "crusade_ft", self._recorder(calls))
+        table3.run_table3_row("tiny", config=self.CONFIG, spec=tiny_spec)
+        assert calls == [replace(self.CONFIG, reconfiguration=False),
+                         self.CONFIG]
 
 
 class TestRunnerHelpers:

@@ -83,13 +83,34 @@ def test_retry_policy_backoff_is_bounded_exponential():
 
 
 def test_variant_presets_cover_the_kill_switch_matrix():
-    assert set(VARIANT_PRESETS) >= {
-        "default", "pruned", "no-prune", "no-incremental", "from-scratch"
+    assert set(VARIANT_PRESETS) == {
+        "default", "pruned", "no-prune", "largest-first"
     }
-    v = Variant.preset("from-scratch")
-    assert v.config == {"prune": False, "incremental": False}
+    v = Variant.preset("no-prune")
+    assert v.config == {"prune": False}
     with pytest.raises(SpecificationError, match="unknown variant preset"):
         Variant.preset("turbo")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Variant(name="typo", config={"prunee": False}),
+                 id="constructed"),
+    pytest.param(lambda: Variant.from_dict(
+        {"name": "stored", "config": {"prunee": False}}), id="from-dict"),
+])
+def test_variant_rejects_unknown_config_fields(build):
+    """A misspelled knob fails when the grid is built, naming the key,
+    not later as retried TypeErrors inside a worker."""
+    with pytest.raises(SpecificationError, match="prunee"):
+        build()
+
+
+def test_removed_preset_keys_are_rejected_at_load():
+    """Campaigns stored with the removed from-scratch presets fail at
+    load with the offending key named."""
+    with pytest.raises(SpecificationError, match="incremental"):
+        Variant.from_dict({"name": "from-scratch",
+                           "config": {"prune": False, "incremental": False}})
 
 
 def test_spec_from_flags_uses_presets():

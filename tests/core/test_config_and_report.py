@@ -17,6 +17,16 @@ class TestConfigValidation:
         with pytest.raises(SpecificationError):
             CrusadeConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(incremental=False),
+        dict(timeline="tree"),
+    ])
+    def test_removed_fields_are_not_accepted(self, kwargs):
+        """The evaluation-path and timeline switches are gone: every
+        run uses the incremental engine and the production timelines."""
+        with pytest.raises(TypeError):
+            CrusadeConfig(**kwargs)
+
     def test_fast_inner_loop_auto(self):
         config = CrusadeConfig(fast_threshold_tasks=100)
         assert not config.use_fast_inner_loop(50)

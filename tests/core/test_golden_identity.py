@@ -34,23 +34,19 @@ from repro.io.result_json import canonical_result_json
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("timeline", ["auto", "list", "tree"])
 @pytest.mark.parametrize("example", ["A1TR", "VDRTX"])
-def test_crusade_output_is_byte_identical_to_golden(example, timeline):
-    """Every timeline implementation must reproduce the fixtures
-    byte-for-byte: the blocked index (``tree``), the flat fast lists
-    (``list``), and the length-switched default (``auto``) are
-    interchangeable under the identity contract, not approximately
-    equal."""
+def test_crusade_output_is_byte_identical_to_golden(example):
+    """The default configuration reproduces the fixtures
+    byte-for-byte, not approximately."""
     spec = build_example(example, scale=0.1)
-    result = crusade(spec, config=CrusadeConfig(timeline=timeline))
+    result = crusade(spec, config=CrusadeConfig())
     got = canonical_result_json(result)
     want = (GOLDEN_DIR / ("%s@0.1.json" % example)).read_text()
     assert result.feasible
     assert got == want, (
-        "synthesized result for %s (timeline=%s) diverged from the "
-        "golden fixture; if the change is intentional, regenerate per "
-        "the module docstring" % (example, timeline)
+        "synthesized result for %s diverged from the golden fixture; if "
+        "the change is intentional, regenerate per the module docstring"
+        % (example,)
     )
 
 

@@ -234,7 +234,7 @@ class TestModeMergeBaseline:
         config = CrusadeConfig(
             fast_threshold_tasks=100, combine_modes=False,
             interface_retries=2, max_explicit_copies=2,
-            policy="largest-first", timeline="tree",
+            policy="largest-first", bound_abort=False,
         )
         ctx = SynthesisContext.begin(tiny_spec, config=config)
         ModeMerge().ensure_baseline(ctx)

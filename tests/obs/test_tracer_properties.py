@@ -73,10 +73,10 @@ def test_merge_counters_consistent(seed):
 def test_scheduler_and_allocation_counters_consistent(seed, reconfig):
     result, _, _ = traced_run(seed, reconfig)
     stats = result.stats
-    # With the incremental engine (the default), every scheduler run
-    # builds exactly one cached fragment, and every evaluation is
-    # served from fragments (hits + misses cover every component of
-    # every evaluation -- at least one per evaluation).
+    # With the incremental engine, every scheduler run builds exactly
+    # one cached fragment, and every evaluation is served from
+    # fragments (hits + misses cover every component of every
+    # evaluation -- at least one per evaluation).
     assert stats.counter("sched.runs") == stats.counter("perf.schedule.misses")
     assert stats.counter("perf.schedule.hits") + stats.counter(
         "perf.schedule.misses"
@@ -129,12 +129,13 @@ def test_counters_are_deterministic(seed):
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=60), reconfig=st.booleans())
 def test_from_scratch_schedules_once_per_evaluation(seed, reconfig):
-    """The pre-engine invariant still holds with the engine off."""
+    """The pre-engine invariant holds for the reference scheduler."""
+    from tests.sched.reference_scheduler import ReferenceEngine
+
     tracer = Tracer()
-    config = CrusadeConfig(
-        reconfiguration=reconfig, max_explicit_copies=2, incremental=False
-    )
-    result = crusade(make_spec(seed), config=config, tracer=tracer)
+    config = CrusadeConfig(reconfiguration=reconfig, max_explicit_copies=2)
+    result = crusade(make_spec(seed), config=config, tracer=tracer,
+                     engine=ReferenceEngine())
     stats = result.stats
     assert stats.counter("alloc.evaluations") == stats.counter("sched.runs")
     assert stats.counter("perf.schedule.hits") == 0

@@ -38,6 +38,7 @@ from repro.perf.prune import (
     bound_abort_active,
     bound_abort_disabled_by_env,
 )
+from tests.sched.reference_scheduler import ReferenceEngine
 from repro.sched.scheduler import (
     ScheduleAbort,
     ScheduleRequest,
@@ -116,7 +117,7 @@ def test_env_kill_switch_equals_config_off():
     assert enabled == killed
 
 
-def _pressure_counters(**config_kw):
+def _pressure_counters(engine=None, **config_kw):
     spec = generate_spec(GeneratorConfig(
         seed=12, n_graphs=3, tasks_per_graph=7, compat_group_size=2,
         utilization=1.0, hw_only_fraction=0.1, mixed_fraction=0.1,
@@ -126,6 +127,7 @@ def _pressure_counters(**config_kw):
         spec,
         config=CrusadeConfig(max_explicit_copies=2, **config_kw),
         tracer=tracer,
+        engine=engine,
     )
     return tracer.counters.as_dict()
 
@@ -143,22 +145,23 @@ def test_abort_counters_under_pressure():
 
 def test_abort_counters_match_across_engine_paths():
     """The trigger is an exact integer comparison on final violation
-    counts, so the engine and from-scratch paths abort the *same*
-    evaluations -- the totals and every decision counter match.  Only
-    the per-reason split may differ: the engine books an abort tipped
-    by a cached fragment as "carried", which the from-scratch run
-    attributes to the violation it re-discovers in-run."""
+    counts, so the engine and the from-scratch reference scheduler
+    abort the *same* evaluations -- the totals and every decision
+    counter match.  Only the per-reason split may differ: the engine
+    books an abort tipped by a cached fragment as "carried", which the
+    from-scratch run attributes to the violation it re-discovers
+    in-run."""
     names = ("sched.abort", "alloc.options.considered",
              "alloc.options.infeasible", "prune.cut", "prune.kept")
-    cow = _pressure_counters(bound_abort=True, incremental=True)
-    clone = _pressure_counters(bound_abort=True, incremental=False)
-    assert cow.get("sched.abort", 0) > 0
+    engine = _pressure_counters(bound_abort=True)
+    scratch = _pressure_counters(engine=ReferenceEngine(), bound_abort=True)
+    assert engine.get("sched.abort", 0) > 0
     for name in names:
-        assert cow.get(name, 0) == clone.get(name, 0), name
-    for c in (cow, clone):
+        assert engine.get(name, 0) == scratch.get(name, 0), name
+    for c in (engine, scratch):
         reasons = sum(v for k, v in c.items() if k.startswith("sched.abort."))
         assert reasons == c["sched.abort"]
-    assert clone.get("sched.abort.carried", 0) == 0
+    assert scratch.get("sched.abort.carried", 0) == 0
 
 
 # ---------------------------------------------------------------- units

@@ -1,9 +1,9 @@
-"""Engine internals: fragment cache hits, LRU bound, kill switches.
+"""Engine internals: fragment cache hits, LRU bound, reference verdict.
 
 The equivalence suite (test_equivalence.py) proves the engine never
 changes the synthesized result; these tests pin down *how* it wins --
-repeated evaluations hit the cache -- and that both kill switches
-really disable it.
+repeated evaluations hit the cache -- and that a single evaluation
+matches the reference scheduler's verdict exactly.
 """
 
 import pytest
@@ -15,11 +15,8 @@ from repro.graph.association import AssociationArray
 from repro.obs.trace import NULL_TRACER
 from repro.resources.catalog import default_library
 from repro.alloc.evaluate import evaluate_architecture
-from repro.perf.engine import (
-    IncrementalEngine,
-    incremental_disabled_by_env,
-    resolve_engine,
-)
+from repro.perf.engine import IncrementalEngine
+from tests.sched.reference_scheduler import ReferenceEngine
 
 
 @pytest.fixture
@@ -60,7 +57,7 @@ def test_repeated_evaluation_hits_the_cache(workload):
 
 def test_engine_verdict_matches_from_scratch(workload):
     with_engine = evaluate(workload, IncrementalEngine())
-    scratch = evaluate(workload, None)
+    scratch = evaluate(workload, ReferenceEngine())
     assert with_engine.cost == scratch.cost
     assert with_engine.report.lateness == scratch.report.lateness
     assert list(with_engine.report.lateness) == list(scratch.report.lateness)
@@ -92,20 +89,3 @@ def test_lru_bound_is_enforced(workload):
 def test_max_entries_validated():
     with pytest.raises(ValueError):
         IncrementalEngine(max_entries=0)
-
-
-def test_resolve_engine_kill_switches(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_INCREMENTAL", raising=False)
-    assert not incremental_disabled_by_env()
-    assert resolve_engine(CrusadeConfig()) is not None
-    assert resolve_engine(CrusadeConfig(incremental=False)) is None
-    donated = IncrementalEngine()
-    assert resolve_engine(CrusadeConfig(), donated) is donated
-
-    monkeypatch.setenv("REPRO_NO_INCREMENTAL", "1")
-    assert incremental_disabled_by_env()
-    assert resolve_engine(CrusadeConfig()) is None
-    assert resolve_engine(CrusadeConfig(), donated) is None
-    # "0" and "" mean "not disabled".
-    monkeypatch.setenv("REPRO_NO_INCREMENTAL", "0")
-    assert not incremental_disabled_by_env()

@@ -2,10 +2,11 @@
 
 Property suite fuzzing generated workloads: the synthesized result --
 architecture, schedule, deadline report, costs -- must be byte
-identical with the engine on, off, and killed via the environment;
-the decision counters (which options were considered/rejected) must
-match exactly between the copy-on-write and the clone-based inner
-loops.
+identical whether candidates are evaluated through the incremental
+engine or through the reference scheduler from scratch
+(``tests/sched/reference_scheduler.py``); the decision counters
+(which options were considered/rejected) must match exactly between
+the two.
 """
 
 import json
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import CrusadeConfig, GeneratorConfig, Tracer, crusade, generate_spec
 from repro.io.result_json import result_to_dict
+from tests.sched.reference_scheduler import ReferenceEngine
 
 PROPERTY_SETTINGS = settings(
     max_examples=8,
@@ -47,9 +49,10 @@ def make_spec(seed):
     ))
 
 
-def canonical(seed, tracer=None, **config_kw):
+def canonical(seed, tracer=None, engine=None, **config_kw):
     config = CrusadeConfig(max_explicit_copies=2, **config_kw)
-    result = crusade(make_spec(seed), config=config, tracer=tracer)
+    result = crusade(make_spec(seed), config=config, tracer=tracer,
+                     engine=engine)
     payload = result_to_dict(result)
     payload.pop("cpu_seconds", None)
     payload.pop("stats", None)
@@ -59,50 +62,36 @@ def canonical(seed, tracer=None, **config_kw):
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=60), reconfig=st.booleans())
 def test_incremental_equals_from_scratch(seed, reconfig):
-    scratch = canonical(seed, reconfiguration=reconfig, incremental=False)
-    incremental = canonical(seed, reconfiguration=reconfig, incremental=True)
+    scratch = canonical(seed, reconfiguration=reconfig,
+                        engine=ReferenceEngine())
+    incremental = canonical(seed, reconfiguration=reconfig)
     assert scratch == incremental
 
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=60))
 def test_traced_incremental_equals_untraced(seed):
-    untraced = canonical(seed, incremental=True)
-    traced = canonical(seed, tracer=Tracer(), incremental=True)
+    untraced = canonical(seed)
+    traced = canonical(seed, tracer=Tracer())
     assert untraced == traced
-
-
-@PROPERTY_SETTINGS
-@given(seed=st.integers(min_value=0, max_value=30))
-def test_env_kill_switch_equals_enabled(seed):
-    import os
-
-    enabled = canonical(seed, incremental=True)
-    os.environ["REPRO_NO_INCREMENTAL"] = "1"
-    try:
-        killed = canonical(seed, incremental=True)
-    finally:
-        del os.environ["REPRO_NO_INCREMENTAL"]
-    assert enabled == killed
 
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=60), reconfig=st.booleans())
 def test_decision_counters_match_from_scratch(seed, reconfig):
-    """COW + fragment caching change *what is computed*, never *what is
-    decided*: every option-level decision counter matches exactly."""
+    """Fragment caching and planned scheduling change *what is
+    computed*, never *what is decided*: every option-level decision
+    counter matches the reference scheduler's exactly."""
 
-    def counters(incremental):
+    def counters(engine):
         tracer = Tracer()
-        config = CrusadeConfig(
-            reconfiguration=reconfig, max_explicit_copies=2,
-            incremental=incremental,
-        )
-        result = crusade(make_spec(seed), config=config, tracer=tracer)
+        config = CrusadeConfig(reconfiguration=reconfig, max_explicit_copies=2)
+        result = crusade(make_spec(seed), config=config, tracer=tracer,
+                         engine=engine)
         return result.stats
 
-    scratch = counters(False)
-    incremental = counters(True)
+    scratch = counters(ReferenceEngine())
+    incremental = counters(None)
     for name in DECISION_COUNTERS:
         assert scratch.counter(name) == incremental.counter(name), name
     # Every engine scheduler run is a fragment-cache miss (one run per
@@ -124,7 +113,7 @@ def test_incremental_priorities_are_exact(seed):
     decisions (which depend on priority order) already pin this down,
     but the counters prove reuse actually happened."""
     tracer = Tracer()
-    config = CrusadeConfig(max_explicit_copies=2, incremental=True)
+    config = CrusadeConfig(max_explicit_copies=2)
     result = crusade(make_spec(seed), config=config, tracer=tracer)
     stats = result.stats
     recomputed = stats.counter("perf.priorities.recomputed")

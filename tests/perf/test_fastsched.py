@@ -1,13 +1,14 @@
-"""The engine's fast scheduling path against the legacy scheduler.
+"""The production scheduler against the reference scheduler.
 
 Two layers of defense beyond the end-to-end equivalence suite:
 
 * :class:`repro.perf.fasttimeline.FastTimeline` is fuzzed operation-
   by-operation against :class:`repro.sched.timeline.IntervalTimeline`
   -- same placements, same intervals, same split decisions;
-* :func:`repro.sched.scheduler.build_schedule` with a
-  :class:`repro.perf.fastsched.SchedulerContext` attached must emit
-  the exact schedule the legacy loop produces, on synthesized
+* :func:`repro.sched.scheduler.build_schedule` over a
+  :class:`repro.perf.fastsched.SchedulerContext` must emit the exact
+  schedule the reference loop
+  (``tests/sched/reference_scheduler.py``) produces, on synthesized
   workloads whose architectures exercise processors, links, and
   programmable devices.
 """
@@ -25,6 +26,7 @@ from repro.sched.scheduler import ScheduleRequest, build_schedule
 from repro.sched.timeline import IntervalTimeline, PpeModeTimeline
 from repro.perf.fastsched import SchedulerContext
 from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
+from tests.sched.reference_scheduler import build_reference_schedule
 
 TIMELINE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -189,16 +191,16 @@ def test_planned_schedule_is_byte_identical(seed):
         spec=spec, assoc=assoc, clustering=clustering, arch=arch,
         priorities=priorities,
     )
-    legacy = build_schedule(ScheduleRequest(**base))
+    reference = build_reference_schedule(ScheduleRequest(**base))
     context = SchedulerContext()
     tracer = Tracer()
     planned = build_schedule(
         ScheduleRequest(tracer=tracer, context=context, **base)
     )
-    assert _schedule_dump(planned) == _schedule_dump(legacy)
+    assert _schedule_dump(planned) == _schedule_dump(reference)
     # Same request again: the plan is reused, the output unchanged.
     replay = build_schedule(ScheduleRequest(tracer=tracer, context=context, **base))
-    assert _schedule_dump(replay) == _schedule_dump(legacy)
+    assert _schedule_dump(replay) == _schedule_dump(reference)
     counters = tracer.counters.as_dict()
     assert counters["perf.plan.misses"] == 1
     assert counters["perf.plan.hits"] == 1
@@ -206,15 +208,26 @@ def test_planned_schedule_is_byte_identical(seed):
 
 def test_route_cache_tracks_topology_version(seed=5):
     spec, assoc, clustering, arch, priorities = _workload(seed)
-    context = SchedulerContext()
     pes = sorted(arch.pes)
     if len(pes) < 2:
         pytest.skip("workload produced a single-PE architecture")
+    base = dict(
+        spec=spec, assoc=assoc, clustering=clustering, arch=arch,
+        priorities=priorities,
+    )
+    context = SchedulerContext()
+    build_schedule(ScheduleRequest(context=context, **base))
+    table = context.route_table(arch)
+    assert context.route_table(arch) is table
     a, b = pes[0], pes[1]
     before = arch.topo_version
-    assert context.route(arch, a, b) is arch.find_link_between(a, b)
-    # A fresh link between the pair must invalidate the memo.
+    # A fresh link between the pair must invalidate the memo, and the
+    # next run over the same context must route as the reference loop
+    # does on the new topology.
     link_type = arch.library.links_by_cost()[0]
     arch.connect(a, b, link_type)
     assert arch.topo_version > before
-    assert context.route(arch, a, b) is arch.find_link_between(a, b)
+    assert context.route_table(arch) is not table
+    rerouted = build_schedule(ScheduleRequest(context=context, **base))
+    reference = build_reference_schedule(ScheduleRequest(**base))
+    assert _schedule_dump(rerouted) == _schedule_dump(reference)

@@ -136,8 +136,10 @@ def test_prune_cuts_and_counters_balance():
 
 
 def test_decision_counters_match_across_engine_paths():
-    """Prune decisions are identical between the copy-on-write and
-    clone-based inner loops."""
+    """Prune decisions are identical whether candidates are evaluated
+    through the incremental engine or the reference scheduler."""
+    from tests.sched.reference_scheduler import ReferenceEngine
+
     spec = make_spec(3)
     names = (
         "prune.cut", "prune.kept", "prune.fallback_evals",
@@ -145,16 +147,16 @@ def test_decision_counters_match_across_engine_paths():
         "alloc.options.infeasible",
     )
 
-    def counters(incremental):
+    def counters(engine):
         tracer = Tracer()
-        config = CrusadeConfig(max_explicit_copies=2, incremental=incremental)
-        crusade(spec, config=config, tracer=tracer)
+        config = CrusadeConfig(max_explicit_copies=2)
+        crusade(spec, config=config, tracer=tracer, engine=engine)
         return tracer.counters.as_dict()
 
-    cow = counters(True)
-    clone = counters(False)
+    incremental = counters(None)
+    scratch = counters(ReferenceEngine())
     for name in names:
-        assert cow.get(name, 0) == clone.get(name, 0), name
+        assert incremental.get(name, 0) == scratch.get(name, 0), name
 
 
 # ---------------------------------------------------------------- units

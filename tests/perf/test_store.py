@@ -103,10 +103,8 @@ class TestDigests:
     def test_config_digest_ignores_identity_neutral_knobs(self):
         base = CrusadeConfig()
         for variant in (
-            CrusadeConfig(incremental=False),
             CrusadeConfig(prune=False),
             CrusadeConfig(bound_abort=False),
-            CrusadeConfig(timeline="tree"),
             CrusadeConfig(cache_dir="/tmp/x", warm_start=False),
         ):
             assert config_digest(variant) == config_digest(base)

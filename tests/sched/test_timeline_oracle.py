@@ -15,8 +15,7 @@ Three layers, all driving ``tests/sched/oracle.py``:
 
 On failure Hypothesis prints a ``reproduce_failure`` blob
 (``print_blob=True``) -- paste it onto the failing test to replay the
-exact sequence locally; CI's ``timeline-identity`` job surfaces it in
-the log.
+exact sequence locally; CI's ``tests`` job surfaces it in the log.
 """
 
 import pathlib
@@ -27,7 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 import repro.perf.treetimeline as treetimeline
-from repro.perf.treetimeline import TreeTimeline, resolve_timeline
+from repro.perf.treetimeline import TreeTimeline
 from repro.units import TIME_EPS
 from tests.sched.oracle import (
     PpeDifferential,
@@ -216,6 +215,19 @@ class TestRegressions:
         assert outcome == "err"
         assert message.startswith("overlap:")
 
+    def test_fit_never_collides_one_epsilon_past_sliver_end(self):
+        """``earliest_fit`` once skipped a zero-length interval ending
+        one epsilon after ``ready`` (``end <= ready + TIME_EPS`` rounds
+        true) that ``occupy`` then reported as a collider
+        (``ready < end - TIME_EPS`` rounds true too).  The fit tests
+        are now the exact negations of the collision test."""
+        diff = SerialDifferential()
+        diff.step(("occupy", 3 * TIME_EPS, 0.0, ("sliver",)))
+        outcome, start = diff.step(("earliest_fit", 2 * TIME_EPS, 3 * TIME_EPS))
+        assert outcome == "ok"
+        result = diff.step(("occupy", start, 3 * TIME_EPS, ("fit",)))
+        assert result == ("ok", (start, start + 3 * TIME_EPS))
+
     def test_end_order_degradation_stays_identical(self):
         """An epsilon-sliver insert that breaks the end-sorted
         invariant must flip fast/tree timelines into their degraded
@@ -261,36 +273,10 @@ class TestRegressions:
         assert type(tree).__name__ == "_BlockedTimeline"
         assert len(tree._bivs) > 3, "fuzz must actually cross block splits"
 
-
-class TestResolveTimeline:
-    """Mode selection and the environment kill switch."""
-
-    def test_modes(self):
-        for mode in ("list", "tree", "auto"):
-            serial_cls, ppe_cls = resolve_timeline(mode)
-            assert callable(serial_cls) and callable(ppe_cls)
-
-    def test_unknown_mode_raises(self):
-        from repro.errors import SchedulingError
-
-        with pytest.raises(SchedulingError):
-            resolve_timeline("btree")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(treetimeline.TIMELINE_ENV, "list")
-        serial_cls, _ = resolve_timeline("tree")
-        from repro.perf.fasttimeline import FastTimeline
-
-        assert serial_cls is FastTimeline
-
-    def test_env_typo_ignored(self, monkeypatch):
-        monkeypatch.setenv(treetimeline.TIMELINE_ENV, "treeee")
-        serial_cls, _ = resolve_timeline("auto")
-        assert serial_cls is TreeTimeline
-
     def test_eager_tree_converts_immediately(self):
-        serial_cls, _ = resolve_timeline("tree")
-        tl = serial_cls()
+        """``convert_at=0`` -- the oracle's seam into the blocked
+        phase -- converts on the first insert."""
+        tl = TreeTimeline(convert_at=0)
         tl.occupy(0.0, 1.0, ("a",))
         assert type(tl).__name__ == "_BlockedTimeline"
 

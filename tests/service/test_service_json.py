@@ -63,9 +63,11 @@ def test_every_envelope_error_is_collected_in_one_pass():
 def test_unknown_config_field_is_rejected_not_ignored():
     # cache_dir is server-owned; parallel_eval and pool_batch are the
     # removed scorer-pool knobs, which once set how many processes a
-    # shard forked.
+    # shard forked; incremental and timeline are the removed
+    # evaluation-path and timeline-implementation switches.
     for field, value in (("cache_dir", "/tmp/x"), ("parallel_eval", 64),
-                         ("pool_batch", 1)):
+                         ("pool_batch", 1), ("incremental", False),
+                         ("timeline", "tree")):
         payload = valid_payload()
         payload["config"] = {field: value}
         (error,) = errors_of(payload)

@@ -107,6 +107,10 @@ class TestCli:
                      "unrecognized", id="serve-worker-port"),
         pytest.param(["worker", "--connect", "127.0.0.1:9131"],
                      "invalid choice", id="worker"),
+        pytest.param(["synthesize", "s.json", "--no-incremental"],
+                     "unrecognized", id="synthesize-no-incremental"),
+        pytest.param(["synthesize", "s.json", "--timeline", "tree"],
+                     "unrecognized", id="synthesize-timeline"),
     ])
     def test_removed_pool_and_transport_surface_is_rejected(
         self, argv, error, capsys
