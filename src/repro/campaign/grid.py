@@ -5,13 +5,15 @@ retry/timeout policy.  :func:`expand_jobs` turns the grid into its
 list of independent :class:`~repro.campaign.jobs.Job` units in a
 deterministic order (examples outermost, then scales, then variants),
 each with a stable human-readable id like
-``table2:A1TR@0.05:pruned``.  Job ids are the keys of the checkpoint
+``table2:A1TR@0.05:largest-first``.  Job ids are the keys of the checkpoint
 log, so expansion refuses grids that would produce duplicates.
 
 Variants map onto :class:`repro.core.config.CrusadeConfig` knobs and
 are checked against its fields when built; the named presets in
-:data:`VARIANT_PRESETS` cover the pruning kill switch and the
-alternative cluster-order policy that the benchmark ablations sweep.
+:data:`VARIANT_PRESETS` are the paper's rules and the alternative
+cluster-order policy that the benchmark ablations sweep.  There is no
+pruning preset: pruning never changes a result, and manifests carry
+no timings, so a ``prune=False`` column could only repeat ``default``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from repro.campaign.jobs import JOB_KINDS, Job
 #: allocation biggest-first instead of by priority.
 VARIANT_PRESETS: Dict[str, Dict[str, Any]] = {
     "default": {},
-    "pruned": {"prune": True},
-    "no-prune": {"prune": False},
     "largest-first": {"policy": "largest-first"},
 }
 
@@ -44,7 +44,7 @@ class Variant:
     """One named configuration column of the grid."""
 
     name: str
-    #: CrusadeConfig keyword overrides (e.g. ``{"prune": False}``).
+    #: CrusadeConfig keyword overrides (e.g. ``{"clustering": False}``).
     config: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -201,7 +201,7 @@ class CampaignSpec:
 
 
 def job_id(kind: str, example: str, scale: float, variant: str) -> str:
-    """The stable id of one grid cell, e.g. ``table2:A1TR@0.05:pruned``."""
+    """The stable id of one grid cell, e.g. ``table2:A1TR@0.05:default``."""
     return "%s:%s@%g:%s" % (kind, example, scale, variant)
 
 

@@ -64,12 +64,6 @@ def _add_synthesize(subparsers) -> None:
                    help="print per-phase timings and synthesis counters")
     p.add_argument("--trace", metavar="TRACE.jsonl",
                    help="stream structured trace events to a JSON-lines file")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable admissible candidate pruning "
-                        "(evaluate every allocation candidate)")
-    p.add_argument("--no-bound-abort", action="store_true",
-                   help="disable incumbent-driven bound aborts "
-                        "(evaluate every candidate to completion)")
     p.add_argument("--profile", type=int, default=0, metavar="N",
                    help="run synthesis under cProfile, print the top-N "
                         "cumulative functions and write "
@@ -81,10 +75,6 @@ def _add_synthesize(subparsers) -> None:
                         "near-hits warm-start from cached schedule "
                         "fragments (results are byte-identical either "
                         "way); REPRO_CACHE_DIR is the env fallback")
-    p.add_argument("--no-warm-start", action="store_true",
-                   help="do not read the store (cold run); the store is "
-                        "still written, so the run warms it for later "
-                        "resubmissions")
 
 
 def _add_generate(subparsers) -> None:
@@ -209,7 +199,8 @@ def _add_submit(subparsers) -> None:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=JSON",
                    help="config override (repeatable), e.g. "
-                        "--set reconfiguration=false --set prune=true")
+                        "--set reconfiguration=false "
+                        "--set policy=largest-first")
     p.add_argument("--timeout", type=float, default=600.0, metavar="S",
                    help="client-side budget for the full exchange")
     p.add_argument("--out", metavar="FILE", default=None,
@@ -277,10 +268,7 @@ def _cmd_synthesize(args) -> int:
     config = CrusadeConfig(
         reconfiguration=not args.no_reconfig,
         max_explicit_copies=args.copies,
-        prune=not args.no_prune,
-        bound_abort=not args.no_bound_abort,
         cache_dir=args.cache_dir,
-        warm_start=not args.no_warm_start,
     )
     tracer = _build_tracer(args)
     profiler = None

@@ -3,9 +3,10 @@
 Defaults follow the paper: ERUF 70 % / EPUF 80 %, clustering enabled,
 restricted preemption on, dynamic reconfiguration on.  The ablation
 benchmarks flip individual knobs.  The performance layer has no mode
-switches beyond ``prune`` and ``bound_abort``: every run evaluates
-through the incremental engine (:mod:`repro.perf.engine`) on the one
-production timeline pair (:mod:`repro.perf.treetimeline`).
+switches beyond ``prune`` and ``bound_abort``, both result-neutral and
+set only here (no environment variable or CLI flag reaches them): every
+run evaluates through the incremental engine (:mod:`repro.perf.engine`)
+on the one production timeline pair (:mod:`repro.perf.treetimeline`).
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ class CrusadeConfig:
         candidates whose finish-time/demand lower bounds provably miss
         a deadline or overload a resource are cut without scheduling.
         Pure dominance pruning -- the chosen candidate and final
-        architecture are byte-identical either way; ``False`` (or the
-        ``REPRO_NO_PRUNE=1`` environment variable) restores exhaustive
-        evaluation.
+        architecture are byte-identical either way; ``False`` restores
+        exhaustive evaluation (the identity suites' reference).
     bound_abort:
         Incumbent-driven bounded search: candidate evaluations carry
         the incumbent's badness tuple into the scheduler, which aborts
@@ -68,9 +68,8 @@ class CrusadeConfig:
         exceeds it (:class:`~repro.sched.scheduler.ScheduleAbort`).
         Pure dominance -- aborted candidates provably lose to the
         incumbent, so the chosen candidate and final architecture are
-        byte-identical either way; ``False`` (or the
-        ``REPRO_NO_BOUND_ABORT=1`` environment variable) evaluates
-        every candidate to completion.  Aborts are reported as
+        byte-identical either way; ``False`` evaluates every candidate
+        to completion.  Aborts are reported as
         ``sched.abort`` / ``sched.abort.<reason>`` counters.
     policy:
         Name of the registered :class:`~repro.core.stages.policies.
@@ -91,12 +90,8 @@ class CrusadeConfig:
         results are byte-identical to cold ones.  The
         ``REPRO_CACHE_DIR`` environment variable is the fallback when
         this field is ``None`` (how campaign workers share one store).
-    warm_start:
-        Whether a configured store may be *read* (exact-result hits
-        and fragment preloads).  ``False`` -- or the
-        ``REPRO_NO_WARM_START=1`` environment kill switch -- forces a
-        cold run that still *writes* the store, warming it for later
-        runs.  Meaningless without ``cache_dir``/``REPRO_CACHE_DIR``.
+        A configured store is always read and written; to run cold,
+        run without one.
     """
 
     reconfiguration: bool = True
@@ -115,7 +110,6 @@ class CrusadeConfig:
     bound_abort: bool = True
     policy: str = "default"
     cache_dir: Optional[str] = None
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):

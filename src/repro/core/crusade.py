@@ -33,25 +33,12 @@ from repro.core.config import CrusadeConfig
 from repro.core.report import CoSynthesisResult
 from repro.core.stages.context import SynthesisContext
 from repro.core.stages.pipeline import synthesize
-from repro.core.stages.repair import repair_pass
-from repro.core.stages.support import (
-    allocation_aware_context,
-    compute_priorities,
-    coupled_graphs,
-)
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import Tracer, resolve_tracer
 from repro.perf.engine import IncrementalEngine
-from repro.perf.store import resolve_store, store_reads_enabled
+from repro.perf.store import resolve_store
 from repro.resources.catalog import default_library
 from repro.resources.library import ResourceLibrary
-
-# Pre-stage-refactor aliases: the helpers grew public homes in
-# repro.core.stages but callers (and tests) still reach them here.
-_allocation_aware_context = allocation_aware_context
-_compute_priorities = compute_priorities
-_coupled_graphs = coupled_graphs
-_repair = repair_pass
 
 
 def crusade(
@@ -106,12 +93,10 @@ def crusade(
     (:mod:`repro.perf.store`): an exact resubmission returns the
     cached result without synthesizing, a near-hit resubmission
     warm-starts the engine's fragment cache from disk, and either way
-    the returned result is byte-identical to a cold run
-    (``warm_start=False`` / ``REPRO_NO_WARM_START=1`` force cold runs
-    that still warm the store).  Calls donating a ``clustering``,
-    ``baseline`` or ``engine`` bypass the full-result tier -- their
-    inputs are not captured by its key -- but still share fragments
-    through the donated or created engine.
+    the returned result is byte-identical to a cold run.  Calls
+    donating a ``clustering``, ``baseline`` or ``engine`` bypass the
+    full-result tier -- their inputs are not captured by its key --
+    but still share fragments through the donated or created engine.
     """
     started = time.perf_counter()
     if config is None:
@@ -125,20 +110,19 @@ def crusade(
         if resolved_library is None:
             resolved_library = default_library()
         exact_key = store.result_key(spec, resolved_library, config)
-        if store_reads_enabled(config):
-            cached = store.load_result(exact_key, tracer=resolved_tracer)
-            if cached is not None:
-                resolved_tracer.incr("perf.store.hit")
-                elapsed = time.perf_counter() - started
-                cached.cpu_seconds = elapsed
-                if resolved_tracer.enabled:
-                    resolved_tracer.event(
-                        "store.hit", system=spec.name, key=exact_key,
-                        feasible=cached.feasible, cost=cached.cost,
-                    )
-                    cached.stats = resolved_tracer.stats(total_seconds=elapsed)
-                return cached
-            resolved_tracer.incr("perf.store.miss")
+        cached = store.load_result(exact_key, tracer=resolved_tracer)
+        if cached is not None:
+            resolved_tracer.incr("perf.store.hit")
+            elapsed = time.perf_counter() - started
+            cached.cpu_seconds = elapsed
+            if resolved_tracer.enabled:
+                resolved_tracer.event(
+                    "store.hit", system=spec.name, key=exact_key,
+                    feasible=cached.feasible, cost=cached.cost,
+                )
+                cached.stats = resolved_tracer.stats(total_seconds=elapsed)
+            return cached
+        resolved_tracer.incr("perf.store.miss")
     ctx = SynthesisContext.begin(
         spec,
         library=resolved_library,

@@ -32,7 +32,7 @@ from repro.core.stages.support import (
     compute_priorities,
     coupled_graphs,
 )
-from repro.perf.prune import CandidatePruner, bound_abort_active, pruning_active
+from repro.perf.prune import CandidatePruner
 from repro.sched.scheduler import ScheduleAbort
 from repro.alloc.array import build_allocation_array
 from repro.alloc.evaluate import (
@@ -111,8 +111,6 @@ class Allocation(Stage):
         ctx.arch = Architecture(ctx.library)
         ctx.priorities = compute_priorities(ctx.spec, ctx.pessimistic)
         ctx.fast = ctx.config.use_fast_inner_loop(ctx.spec.total_tasks)
-        ctx.prune_on = pruning_active(ctx.config)
-        ctx.bound_abort_on = bound_abort_active(ctx.config)
         ctx.allocation_feasible = True
         # Allocation-aware priorities reuse previous values for graphs
         # the placement cannot have perturbed -- but only once the
@@ -151,7 +149,7 @@ class Allocation(Stage):
         selection = CandidateSelection()
         pruner = (
             CandidatePruner(ctx.spec, ctx.assoc, ctx.clustering, cluster)
-            if ctx.prune_on
+            if ctx.config.prune
             else None
         )
         for strategy in ctx.config.link_strategies:
@@ -177,7 +175,7 @@ class Allocation(Stage):
         changes nothing (see :class:`~repro.sched.scheduler.
         ScheduleAbort`).  None disables aborting.
         """
-        if ctx.bound_abort_on and selection.fallback_key is not None:
+        if ctx.config.bound_abort and selection.fallback_key is not None:
             return selection.fallback_key[0]
         return None
 

@@ -16,7 +16,6 @@ stage                     context fields written
                           ``compat``
 ``Clustering``            ``clustering`` (skipped when donated)
 ``Allocation``            ``arch``, ``priorities``, ``fast``,
-                          ``prune_on``, ``bound_abort_on``,
                           ``allocation_feasible``, ``allocation_aware``
 ``FullCheck``             ``full``, ``best``
 ``Repair``                ``full``, ``best``, ``arch``, ``priorities``,

@@ -69,8 +69,6 @@ class SynthesisContext:
     arch: Optional[Architecture] = None
     priorities: Optional[Dict[str, Dict[str, float]]] = None
     fast: bool = False
-    prune_on: bool = False
-    bound_abort_on: bool = False
     allocation_feasible: bool = True
     #: Whether ``priorities`` already reflect a partial allocation
     #: (pre-allocation pessimistic levels price edges differently).

@@ -171,7 +171,7 @@ class ModeMerge(Stage):
             evaluator,
             combine_modes=ctx.config.combine_modes,
             tracer=ctx.tracer,
-            prune=ctx.prune_on,
+            prune=ctx.config.prune,
             accept=accept,
         )
         stats = {
@@ -201,7 +201,7 @@ class ModeMerge(Stage):
         identical).
         """
         bound = None
-        if ctx.bound_abort_on and ctx.policy.accept_merge is None:
+        if ctx.config.bound_abort and ctx.policy.accept_merge is None:
             bound = (0, 0.0, 0.0)
 
         def evaluate_with_interface(candidate: Architecture):

@@ -26,7 +26,7 @@ from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import Tracer
 from repro.perf.engine import IncrementalEngine
-from repro.perf.prune import RepairBound, bound_abort_active, pruning_active
+from repro.perf.prune import RepairBound
 from repro.sched.scheduler import ScheduleAbort
 from repro.alloc.array import build_allocation_array
 from repro.alloc.evaluate import (
@@ -73,9 +73,8 @@ def repair_pass(
     if engine is None:
         engine = IncrementalEngine()
     repair_bound = (
-        RepairBound(spec, assoc, clustering) if pruning_active(config) else None
+        RepairBound(spec, assoc, clustering) if config.prune else None
     )
-    bounding = bound_abort_active(config)
 
     def abort_bound(round_best: Optional[EvalResult]) -> Optional[tuple]:
         """Badness an evaluation may abort against: the tightest
@@ -83,7 +82,7 @@ def repair_pass(
         beat *both* ``current`` and ``round_best`` (or meet every
         deadline, impossible with > bound[0] >= 1 violations), so an
         abort against their minimum is pure dominance."""
-        if not bounding:
+        if not config.bound_abort:
             return None
         tightest = current.badness()
         if round_best is not None:

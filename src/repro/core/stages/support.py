@@ -2,9 +2,7 @@
 
 These were private closures/helpers of the old monolithic driver;
 they are stage-neutral (priority estimation and graph coupling) and
-are imported by the allocation, repair and merge stages.  The historic
-private names (``_compute_priorities`` and friends) remain importable
-from :mod:`repro.core.crusade` for backward compatibility.
+are imported by the allocation, repair and merge stages.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ shapes exist:
     document (:mod:`repro.io.spec_json`), an optional ``config`` map
     of whitelisted :class:`~repro.core.config.CrusadeConfig` overrides
     (:data:`SERVICE_CONFIG_FIELDS`), and an optional ``catalog`` name
-    (only ``"default"`` exists today).  Store-plumbing knobs
-    (``cache_dir``, ``warm_start``) are *rejected*, not ignored: the
-    server owns its store, and silently dropping a key a client
-    believed in would be worse than a 400.
+    (only ``"default"`` exists today).  Every other key -- the
+    store-plumbing ``cache_dir`` and the result-neutral search knobs
+    ``prune``/``bound_abort`` included -- is *rejected*, not ignored:
+    the server owns its store and its search, and silently dropping a
+    key a client believed in would be worse than a 400.
 
 ``crusade-response``
     What the server returns for an admitted request: ``status``
@@ -60,11 +61,12 @@ SERVICE_SCHEMA_VERSION = 1
 KNOWN_CATALOGS = ("default",)
 
 #: ``CrusadeConfig`` fields a request's ``config`` map may override:
-#: every JSON-scalar knob of the synthesis semantics plus the proven
-#: byte-identity-preserving performance knobs.  Deliberately absent:
-#: ``cache_dir``/``warm_start`` (the server owns its store),
-#: ``delay_policy``/``link_strategies`` (structured values with no
-#: JSON contract yet).  Maps field name to the accepted JSON types.
+#: every JSON-scalar knob of the synthesis semantics.  Deliberately
+#: absent: ``cache_dir`` (the server owns its store), ``prune`` and
+#: ``bound_abort`` (result-neutral, so a request could only change how
+#: long its answer takes), ``delay_policy``/``link_strategies``
+#: (structured values with no JSON contract yet).  Maps field name to
+#: the accepted JSON types.
 SERVICE_CONFIG_FIELDS: Dict[str, tuple] = {
     "reconfiguration": (bool,),
     "clustering": (bool,),
@@ -76,8 +78,6 @@ SERVICE_CONFIG_FIELDS: Dict[str, tuple] = {
     "fast_threshold_tasks": (int,),
     "combine_modes": (bool,),
     "interface_retries": (int,),
-    "prune": (bool,),
-    "bound_abort": (bool,),
     "policy": (str,),
 }
 

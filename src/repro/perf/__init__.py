@@ -16,13 +16,12 @@ tracer counters:
 * :mod:`repro.perf.prune` -- admissible candidate pruning: per-
   candidate finish-time/demand lower bounds cut provably infeasible
   candidates before the scheduler runs (pure dominance pruning;
-  ``CrusadeConfig.prune=False`` / ``REPRO_NO_PRUNE=1`` switch it off);
+  ``CrusadeConfig.prune=False`` switches it off);
 * :mod:`repro.perf.store` / :mod:`repro.perf.warmstart` -- the
   persistent content-addressed synthesis store (full-result tier +
   cross-run fragment tier under ``CrusadeConfig.cache_dir``) and the
   warm-start path that diffs a resubmitted spec against the cached
-  prior run and rebinds still-valid schedule fragments; reads killed
-  by ``warm_start=False`` / ``REPRO_NO_WARM_START=1``;
+  prior run and rebinds still-valid schedule fragments;
 * :mod:`repro.perf.fasttimeline` / :mod:`repro.perf.treetimeline` --
   the production implementations of the :class:`repro.sched.timeline`
   abstract timelines: bisect-indexed flat lists that switch to a
@@ -42,8 +41,6 @@ from repro.perf.prune import (
     CandidatePruner,
     PruneVerdict,
     RepairBound,
-    prune_disabled_by_env,
-    pruning_active,
 )
 from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
 
@@ -55,8 +52,6 @@ __all__ = [
     "RepairBound",
     "component_fingerprint",
     "partition_components",
-    "prune_disabled_by_env",
-    "pruning_active",
     "TreePpeModeTimeline",
     "TreeTimeline",
     "undo_journal",

@@ -43,7 +43,6 @@ from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
-from repro.sched import tlrecord
 
 #: Plans are tiny next to schedule fragments, but the scoped sub-spec
 #: cache they key off is itself LRU-bounded -- keep a little headroom.
@@ -172,7 +171,9 @@ class SchedulerContext:
     """Cross-run scheduler caches owned by one incremental engine.
 
     Every schedule built over a context uses its timeline factory
-    pair, :attr:`timeline_cls` / :attr:`ppe_timeline_cls`.
+    pair, :attr:`timeline_cls` / :attr:`ppe_timeline_cls`; an instance
+    attribute overrides either (the test suite's timeline op recorder
+    does, to capture traces for the differential oracle).
     """
 
     timeline_cls = TreeTimeline
@@ -180,17 +181,6 @@ class SchedulerContext:
 
     def __init__(self) -> None:
         """Create empty plan/route/transfer-time caches."""
-        self.recorder = None
-        record_to = tlrecord.trace_path()
-        if record_to is not None:
-            # REPRO_TIMELINE_TRACE: wrap both factories so every
-            # timeline this context builds appends its operation
-            # stream (replayed by the differential oracle).
-            self.recorder = tlrecord.TimelineRecorder(record_to)
-            self.timeline_cls = self.recorder.wrap_serial(self.timeline_cls)
-            self.ppe_timeline_cls = self.recorder.wrap_ppe(
-                self.ppe_timeline_cls
-            )
         self._plans: "OrderedDict[tuple, _Plan]" = OrderedDict()
         self._lock = threading.Lock()
         #: Architecture -> [topo_version, {(pe_a, pe_b): link | None}].

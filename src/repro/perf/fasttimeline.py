@@ -157,9 +157,12 @@ class FastTimeline(IntervalTimeline):
         # Same body as the superclass, minus the redundant sort: the
         # interval list is maintained in start order (and ``sorted`` is
         # stable, so the legacy call returned this exact order).  The
-        # prefix ending at or before ready -- which the walk's inner
-        # skip loop would step over one by one -- is bisected past,
-        # which needs the end-sorted invariant.
+        # prefix ending at or before ready -- which the walk's exact
+        # skip test would step over one by one (end - TIME_EPS <= end
+        # <= ready) -- is bisected past, which needs the end-sorted
+        # invariant.  The epsilon tests are the superclass's
+        # ``not time_lt`` negations of occupy's collision terms,
+        # inlined.
         if self._degraded:
             return super().split_fit(ready, duration, overhead, max_segments)
         if duration < 0 or overhead < 0:
@@ -168,17 +171,17 @@ class FastTimeline(IntervalTimeline):
         remaining = duration
         cursor = ready
         busy = self._intervals
-        index = bisect.bisect_right(self._ends, ready + TIME_EPS)
+        index = bisect.bisect_right(self._ends, ready)
         while remaining > TIME_EPS and len(segments) < max_segments:
-            while index < len(busy) and busy[index].end <= cursor + TIME_EPS:
+            while index < len(busy) and cursor >= busy[index].end - TIME_EPS:
                 index += 1
-            if index < len(busy) and busy[index].start <= cursor + TIME_EPS:
+            if index < len(busy) and cursor >= busy[index].start - TIME_EPS:
                 cursor = busy[index].end
                 continue
             gap_end = busy[index].start if index < len(busy) else float("inf")
             cost = remaining + (overhead if segments else 0.0)
             available = gap_end - cursor
-            if cost <= available + TIME_EPS:  # time_leq(cost, available)
+            if gap_end >= cursor + cost - TIME_EPS:
                 segments.append((cursor, cursor + cost))
                 remaining = 0.0
                 break

@@ -14,8 +14,7 @@ Four bounds are used:
 
 * **Finish-time floor** -- the copy-0 critical path over the
   best-case execution vector plus the PPE mode-switch reboot bound
-  (:func:`repro.sched.bounds.deadline_floor_stats`, which runs the
-  same DP as a vectorized numpy kernel on large graphs).  Bit-exactly
+  (:func:`repro.sched.bounds.deadline_floor_stats`).  Bit-exactly
   dominated by any real schedule, so ``floor - deadline > TIME_EPS``
   proves a deadline miss with no margin at all.
 * **Demand floor** -- per-resource busy time over the hyperperiod
@@ -34,14 +33,9 @@ Four bounds are used:
   fallback search skip pruned candidates that cannot beat the
   incumbent least-infeasible choice.
 
-Kill switches: ``CrusadeConfig(prune=False)`` or the
-``REPRO_NO_PRUNE=1`` environment variable restore exhaustive
-evaluation; ``REPRO_NO_NUMPY=1`` (or an absent numpy) drops the
-vectorized DP kernel for the bit-identical pure-python loop.  This
-module also hosts the activation predicate for incumbent-driven bound
-aborts (``CrusadeConfig(bound_abort=False)`` /
-``REPRO_NO_BOUND_ABORT=1``), which mirror the prune switch matrix.
-Counter traffic: ``prune.cut`` / ``prune.kept`` plus per-reason
+``CrusadeConfig(prune=False)`` restores exhaustive evaluation, the
+reference the identity suites and the inner-loop benchmark compare
+against.  Counter traffic: ``prune.cut`` / ``prune.kept`` plus per-reason
 ``prune.cut.deadline`` / ``prune.cut.overload`` /
 ``prune.cut.repair`` / ``prune.cut.merge``, and
 ``prune.fallback_evals`` / ``prune.fallback_skipped`` for the
@@ -50,7 +44,6 @@ deferred least-infeasible reconstruction.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.architecture import Architecture
@@ -59,18 +52,8 @@ from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resources.pe import PEKind
-from repro.sched.bounds import (
-    deadline_floor_stats,
-    demand_floor,
-    numpy_disabled_by_env,  # noqa: F401  (re-exported kill-switch probe)
-)
+from repro.sched.bounds import deadline_floor_stats, demand_floor
 from repro.sched.finish_time import _OVERLOAD_TOLERANCE
-
-#: Environment kill switch: disable pruning, evaluate every candidate.
-KILL_SWITCH_ENV = "REPRO_NO_PRUNE"
-
-#: Environment kill switch: disable incumbent-driven bound aborts.
-ABORT_KILL_SWITCH_ENV = "REPRO_NO_BOUND_ABORT"
 
 #: Relative margin applied to demand floors before calling a resource
 #: overloaded: the evaluator sums per-task busy times in schedule
@@ -82,32 +65,6 @@ DEMAND_MARGIN = 1e-6
 #: components that aggregate many float terms in a different order
 #: than the evaluator).
 _SUM_DEFLATE = 1.0 - 1e-6
-
-
-def prune_disabled_by_env() -> bool:
-    """True when the environment kill switch is set (non-empty, not 0)."""
-    value = os.environ.get(KILL_SWITCH_ENV, "")
-    return value not in ("", "0")
-
-
-def pruning_active(config) -> bool:
-    """Whether the driver should prune under ``config``."""
-    return bool(getattr(config, "prune", True)) and not prune_disabled_by_env()
-
-
-def bound_abort_disabled_by_env() -> bool:
-    """True when the bound-abort kill switch is set (non-empty, not 0)."""
-    value = os.environ.get(ABORT_KILL_SWITCH_ENV, "")
-    return value not in ("", "0")
-
-
-def bound_abort_active(config) -> bool:
-    """Whether evaluations should carry incumbent bounds under
-    ``config`` (see :class:`repro.sched.scheduler.ScheduleAbort`)."""
-    return (
-        bool(getattr(config, "bound_abort", True))
-        and not bound_abort_disabled_by_env()
-    )
 
 
 class PruneVerdict:

@@ -32,9 +32,8 @@ Cooperating pieces:
 Both tiers are byte-identity-preserving: a warm-started run produces
 the same canonical result JSON as a cold run of the same inputs (the
 differential suite in ``tests/perf/test_warmstart.py`` enforces it).
-Reads are killed by ``CrusadeConfig.warm_start=False`` or
-``REPRO_NO_WARM_START=1``; writes happen whenever a cache directory
-is configured, so a kill-switched run still warms the store.
+A configured store is always both read and written; a run that must
+not trust a store simply runs without a cache directory.
 """
 
 from repro.perf.store.digests import (
@@ -49,18 +48,14 @@ from repro.perf.store.digests import (
 )
 from repro.perf.store.disk import (
     ENV_CACHE_DIR,
-    KILL_SWITCH_ENV,
     StoreFormatError,
     SynthesisStore,
     resolve_store,
-    store_reads_enabled,
-    warm_start_disabled_by_env,
 )
 from repro.perf.store.encode import canonical_encode, encoded_digest
 
 __all__ = [
     "ENV_CACHE_DIR",
-    "KILL_SWITCH_ENV",
     "STORE_SCHEMA_VERSION",
     "StoreFormatError",
     "SynthesisStore",
@@ -73,7 +68,5 @@ __all__ = [
     "graph_digests",
     "resolve_store",
     "spec_digest",
-    "store_reads_enabled",
     "value_digest",
-    "warm_start_disabled_by_env",
 ]

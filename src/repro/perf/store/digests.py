@@ -12,9 +12,9 @@ keys are stable across processes and machines:
 * :func:`config_digest` -- over the *semantic* ``CrusadeConfig``
   fields only: knobs that are proven byte-identity-preserving
   (``prune``, ``bound_abort``) and the store's own plumbing
-  (``cache_dir``, ``warm_start``) are excluded, so a pruned run can
-  serve an exact hit to an unpruned resubmission of the same problem;
-  removing an excluded field leaves every digest unchanged;
+  (``cache_dir``) are excluded, so a pruned run can serve an exact hit
+  to an unpruned resubmission of the same problem; removing an
+  excluded field leaves every digest unchanged;
 * :func:`fingerprint_digest` -- over a component value fingerprint
   (:func:`repro.perf.fingerprint.component_fingerprint`), turning the
   in-memory cache key into a file name.
@@ -56,7 +56,6 @@ IDENTITY_NEUTRAL_CONFIG_FIELDS = frozenset({
     "prune",
     "bound_abort",
     "cache_dir",
-    "warm_start",
 })
 
 

@@ -32,7 +32,9 @@ semantics, a bit flip, a stale entry from an incompatible code
 revision -- is treated as a miss, counted under ``perf.store.corrupt``
 and best-effort deleted.  Only a FORMAT stamp from a *different store
 version* raises (:class:`StoreFormatError`): silently mixing layouts
-could serve wrong results, which a cache must never do.
+could serve wrong results, which a cache must never do.  A resolved
+store is always both read and written; there is no read switch, and
+a run that must not trust a store simply runs without one.
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ from repro.perf.store.digests import (
 #: Environment fallback for ``CrusadeConfig.cache_dir`` -- how campaign
 #: workers inherit one shared store without touching job configs.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-#: Environment kill switch: disable store *reads* (exact hits and
-#: fragment preloads); writes still happen, so a kill-switched run
-#: still warms the store for later ones.
-KILL_SWITCH_ENV = "REPRO_NO_WARM_START"
 
 #: Name and expected content of the store's version stamp.
 FORMAT_FILE = "FORMAT"
@@ -88,18 +85,6 @@ _CORRUPT_ERRORS = (
 
 class StoreFormatError(RuntimeError):
     """The cache directory holds an incompatible store version."""
-
-
-def warm_start_disabled_by_env() -> bool:
-    """True when ``REPRO_NO_WARM_START`` is set (non-empty, not 0)."""
-    return os.environ.get(KILL_SWITCH_ENV, "") not in ("", "0")
-
-
-def store_reads_enabled(config) -> bool:
-    """Whether this run may *read* cached entries (writes always may)."""
-    if warm_start_disabled_by_env():
-        return False
-    return getattr(config, "warm_start", True)
 
 
 def resolve_store(config) -> Optional["SynthesisStore"]:

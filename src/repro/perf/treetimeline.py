@@ -358,28 +358,28 @@ class _BlockedTimeline(TreeTimeline):
         bivs = self._bivs
         bens = self._bens
         nb = len(bivs)
-        key = ready + TIME_EPS
-        b = bisect_right(self._last_end, key)
-        i = bisect_right(bens[b], key) if b < nb else 0
+        b = bisect_right(self._last_end, ready)
+        i = bisect_right(bens[b], ready) if b < nb else 0
         while remaining > TIME_EPS and len(segments) < max_segments:
-            # Advance past busy intervals ending at or before cursor.
+            # Advance past busy intervals a segment from the cursor
+            # cannot collide with (not time_lt(cursor, end)).
             while b < nb:
                 if i >= len(bivs[b]):
                     b += 1
                     i = 0
                     continue
-                if bens[b][i] <= cursor + TIME_EPS:
+                if cursor >= bens[b][i] - TIME_EPS:
                     i += 1
                     continue
                 break
             current = bivs[b][i] if b < nb else None
-            if current is not None and current.start <= cursor + TIME_EPS:
+            if current is not None and cursor >= current.start - TIME_EPS:
                 cursor = current.end
                 continue
             gap_end = current.start if current is not None else float("inf")
             cost = remaining + (overhead if segments else 0.0)
             available = gap_end - cursor
-            if cost <= available + TIME_EPS:  # time_leq(cost, available)
+            if gap_end >= cursor + cost - TIME_EPS:
                 segments.append((cursor, cursor + cost))
                 remaining = 0.0
                 break

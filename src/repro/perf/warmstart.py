@@ -23,7 +23,7 @@ bridge between such a resubmission and the persistent store
   *is* the invalidation rule;
 * :func:`tweak_deadline` builds the canonical resubmit scenario
   (loosen one graph deadline) used by the warm-start benchmark leg,
-  the CI identity job and the differential tests.
+  the benchmark's near-hit workload and the differential tests.
 
 Byte-identity: a fragment loaded from disk went through the exact
 pickle round-trip the process-pool scorer already performs in-run, and
@@ -46,7 +46,7 @@ from repro.perf.store.digests import (
     graph_digests,
     spec_digest,
 )
-from repro.perf.store.disk import SynthesisStore, store_reads_enabled
+from repro.perf.store.disk import SynthesisStore
 
 
 @dataclass
@@ -110,16 +110,13 @@ class StoreBinding:
     Holds everything a fragment lookup needs besides the in-memory
     fingerprint: the per-graph content digests of *this run's* spec
     and the catalog/config digests, combined per component into the
-    validity digest that makes cross-run reuse safe.  ``reads`` is
-    resolved once per run from ``CrusadeConfig.warm_start`` and the
-    ``REPRO_NO_WARM_START`` kill switch; writes are unconditional.
+    validity digest that makes cross-run reuse safe.
     """
 
     store: SynthesisStore
     graph_digest_of: Dict[str, str]
     catalog: str
     config: str
-    reads: bool = True
     #: Graph names the warm-start diff marked changed/added relative to
     #: the indexed prior run.  Fragments of components touching these
     #: graphs are neither read nor written through.  Reads cannot hit:
@@ -172,7 +169,7 @@ class StoreBinding:
         Components the diff invalidated are not probed -- a guaranteed
         miss; see :attr:`invalidated`.
         """
-        if not self.reads or self._touches_invalidated(component):
+        if self._touches_invalidated(component):
             return None
         fragment = self.store.load_fragment(
             self._fingerprint(key), self._validity(component), tracer
@@ -215,7 +212,6 @@ def bind_engine(
         graph_digest_of=graph_digests(spec),
         catalog=catalog_digest(library),
         config=config_digest(config),
-        reads=store_reads_enabled(config),
     )
     engine.bind_store(binding)
     diff = diff_against_prior(store, spec, library, config, tracer)
@@ -260,7 +256,7 @@ def tweak_deadline(
     ``factor`` -- the first deadline-bearing graph when ``graph_name``
     is ``None``.  Loosening (the default ``factor`` > 1) keeps a
     feasible spec feasible, which is what the benchmark's speedup
-    comparison and the CI identity job want.
+    comparison and the identity tests want.
     """
     from repro.io.spec_json import spec_from_dict, spec_to_dict
 

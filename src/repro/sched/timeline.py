@@ -291,6 +291,10 @@ class IntervalTimeline(Timeline):
         plus a sliver of real work.  Returns None when no split within
         ``max_segments`` completes the work (callers then fall back to
         the contiguous placement).
+
+        As in :meth:`earliest_fit`, the skip, cover and fit tests are
+        exact negations of :meth:`occupy`'s collision terms, so every
+        returned segment is accepted there.
         """
         if duration < 0 or overhead < 0:
             raise SchedulingError("durations must be non-negative")
@@ -300,16 +304,17 @@ class IntervalTimeline(Timeline):
         busy = sorted(self._intervals, key=lambda iv: iv.start)
         index = 0
         while remaining > TIME_EPS and len(segments) < max_segments:
-            # Advance past busy intervals covering the cursor.
-            while index < len(busy) and time_leq(busy[index].end, cursor):
+            # Advance past busy intervals a segment from the cursor
+            # cannot collide with, then past one covering the cursor.
+            while index < len(busy) and not time_lt(cursor, busy[index].end):
                 index += 1
-            if index < len(busy) and time_leq(busy[index].start, cursor):
+            if index < len(busy) and not time_lt(cursor, busy[index].start):
                 cursor = busy[index].end
                 continue
             gap_end = busy[index].start if index < len(busy) else float("inf")
             cost = remaining + (overhead if segments else 0.0)
             available = gap_end - cursor
-            if time_leq(cost, available):
+            if not time_lt(gap_end, cursor + cost):
                 segments.append((cursor, cursor + cost))
                 remaining = 0.0
                 break

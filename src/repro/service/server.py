@@ -57,7 +57,6 @@ from repro.perf.store import (
     catalog_digest,
     config_digest,
     spec_digest,
-    store_reads_enabled,
 )
 from repro.resources.catalog import default_library
 from repro.service.http import HttpError, read_request, render_response
@@ -301,7 +300,7 @@ class SynthesisServer:
         key = "%(spec)s-%(catalog)s-%(config)s" % key_parts
         # -- station 2: exact-hit probe ------------------------------
         probe_started = time.perf_counter()
-        if self.store is not None and store_reads_enabled(config):
+        if self.store is not None:
             cached = self.store.load_result(key, tracer=self.tracer)
             probe_s = time.perf_counter() - probe_started
             if cached is not None:

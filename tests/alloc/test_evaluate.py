@@ -6,7 +6,7 @@ from repro import AllocationError, DelayPolicy, SystemSpec, Task, TaskGraph
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import cluster_spec
 from repro.cluster.priority import PriorityContext
-from repro.core.crusade import _compute_priorities
+from repro.core.stages.support import compute_priorities
 from repro.graph.association import AssociationArray
 from repro.graph.task import MemoryRequirement
 from repro.alloc.array import AllocationKind, AllocationOption, build_allocation_array
@@ -100,7 +100,7 @@ class TestEvaluateArchitecture:
             )
             apply_option(options[0], arch, cluster, clustering, spec)
         assoc = AssociationArray(spec, max_explicit_copies=2)
-        priorities = _compute_priorities(
+        priorities = compute_priorities(
             spec, PriorityContext.pessimistic(small_library)
         )
         return spec, assoc, clustering, arch, priorities

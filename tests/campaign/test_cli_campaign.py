@@ -125,14 +125,14 @@ def test_flag_built_selftest_campaign_runs(tmp_path, capsys):
     code = main([
         "campaign", "run", "--dir", str(tmp_path / "c"),
         "--kind", "selftest", "--examples", "x", "y",
-        "--scales", "0.05", "--variants", "default", "no-prune",
+        "--scales", "0.05", "--variants", "default", "largest-first",
         "--workers", "2",
     ])
     assert code == 0
     spec = CampaignDir(tmp_path / "c").load_spec()
     assert spec.name == "c"  # defaults to the directory basename
     assert spec.examples == ("x", "y")
-    assert [v.name for v in spec.variants] == ["default", "no-prune"]
+    assert [v.name for v in spec.variants] == ["default", "largest-first"]
     manifest = json.loads(
         (tmp_path / "c" / "manifest.json").read_text()
     )

@@ -83,13 +83,22 @@ def test_retry_policy_backoff_is_bounded_exponential():
 
 
 def test_variant_presets_cover_the_kill_switch_matrix():
-    assert set(VARIANT_PRESETS) == {
-        "default", "pruned", "no-prune", "largest-first"
-    }
-    v = Variant.preset("no-prune")
+    """Only presets that can change a result remain: pruning never
+    does, so ``pruned``/``no-prune`` are gone."""
+    assert set(VARIANT_PRESETS) == {"default", "largest-first"}
+    v = Variant.preset("largest-first")
+    assert v.config == {"policy": "largest-first"}
+    for name in ("no-prune", "pruned", "turbo"):
+        with pytest.raises(SpecificationError,
+                           match="unknown variant preset"):
+            Variant.preset(name)
+
+
+def test_stored_prune_variants_still_load():
+    """Campaigns stored from the removed pruning presets name a field
+    that stays, so they still load."""
+    v = Variant.from_dict({"name": "no-prune", "config": {"prune": False}})
     assert v.config == {"prune": False}
-    with pytest.raises(SpecificationError, match="unknown variant preset"):
-        Variant.preset("turbo")
 
 
 @pytest.mark.parametrize("build", [
@@ -115,12 +124,12 @@ def test_removed_preset_keys_are_rejected_at_load():
 
 def test_spec_from_flags_uses_presets():
     spec = spec_from_flags(
-        "ci", "table2", ["A1TR", "HROST"], [0.05], ["pruned"]
+        "ci", "table2", ["A1TR", "HROST"], [0.05], ["largest-first"]
     )
     jobs = expand_jobs(spec)
     assert [j.id for j in jobs] == [
-        "table2:A1TR@0.05:pruned",
-        "table2:HROST@0.05:pruned",
+        "table2:A1TR@0.05:largest-first",
+        "table2:HROST@0.05:largest-first",
     ]
 
 

@@ -20,10 +20,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(incremental=False),
         dict(timeline="tree"),
+        dict(warm_start=False),
     ])
     def test_removed_fields_are_not_accepted(self, kwargs):
-        """The evaluation-path and timeline switches are gone: every
-        run uses the incremental engine and the production timelines."""
+        """The evaluation-path, timeline and store-read switches are
+        gone: every run uses the incremental engine and the production
+        timelines, and reads any store it is given."""
         with pytest.raises(TypeError):
             CrusadeConfig(**kwargs)
 

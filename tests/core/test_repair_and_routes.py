@@ -13,7 +13,7 @@ from repro import (
 )
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import cluster_spec
-from repro.core.crusade import _coupled_graphs
+from repro.core.stages.support import coupled_graphs
 from repro.graph.task import MemoryRequirement
 
 
@@ -33,8 +33,8 @@ class TestCoupledGraphs:
         arch.allocate_cluster("a/c000", cpu1.id, 0)
         arch.allocate_cluster("b/c000", cpu1.id, 0)
         arch.allocate_cluster("c/c000", cpu2.id, 0)
-        assert _coupled_graphs(arch, clustering, "a") == ["a", "b"]
-        assert _coupled_graphs(arch, clustering, "c") == ["c"]
+        assert coupled_graphs(arch, clustering, "a") == ["a", "b"]
+        assert coupled_graphs(arch, clustering, "c") == ["c"]
 
     def test_unallocated_graph_couples_only_itself(self, small_library):
         g = TaskGraph(name="solo", period=0.1, deadline=0.05)
@@ -43,7 +43,7 @@ class TestCoupledGraphs:
         spec = SystemSpec("s", [g])
         clustering = cluster_spec(spec, small_library)
         arch = Architecture(small_library)
-        assert _coupled_graphs(arch, clustering, "solo") == ["solo"]
+        assert coupled_graphs(arch, clustering, "solo") == ["solo"]
 
 
 class TestRepair:

@@ -1,9 +1,9 @@
 """Incumbent-driven bound aborts are pure dominance, not a heuristic.
 
 Property suite fuzzing generated workloads: the synthesized result
-must be byte-identical with bound aborts on, off, and killed via the
-environment -- an aborted candidate provably loses to the incumbent
-that bounded it, so dropping it can never change the selection.  Unit
+must be byte-identical with bound aborts on and off -- an aborted
+candidate provably loses to the incumbent that bounded it, so
+dropping it can never change the selection.  Unit
 tests pin the trigger itself: the scheduler raises
 :class:`ScheduleAbort` with the right reason the moment the partial
 schedule's violation count exceeds the bound, and never when no bound
@@ -11,7 +11,6 @@ is given.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,15 +28,10 @@ from repro import (
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import trivial_clustering
 from repro.cluster.priority import PriorityContext
-from repro.core.crusade import _compute_priorities
+from repro.core.stages.support import compute_priorities
 from repro.graph.association import AssociationArray
 from repro.graph.task import MemoryRequirement
 from repro.io.result_json import result_to_dict
-from repro.perf.prune import (
-    ABORT_KILL_SWITCH_ENV,
-    bound_abort_active,
-    bound_abort_disabled_by_env,
-)
 from tests.sched.reference_scheduler import ReferenceEngine
 from repro.sched.scheduler import (
     ScheduleAbort,
@@ -98,23 +92,6 @@ def test_bound_abort_composes_with_prune_off(seed):
     spec = make_spec(seed)
     assert canonical(spec, bound_abort=True, prune=False) == \
         canonical(spec, bound_abort=False, prune=False)
-
-
-def test_env_kill_switch_equals_config_off():
-    spec = make_spec(7, utilization=1.0)
-    enabled = canonical(spec, bound_abort=True)
-    os.environ[ABORT_KILL_SWITCH_ENV] = "1"
-    try:
-        assert bound_abort_disabled_by_env()
-        assert not bound_abort_active(CrusadeConfig(bound_abort=True))
-        killed = canonical(spec, bound_abort=True)
-    finally:
-        del os.environ[ABORT_KILL_SWITCH_ENV]
-    assert not bound_abort_disabled_by_env()
-    assert bound_abort_active(CrusadeConfig(bound_abort=True))
-    assert not bound_abort_active(CrusadeConfig(bound_abort=False))
-    assert canonical(spec, bound_abort=False) == killed
-    assert enabled == killed
 
 
 def _pressure_counters(engine=None, **config_kw):
@@ -188,7 +165,7 @@ def _chain_setup(small_library, period=0.01, deadline=0.0008):
             pins=cluster.pins, memory=cluster.memory,
         )
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    priorities = _compute_priorities(
+    priorities = compute_priorities(
         spec, PriorityContext.pessimistic(small_library)
     )
     return ScheduleRequest(

@@ -10,7 +10,7 @@ import pytest
 
 from repro import CrusadeConfig, GeneratorConfig, Tracer, crusade, generate_spec
 from repro.cluster.clustering import cluster_spec
-from repro.core.crusade import _allocation_aware_context, _compute_priorities
+from repro.core.stages.support import allocation_aware_context, compute_priorities
 from repro.graph.association import AssociationArray
 from repro.obs.trace import NULL_TRACER
 from repro.resources.catalog import default_library
@@ -30,8 +30,8 @@ def workload():
                      config=CrusadeConfig(max_explicit_copies=2))
     clustering = result.clustering
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    context = _allocation_aware_context(library, result.arch, clustering)
-    priorities = _compute_priorities(spec, context)
+    context = allocation_aware_context(library, result.arch, clustering)
+    priorities = compute_priorities(spec, context)
     return spec, assoc, clustering, result.arch, priorities
 
 

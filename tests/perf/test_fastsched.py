@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CrusadeConfig, GeneratorConfig, Tracer, crusade, generate_spec
 from repro.cluster.clustering import cluster_spec
-from repro.core.crusade import _allocation_aware_context, _compute_priorities
+from repro.core.stages.support import allocation_aware_context, compute_priorities
 from repro.errors import SchedulingError
 from repro.graph.association import AssociationArray
 from repro.resources.catalog import default_library
@@ -164,8 +164,8 @@ def _workload(seed):
     result = crusade(spec, library=library,
                      config=CrusadeConfig(max_explicit_copies=2))
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    context = _allocation_aware_context(library, result.arch, result.clustering)
-    priorities = _compute_priorities(spec, context)
+    context = allocation_aware_context(library, result.arch, result.clustering)
+    priorities = compute_priorities(spec, context)
     return spec, assoc, result.clustering, result.arch, priorities
 
 

@@ -1,9 +1,8 @@
 """Candidate pruning is dominance pruning, not a heuristic.
 
 Property suite fuzzing generated workloads: the synthesized result
-must be byte-identical with pruning on, off, and killed via the
-environment -- including workloads that drive the deferred
-least-infeasible fallback reconstruction.  Unit tests pin the bound
+must be byte-identical with pruning on and off -- including workloads
+that drive the deferred least-infeasible fallback reconstruction.  Unit tests pin the bound
 primitives: a deliberately deadline-infeasible candidate is cut
 without any scheduler call, and the finish-time floor never exceeds
 the real schedule.
@@ -30,13 +29,7 @@ from repro.cluster.clustering import trivial_clustering
 from repro.graph.association import AssociationArray
 from repro.graph.task import MemoryRequirement
 from repro.io.result_json import result_to_dict
-from repro.perf.prune import (
-    KILL_SWITCH_ENV,
-    CandidatePruner,
-    RepairBound,
-    prune_disabled_by_env,
-    pruning_active,
-)
+from repro.perf.prune import CandidatePruner, RepairBound
 from repro.sched.bounds import (
     best_case_exec_vector,
     demand_floor,
@@ -87,24 +80,6 @@ def test_pruned_equals_exhaustive_under_pressure(seed):
         utilization=1.0, hw_only_fraction=0.1, mixed_fraction=0.1,
     ))
     assert canonical(spec, prune=True) == canonical(spec, prune=False)
-
-
-@PROPERTY_SETTINGS
-@given(seed=st.integers(min_value=0, max_value=20))
-def test_env_kill_switch_equals_config_off(seed):
-    import os
-
-    spec = make_spec(seed)
-    enabled = canonical(spec, prune=True)
-    os.environ[KILL_SWITCH_ENV] = "1"
-    try:
-        assert prune_disabled_by_env()
-        assert not pruning_active(CrusadeConfig(prune=True))
-        killed = canonical(spec, prune=True)
-    finally:
-        del os.environ[KILL_SWITCH_ENV]
-    assert canonical(spec, prune=False) == killed
-    assert enabled == killed
 
 
 def test_prune_cuts_and_counters_balance():
@@ -232,7 +207,7 @@ def test_feasible_candidate_is_not_cut(small_library):
 def test_finish_time_floor_is_dominated_by_real_schedule(small_library):
     """The copy-0 floor never exceeds the scheduler's finish times."""
     from repro.cluster.priority import PriorityContext
-    from repro.core.crusade import _compute_priorities
+    from repro.core.stages.support import compute_priorities
     from repro.sched.scheduler import ScheduleRequest, build_schedule
 
     spec, assoc, clustering, arch, pe = _late_chain_setup(
@@ -240,7 +215,7 @@ def test_finish_time_floor_is_dominated_by_real_schedule(small_library):
     )
     graph = spec.graph("late")
     floor = finish_time_floor(graph, arch, clustering)
-    priorities = _compute_priorities(
+    priorities = compute_priorities(
         spec, PriorityContext.pessimistic(small_library)
     )
     schedule = build_schedule(ScheduleRequest(

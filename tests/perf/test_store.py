@@ -28,9 +28,8 @@ from repro.perf.store import (
     graph_digests,
     resolve_store,
     spec_digest,
-    store_reads_enabled,
 )
-from repro.perf.store.disk import ENV_CACHE_DIR, FORMAT_FILE, KILL_SWITCH_ENV
+from repro.perf.store.disk import ENV_CACHE_DIR, FORMAT_FILE
 from repro.resources.catalog import default_library
 
 
@@ -105,7 +104,7 @@ class TestDigests:
         for variant in (
             CrusadeConfig(prune=False),
             CrusadeConfig(bound_abort=False),
-            CrusadeConfig(cache_dir="/tmp/x", warm_start=False),
+            CrusadeConfig(cache_dir="/tmp/x"),
         ):
             assert config_digest(variant) == config_digest(base)
 
@@ -228,10 +227,10 @@ class TestDisk:
 
 
 # ----------------------------------------------------------------------
-# resolution and kill switches
+# resolution
 # ----------------------------------------------------------------------
 class TestResolution:
-    """``resolve_store`` precedence and the read kill switches."""
+    """``resolve_store`` precedence."""
 
     def test_no_cache_dir_means_no_store(self, monkeypatch):
         monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
@@ -248,15 +247,6 @@ class TestResolution:
         store = resolve_store(CrusadeConfig())
         assert store is not None
         assert store.root == tmp_path / "b"
-
-    def test_reads_killed_by_config_and_env(self, monkeypatch):
-        monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
-        assert store_reads_enabled(CrusadeConfig())
-        assert not store_reads_enabled(CrusadeConfig(warm_start=False))
-        monkeypatch.setenv(KILL_SWITCH_ENV, "1")
-        assert not store_reads_enabled(CrusadeConfig())
-        monkeypatch.setenv(KILL_SWITCH_ENV, "0")
-        assert store_reads_enabled(CrusadeConfig())
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ oracle and the warm candidate and compares canonical bytes:
 
 * exact resubmission (full-result tier hit),
 * resubmission with one tweaked deadline (fragment-tier warm start),
-* kill-switched runs (``warm_start=False`` / ``REPRO_NO_WARM_START``),
-* a store with every entry corrupted,
+* a store with every entry corrupted, on a generated spec and on a
+  paper example,
 * nested reconfiguration runs sharing the parent engine's binding.
 """
 
@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.examples import build_example
 from repro.core.config import CrusadeConfig
 from repro.core.crusade import crusade
 from repro.graph.generator import GeneratorConfig, generate_spec
 from repro.io.result_json import canonical_result_json
 from repro.obs import Tracer
 from repro.perf.store import SynthesisStore
-from repro.perf.store.disk import KILL_SWITCH_ENV
 from repro.perf.warmstart import diff_against_prior, tweak_deadline
 from repro.resources.catalog import default_library
 
@@ -44,13 +44,12 @@ def _cold(spec, **config_kwargs):
 
 
 @pytest.fixture
-def no_env_kill(monkeypatch):
-    """Neutralize ambient kill switches for the identity scenarios."""
-    monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
+def no_env_store(monkeypatch):
+    """Keep an ambient ``REPRO_CACHE_DIR`` out of the cold oracles."""
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
 
 
-pytestmark = pytest.mark.usefixtures("no_env_kill")
+pytestmark = pytest.mark.usefixtures("no_env_store")
 
 
 # ----------------------------------------------------------------------
@@ -189,65 +188,45 @@ class TestWarmStart:
 
 
 # ----------------------------------------------------------------------
-# kill switches
-# ----------------------------------------------------------------------
-class TestKillSwitches:
-    """Reads can be disabled; writes and identity are unaffected."""
-
-    def test_config_kill_switch_blocks_reads_not_writes(self, tmp_path):
-        spec = _spec()
-        writer = CrusadeConfig(cache_dir=str(tmp_path))
-        crusade(spec, config=writer)
-
-        killed = CrusadeConfig(cache_dir=str(tmp_path), warm_start=False)
-        tracer = Tracer()
-        result = crusade(spec, config=killed, tracer=tracer)
-        assert tracer.counters.get("perf.store.hit") == 0
-        assert tracer.counters.get("perf.store.fragments_preloaded") == 0
-        # ... but the run still warmed the store (writes always on).
-        assert tracer.counters.get("perf.store.results_saved") == 1
-        assert canonical_result_json(result) == canonical_result_json(
-            _cold(spec)
-        )
-
-    def test_env_kill_switch(self, tmp_path, monkeypatch):
-        spec = _spec()
-        config = CrusadeConfig(cache_dir=str(tmp_path))
-        crusade(spec, config=config)
-
-        monkeypatch.setenv(KILL_SWITCH_ENV, "1")
-        tracer = Tracer()
-        result = crusade(spec, config=config, tracer=tracer)
-        assert tracer.counters.get("perf.store.hit") == 0
-        assert canonical_result_json(result) == canonical_result_json(
-            _cold(spec)
-        )
-
-
-# ----------------------------------------------------------------------
 # fault tolerance end-to-end
 # ----------------------------------------------------------------------
 class TestCorruptStore:
     """A vandalized store degrades to cold-run behavior, identically."""
 
-    def test_all_entries_corrupted_still_identical(self, tmp_path):
-        spec = _spec()
+    @pytest.mark.parametrize("example", [
+        pytest.param(None, id="generated"),
+        pytest.param("A1TR", id="A1TR@0.05"),
+    ])
+    def test_all_entries_corrupted_still_identical(self, tmp_path, example):
+        """Fill a store, overwrite every result, fragment and index
+        entry with garbage, then resubmit: identical to a cold run, and
+        the write-through heals the store so the next resubmission
+        exact-hits.  The paper example resubmits with one deadline
+        tweaked, so its vandalized fragments are probed as well."""
+        if example is None:
+            spec = resubmitted = _spec()
+        else:
+            spec = build_example(example, scale=0.05)
+            resubmitted = tweak_deadline(spec)
         config = CrusadeConfig(cache_dir=str(tmp_path))
         crusade(spec, config=config)
 
-        for path in tmp_path.rglob("*.pkl"):
-            path.write_bytes(b"\x80\x04 vandalized")
+        for tier in ("results", "fragments", "index"):
+            entries = [p for p in (tmp_path / tier).rglob("*") if p.is_file()]
+            assert entries, tier
+            for path in entries:
+                path.write_bytes(b"\x80\x04 vandalized")
 
         tracer = Tracer()
-        result = crusade(spec, config=config, tracer=tracer)
+        result = crusade(resubmitted, config=config, tracer=tracer)
         assert tracer.counters.get("perf.store.corrupt") >= 1
         assert tracer.counters.get("perf.store.hit") == 0
         assert canonical_result_json(result) == canonical_result_json(
-            _cold(spec)
+            _cold(resubmitted)
         )
         # The rerun healed the store: the next resubmission hits.
         tracer = Tracer()
-        crusade(spec, config=config, tracer=tracer)
+        crusade(resubmitted, config=config, tracer=tracer)
         assert tracer.counters.get("perf.store.hit") == 1
 
 

@@ -6,7 +6,7 @@ from repro import AllocationError, DelayPolicy, SystemSpec, Task, TaskGraph
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import cluster_spec
 from repro.cluster.priority import PriorityContext
-from repro.core.crusade import _compute_priorities
+from repro.core.stages.support import compute_priorities
 from repro.graph.association import AssociationArray
 from repro.reconfig.compatibility import CompatibilityAnalysis
 from repro.reconfig.merge import merge_reconfigurable_pes
@@ -37,7 +37,7 @@ def merge_setup(small_library):
         pe = arch.new_pe(small_library.pe_type("FPGA"))
         arch.allocate_cluster(name, pe.id, 0, gates=c.area_gates, pins=c.pins)
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    priorities = _compute_priorities(spec, PriorityContext.pessimistic(small_library))
+    priorities = compute_priorities(spec, PriorityContext.pessimistic(small_library))
 
     def evaluate(candidate):
         return evaluate_architecture(
@@ -85,7 +85,7 @@ class TestMerge:
             pe = arch.new_pe(small_library.pe_type("FPGA"))
             arch.allocate_cluster(name, pe.id, 0, gates=c.area_gates, pins=c.pins)
         assoc = AssociationArray(spec, max_explicit_copies=2)
-        priorities = _compute_priorities(
+        priorities = compute_priorities(
             spec, PriorityContext.pessimistic(small_library)
         )
 

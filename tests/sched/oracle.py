@@ -16,8 +16,7 @@ simultaneously and asserts lock-step agreement after each step; the
 stateful Hypothesis machines in ``test_timeline_oracle.py`` drive it
 with randomized and epsilon-adversarial streams, and
 :func:`replay_trace` feeds it operation streams recorded from real
-synthesis runs (``REPRO_TIMELINE_TRACE``, see
-:mod:`repro.sched.tlrecord`).
+synthesis runs (see ``tests/sched/tlrecord.py``).
 
 Operations are plain tuples, first element the op name, the rest its
 arguments -- e.g. ``("occupy", 0.0, 1.0, ("task", 3))`` -- so traces,
@@ -209,14 +208,14 @@ def _detuple(value):
 
 def replay_trace(path: str) -> Tuple[int, int]:
     """Replay a recorded operation trace (see
-    :mod:`repro.sched.tlrecord`) differentially.
+    ``tests/sched/tlrecord.py``) differentially.
 
     Reconstructs the per-timeline operation streams from the JSONL
     events and replays each through the matching differential
     (serial or PPE), asserting lock-step agreement on every step.
     Returns (serial timeline count, ppe timeline count) replayed.
     """
-    from repro.sched.tlrecord import load_trace
+    from tests.sched.tlrecord import load_trace
 
     events = load_trace(path)
     kinds: Dict[int, str] = {}

@@ -6,7 +6,7 @@ from repro import SystemSpec, Task, TaskGraph
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import cluster_spec, trivial_clustering
 from repro.cluster.priority import PriorityContext
-from repro.core.crusade import _compute_priorities
+from repro.core.stages.support import compute_priorities
 from repro.graph.association import AssociationArray
 from repro.graph.task import MemoryRequirement
 from repro.sched.finish_time import evaluate_deadlines
@@ -44,7 +44,7 @@ def schedule_spec(spec, library, placements, preemption=True, boot_time_fn=None)
             if a < b:
                 arch.connect(a, b, bus)
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    priorities = _compute_priorities(spec, PriorityContext.pessimistic(library))
+    priorities = compute_priorities(spec, PriorityContext.pessimistic(library))
     request = ScheduleRequest(
         spec=spec, assoc=assoc, clustering=clustering, arch=arch,
         priorities=priorities, preemption=preemption, boot_time_fn=boot_time_fn,

@@ -10,7 +10,7 @@ from repro import GeneratorConfig, default_library, generate_spec
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import cluster_spec
 from repro.cluster.priority import PriorityContext
-from repro.core.crusade import _compute_priorities
+from repro.core.stages.support import compute_priorities
 from repro.graph.association import AssociationArray
 from repro.resources.pe import PEKind
 from repro.sched.scheduler import ScheduleRequest, build_schedule
@@ -68,7 +68,7 @@ def test_random_placements_schedule_consistently(seed, placement_seed):
                 link.attach(b)
 
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    priorities = _compute_priorities(spec, PriorityContext.pessimistic(library))
+    priorities = compute_priorities(spec, PriorityContext.pessimistic(library))
     schedule = build_schedule(ScheduleRequest(
         spec=spec, assoc=assoc, clustering=clustering, arch=arch,
         priorities=priorities,

@@ -11,7 +11,7 @@ Three layers, all driving ``tests/sched/oracle.py``:
   on the epsilon boundaries the inlined fast-path arithmetic must
   reproduce;
 * replay of committed operation traces recorded from real synthesis
-  runs (``REPRO_TIMELINE_TRACE``; see ``tests/sched/traces/``).
+  runs (``tests/sched/tlrecord.py``; see ``tests/sched/traces/``).
 
 On failure Hypothesis prints a ``reproduce_failure`` blob
 (``print_blob=True``) -- paste it onto the failing test to replay the
@@ -26,7 +26,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 import repro.perf.treetimeline as treetimeline
-from repro.perf.treetimeline import TreeTimeline
+from repro import GeneratorConfig, crusade, generate_spec
+from repro.io.result_json import canonical_result_json
+from repro.perf.engine import IncrementalEngine
+from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
 from repro.units import TIME_EPS
 from tests.sched.oracle import (
     PpeDifferential,
@@ -35,6 +38,7 @@ from tests.sched.oracle import (
     check_serial,
     replay_trace,
 )
+from tests.sched.tlrecord import record_timelines
 
 TRACE_DIR = pathlib.Path(__file__).parent / "traces"
 
@@ -100,6 +104,28 @@ class SerialOracleMachine(RuleBasedStateMachine):
     def query_split(self, ready, duration, overhead, max_segments):
         """Restricted-preemption splitting sweep."""
         self.diff.step(("split_fit", ready, duration, overhead, max_segments))
+
+    @rule(
+        ready=eps_times,
+        duration=eps_durations,
+        overhead=st.sampled_from([0.0, TIME_EPS, 0.05, 0.25]),
+        max_segments=st.integers(min_value=1, max_value=5),
+    )
+    def occupy_at_split(self, ready, duration, overhead, max_segments):
+        """The scheduler's preemption idiom: split_fit, then occupy
+        every segment as ``(start, end - start)`` -- must always
+        succeed identically."""
+        outcome, segments = self.diff.step(
+            ("split_fit", ready, duration, overhead, max_segments)
+        )
+        assert outcome == "ok"
+        for seg_start, seg_end in segments or ():
+            result = self.diff.step((
+                "occupy", seg_start, seg_end - seg_start,
+                ("split", self.occupied),
+            ))
+            assert result[0] == "ok", "split segment may never collide"
+        self.occupied += 1
 
     @rule(when=eps_times)
     def query_point(self, when):
@@ -228,6 +254,22 @@ class TestRegressions:
         result = diff.step(("occupy", start, 3 * TIME_EPS, ("fit",)))
         assert result == ("ok", (start, start + 3 * TIME_EPS))
 
+    def test_split_never_collides_with_sliver_inside_segment(self):
+        """``split_fit`` once fitted a segment over a zero-length
+        interval one epsilon inside it (``cost <= available +
+        TIME_EPS`` rounds true) that ``occupy`` then reported as a
+        collider.  Its skip, cover and fit tests are now the exact
+        negations of the collision test, as ``earliest_fit``'s are."""
+        diff = SerialDifferential()
+        diff.step(("occupy", 2e-12, 0.0, ("sliver",)))
+        outcome, segments = diff.step(("split_fit", 0.0, 3e-12, 0.0, 4))
+        assert outcome == "ok" and segments
+        for seg_start, seg_end in segments:
+            result = diff.step(
+                ("occupy", seg_start, seg_end - seg_start, ("split",))
+            )
+            assert result[0] == "ok", result
+
     def test_end_order_degradation_stays_identical(self):
         """An epsilon-sliver insert that breaks the end-sorted
         invariant must flip fast/tree timelines into their degraded
@@ -290,6 +332,26 @@ class TestTraceReplay:
     def test_recorded_trace(self, trace):
         n_serial, n_ppe = replay_trace(str(trace))
         assert n_serial > 0, "trace must exercise serial timelines"
+
+    def test_recorder_round_trip(self, tmp_path):
+        """Recording leaves the result byte-identical, restores the
+        engine's factories, closes its file, and the capture replays
+        through the oracle."""
+        spec = generate_spec(GeneratorConfig(
+            seed=11, n_graphs=2, tasks_per_graph=6,
+        ))
+        engine = IncrementalEngine()
+        path = tmp_path / "ops.jsonl"
+        with record_timelines(engine, str(path)) as recorder:
+            traced = crusade(spec, engine=engine)
+        assert recorder._fh.closed
+        assert engine.context.timeline_cls is TreeTimeline
+        assert engine.context.ppe_timeline_cls is TreePpeModeTimeline
+        assert canonical_result_json(traced) == canonical_result_json(
+            crusade(spec)
+        )
+        n_serial, _ = replay_trace(str(path))
+        assert n_serial >= 1
 
     def test_traces_exist(self):
         """The committed NGXM capture must stay in the tree."""

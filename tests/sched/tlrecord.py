@@ -1,54 +1,51 @@
-"""Timeline operation trace recording (``REPRO_TIMELINE_TRACE``).
+"""Timeline operation trace recording for the differential oracle.
 
 The differential oracle in ``tests/sched/oracle.py`` proves the
 timeline implementations interchangeable on randomized operation
 sequences -- but random sequences only approximate the distribution a
 real synthesis produces (bursts of same-resource occupies, ready
 times that revisit earlier gaps, mode joins dominating inserts).
-This module captures the *real* thing once: set
-``REPRO_TIMELINE_TRACE=/path/ops.jsonl`` and every timeline the
-scheduler builds is wrapped in a recording proxy that appends
-one JSON line per operation.  The capture can then be replayed --
-``tests/sched/oracle.py::replay_trace`` -- against every registered
-implementation simultaneously, turning one NGXM run into a permanent
-deterministic regression case (see ``tests/sched/traces/``).
+This module captures the *real* thing: donate an engine to
+``crusade()`` inside :func:`record_timelines` and every timeline the
+scheduler builds through it is wrapped in a recording proxy that
+appends one JSON line per operation::
 
-Recording wraps the timeline factories of
-:class:`repro.perf.fastsched.SchedulerContext`, which builds every
-timeline a synthesis schedules onto.  Proxies delegate everything
-and record only the scheduler-facing mutations and queries, so a
-traced run still produces byte-identical results; tracing costs one
-dict + file append per operation, which is why it hides behind an
-environment variable instead of a config knob.
+    from repro import crusade
+    from repro.perf.engine import IncrementalEngine
+    from tests.sched.tlrecord import record_timelines
 
-``REPRO_TIMELINE_TRACE_LIMIT`` caps the recorded operation count
-(default 500000 -- about 60 MB of JSONL, gzipping ~20x) so tracing a
-full-scale run cannot fill a disk; the cap drops later operations,
-keeping the prefix every implementation must still agree on.
+    engine = IncrementalEngine()
+    with record_timelines(engine, "ops.jsonl"):
+        crusade(spec, engine=engine)
+
+The capture can then be replayed -- ``tests/sched/oracle.py::
+replay_trace`` -- against every registered implementation
+simultaneously, turning one NGXM run into a permanent deterministic
+regression case (see ``tests/sched/traces/``).
+
+Recording points the engine's
+:class:`~repro.perf.fastsched.SchedulerContext` timeline factories
+(``timeline_cls`` / ``ppe_timeline_cls``) at recording wrappers for
+the duration of the ``with`` block.  Proxies delegate everything and
+record only the scheduler-facing mutations and queries, so a traced
+run still produces byte-identical results.
+
+``limit`` caps the recorded operation count (default 500000 -- about
+60 MB of JSONL, gzipping ~20x) so tracing a full-scale run cannot
+fill a disk; the cap drops later operations, keeping the prefix every
+implementation must still agree on.  Needs only the stdlib and
+``repro``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
-
-#: Environment variable naming the JSONL file to append operations to.
-TRACE_ENV = "REPRO_TIMELINE_TRACE"
-
-#: Environment variable capping recorded operations (int, default
-#: :data:`DEFAULT_TRACE_LIMIT`).
-TRACE_LIMIT_ENV = "REPRO_TIMELINE_TRACE_LIMIT"
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Default operation cap per recorder.
 DEFAULT_TRACE_LIMIT = 500_000
-
-
-def trace_path() -> Optional[str]:
-    """The ``REPRO_TIMELINE_TRACE`` target path, or None when unset."""
-    value = os.environ.get(TRACE_ENV, "").strip()
-    return value or None
 
 
 def _jsonable(value: Any) -> Any:
@@ -69,14 +66,9 @@ class TimelineRecorder:
     per-resource operation streams.
     """
 
-    def __init__(self, path: str, limit: Optional[int] = None) -> None:
+    def __init__(self, path: str, limit: int = DEFAULT_TRACE_LIMIT) -> None:
         """Open ``path`` for appending, recording at most ``limit``
-        operations (``REPRO_TIMELINE_TRACE_LIMIT`` or the default)."""
-        if limit is None:
-            try:
-                limit = int(os.environ.get(TRACE_LIMIT_ENV, ""))
-            except ValueError:
-                limit = DEFAULT_TRACE_LIMIT
+        operations."""
         self.limit = limit
         self._lock = threading.Lock()
         self._next_id = 0
@@ -124,6 +116,28 @@ class TimelineRecorder:
         def make() -> "RecordingPpeModeTimeline":
             return RecordingPpeModeTimeline(factory(), self)
         return make
+
+
+@contextlib.contextmanager
+def record_timelines(
+    engine, path: str, limit: int = DEFAULT_TRACE_LIMIT
+) -> Iterator[TimelineRecorder]:
+    """Record every timeline ``engine`` schedules onto into ``path``.
+
+    Points the engine's scheduler context at recording factories for
+    the duration of the block, then restores the previous factories
+    and closes the file.
+    """
+    context = engine.context
+    serial, ppe = context.timeline_cls, context.ppe_timeline_cls
+    recorder = TimelineRecorder(path, limit)
+    context.timeline_cls = recorder.wrap_serial(serial)
+    context.ppe_timeline_cls = recorder.wrap_ppe(ppe)
+    try:
+        yield recorder
+    finally:
+        context.timeline_cls, context.ppe_timeline_cls = serial, ppe
+        recorder.close()
 
 
 class _RecordingBase:

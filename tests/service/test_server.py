@@ -158,15 +158,15 @@ def test_config_overrides_shift_the_key_by_their_semantics(harness_factory,
     harness = harness_factory(workers=1, cache_dir=str(tmp_path / "store"))
     base = build_request(service_spec())
     baseline = build_request(service_spec(), {"reconfiguration": False})
-    pruned = build_request(service_spec(), {"prune": True})
+    restated = build_request(service_spec(), {"reconfiguration": True})
     _, first = submit("127.0.0.1", harness.port, base)
     _, second = submit("127.0.0.1", harness.port, baseline)
-    _, third = submit("127.0.0.1", harness.port, pruned)
+    _, third = submit("127.0.0.1", harness.port, restated)
     # A semantic knob is a different synthesis: new key, cache miss.
     assert second["cache_hit"] is False
     assert first["key"]["config"] != second["key"]["config"]
     assert first["key"]["spec"] == second["key"]["spec"]
-    # A digest-neutral perf knob is the *same* synthesis: exact hit.
+    # An override restating the default is the *same* synthesis.
     assert third["cache_hit"] is True
     assert third["key"] == first["key"]
 

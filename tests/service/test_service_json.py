@@ -37,9 +37,9 @@ def errors_of(payload):
 
 
 def test_build_request_round_trips_through_validation():
-    spec, overrides = validate_request(valid_payload(prune=True))
+    spec, overrides = validate_request(valid_payload(combine_modes=False))
     assert spec.name == "svc-tiny"
-    assert overrides == {"prune": True}
+    assert overrides == {"combine_modes": False}
 
 
 def test_request_from_spec_payload_matches_build_request():
@@ -64,10 +64,13 @@ def test_unknown_config_field_is_rejected_not_ignored():
     # cache_dir is server-owned; parallel_eval and pool_batch are the
     # removed scorer-pool knobs, which once set how many processes a
     # shard forked; incremental and timeline are the removed
-    # evaluation-path and timeline-implementation switches.
+    # evaluation-path and timeline-implementation switches; prune and
+    # bound_abort are result-neutral search knobs the server keeps on;
+    # warm_start is the removed store-read switch.
     for field, value in (("cache_dir", "/tmp/x"), ("parallel_eval", 64),
                          ("pool_batch", 1), ("incremental", False),
-                         ("timeline", "tree")):
+                         ("timeline", "tree"), ("prune", False),
+                         ("bound_abort", False), ("warm_start", False)):
         payload = valid_payload()
         payload["config"] = {field: value}
         (error,) = errors_of(payload)
@@ -83,7 +86,7 @@ def test_boolean_does_not_pass_an_integer_knob():
 
 def test_wrongly_typed_and_unknown_config_errors_accumulate():
     payload = valid_payload()
-    payload["config"] = {"prune": "yes", "zoom": 1}
+    payload["config"] = {"combine_modes": "yes", "zoom": 1}
     errors = errors_of(payload)
     assert len(errors) == 2
 

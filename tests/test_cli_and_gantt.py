@@ -55,12 +55,27 @@ class TestCli:
         code = main(["synthesize", str(spec_file), "--no-reconfig", "--copies", "2"])
         assert code == 0
 
-    def test_synthesize_no_prune(self, spec_file, capsys):
-        code = main([
-            "synthesize", str(spec_file), "--copies", "2", "--no-prune",
-        ])
-        assert code == 0
-        assert "feasible: True" in capsys.readouterr().out
+    def test_synthesize_cache_dir_round_trip(self, spec_file, tmp_path,
+                                             capsys):
+        """``--cache-dir`` twice: the resubmission is an exact store
+        hit whose export equals the first run's, timing aside."""
+        store = tmp_path / "store"
+        exports = []
+        for name in ("first.json", "hit.json"):
+            out = tmp_path / name
+            code = main([
+                "synthesize", str(spec_file), "--copies", "2", "--stats",
+                "--cache-dir", str(store), "--out", str(out),
+            ])
+            assert code == 0
+            exports.append(json.loads(out.read_text()))
+        first, hit = exports
+        assert hit["stats"]["counters"].get("perf.store.hit") == 1
+        assert first["stats"]["counters"].get("perf.store.hit", 0) == 0
+        for payload in exports:
+            payload.pop("cpu_seconds")
+            payload.pop("stats")
+        assert hit == first
 
     def test_synthesize_profile(self, spec_file, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -111,6 +126,12 @@ class TestCli:
                      "unrecognized", id="synthesize-no-incremental"),
         pytest.param(["synthesize", "s.json", "--timeline", "tree"],
                      "unrecognized", id="synthesize-timeline"),
+        pytest.param(["synthesize", "s.json", "--no-prune"],
+                     "unrecognized", id="synthesize-no-prune"),
+        pytest.param(["synthesize", "s.json", "--no-bound-abort"],
+                     "unrecognized", id="synthesize-no-bound-abort"),
+        pytest.param(["synthesize", "s.json", "--no-warm-start"],
+                     "unrecognized", id="synthesize-no-warm-start"),
     ])
     def test_removed_pool_and_transport_surface_is_rejected(
         self, argv, error, capsys

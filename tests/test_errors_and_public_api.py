@@ -1,5 +1,10 @@
 """Error hierarchy and public-API surface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -31,6 +36,23 @@ class TestPublicApi:
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_import_does_not_load_numpy(self):
+        """networkx is the only runtime dependency: importing the
+        package in a fresh interpreter never pulls in numpy."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'numpy')[:3])"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("name", [
         "Task", "TaskGraph", "SystemSpec", "crusade", "crusade_ft",
