@@ -18,8 +18,8 @@ from repro.bench.examples import (
     example_profile,
 )
 from repro.bench.table1 import Table1Cell, run_table1, render_table1
-from repro.bench.table2 import Table2Row, run_table2_row, render_table2
-from repro.bench.table3 import Table3Row, run_table3_row, render_table3
+from repro.bench.table2 import ComparisonRow, run_table2_row, render_table2
+from repro.bench.table3 import run_table3_row, render_table3
 from repro.bench.figure2 import Figure2Outcome, run_figure2
 
 __all__ = [
@@ -30,10 +30,9 @@ __all__ = [
     "Table1Cell",
     "run_table1",
     "render_table1",
-    "Table2Row",
+    "ComparisonRow",
     "run_table2_row",
     "render_table2",
-    "Table3Row",
     "run_table3_row",
     "render_table3",
     "Figure2Outcome",

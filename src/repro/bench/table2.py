@@ -4,13 +4,16 @@ For each example: the architecture CRUSADE derives *without* dynamic
 reconfiguration (each programmable device has one mode) versus *with*
 it -- #PEs, #links, CPU seconds, dollar cost, and the cost savings
 percentage.  The paper reports savings of 25.9-56.7 %.
+
+The row class, the with/without runner and the layout are shared with
+Table 3 (:mod:`repro.bench.table3`), which swaps in CRUSADE-FT.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Union
 
 from repro.core.config import CrusadeConfig
 from repro.core.crusade import crusade
@@ -18,8 +21,11 @@ from repro.core.report import CoSynthesisResult
 from repro.graph.spec import SystemSpec
 from repro.resources.catalog import default_library
 from repro.resources.library import ResourceLibrary
-from repro.bench.examples import EXAMPLE_NAMES, build_example
+from repro.bench.examples import build_example
 from repro.bench.runner import pct, render_table
+
+if TYPE_CHECKING:
+    from repro.core.crusade_ft import FtCoSynthesisResult
 
 #: Default example scale for benchmark runs; override with the
 #: REPRO_SCALE environment variable (1.0 = the paper's task counts).
@@ -32,13 +38,14 @@ def bench_scale() -> float:
 
 
 @dataclass
-class Table2Row:
-    """One example's with/without-reconfiguration comparison."""
+class ComparisonRow:
+    """One example's with/without-reconfiguration comparison (a row
+    of Table 2, or of Table 3 with fault-tolerant results)."""
 
     example: str
     tasks: int
-    without: CoSynthesisResult
-    with_reconfig: CoSynthesisResult
+    without: Union[CoSynthesisResult, "FtCoSynthesisResult"]
+    with_reconfig: Union[CoSynthesisResult, "FtCoSynthesisResult"]
 
     @property
     def savings_pct(self) -> float:
@@ -62,18 +69,22 @@ class Table2Row:
         ]
 
 
-def run_table2_row(
+def run_comparison(
     example: str,
+    synthesize: Callable[..., Any],
     scale: Optional[float] = None,
     library: Optional[ResourceLibrary] = None,
     config: Optional[CrusadeConfig] = None,
     spec: Optional[SystemSpec] = None,
-) -> Table2Row:
+) -> ComparisonRow:
     """Synthesize one example with and without reconfiguration.
 
-    The baseline runs under the caller's ``config`` with only
-    ``reconfiguration`` turned off, as the merge stage's own baseline
-    does.
+    ``synthesize`` is :func:`~repro.core.crusade.crusade` or a
+    CRUSADE-FT equivalent, called as ``synthesize(spec, library=,
+    config=)`` for the baseline and with ``baseline=`` for the
+    reconfiguring run.  The baseline runs under the caller's
+    ``config`` with only ``reconfiguration`` turned off, as the merge
+    stage's own baseline does.
     """
     if scale is None:
         scale = bench_scale()
@@ -84,9 +95,11 @@ def run_table2_row(
     if spec is None:
         spec = build_example(example, scale=scale, library=library)
     baseline_config = replace(config, reconfiguration=False)
-    without = crusade(spec, library=library, config=baseline_config)
-    with_reconfig = crusade(spec, library=library, config=config, baseline=without)
-    return Table2Row(
+    without = synthesize(spec, library=library, config=baseline_config)
+    with_reconfig = synthesize(
+        spec, library=library, config=config, baseline=without
+    )
+    return ComparisonRow(
         example=example,
         tasks=spec.total_tasks,
         without=without,
@@ -94,17 +107,19 @@ def run_table2_row(
     )
 
 
-def run_table2(
-    examples: Optional[Iterable[str]] = None, scale: Optional[float] = None
-) -> List[Table2Row]:
-    """Run every (or the given) example row."""
-    if examples is None:
-        examples = EXAMPLE_NAMES
-    return [run_table2_row(name, scale=scale) for name in examples]
+def run_table2_row(
+    example: str,
+    scale: Optional[float] = None,
+    library: Optional[ResourceLibrary] = None,
+    config: Optional[CrusadeConfig] = None,
+    spec: Optional[SystemSpec] = None,
+) -> ComparisonRow:
+    """One Table 2 row: CRUSADE with and without reconfiguration."""
+    return run_comparison(example, crusade, scale, library, config, spec)
 
 
-def render_table2(rows: Iterable[Table2Row]) -> str:
-    """The paper's Table 2 layout."""
+def render_comparison(title: str, rows: Iterable[ComparisonRow]) -> str:
+    """The paper's Table 2/3 layout under ``title``."""
     headers = [
         "Example/(tasks)",
         "PEs",
@@ -118,8 +133,12 @@ def render_table2(rows: Iterable[Table2Row]) -> str:
         "Savings %",
     ]
     return render_table(
-        "Table 2: Efficacy of CRUSADE "
-        "(left: without dynamic reconfiguration, right: with)",
+        title + " (left: without dynamic reconfiguration, right: with)",
         headers,
         [row.cells() for row in rows],
     )
+
+
+def render_table2(rows: Iterable[ComparisonRow]) -> str:
+    """The paper's Table 2."""
+    return render_comparison("Table 2: Efficacy of CRUSADE", rows)

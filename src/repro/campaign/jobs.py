@@ -147,31 +147,15 @@ def _result_side(result) -> Dict[str, Any]:
     }
 
 
-def _run_table2(job: Job) -> Dict[str, Any]:
-    """Execute a ``table2`` job: one example, without vs. with."""
+def _run_table(job: Job) -> Dict[str, Any]:
+    """Execute a ``table2``/``table3`` job: one example, without vs.
+    with reconfiguration (plain or fault-tolerant)."""
     from repro.core.config import CrusadeConfig
     from repro.bench.table2 import run_table2_row
-
-    row = run_table2_row(
-        job.example,
-        scale=job.scale,
-        config=CrusadeConfig(**dict(job.config)),
-    )
-    return {
-        "example": job.example,
-        "tasks": row.tasks,
-        "without": _result_side(row.without),
-        "with_reconfig": _result_side(row.with_reconfig),
-        "savings_pct": round(row.savings_pct, 1),
-    }
-
-
-def _run_table3(job: Job) -> Dict[str, Any]:
-    """Execute a ``table3`` job: the fault-tolerant comparison."""
-    from repro.core.config import CrusadeConfig
     from repro.bench.table3 import run_table3_row
 
-    row = run_table3_row(
+    run_row = run_table2_row if job.kind == "table2" else run_table3_row
+    row = run_row(
         job.example,
         scale=job.scale,
         config=CrusadeConfig(**dict(job.config)),
@@ -222,8 +206,8 @@ def _run_synthesize(job: Job) -> Dict[str, Any]:
 
 
 _EXECUTORS = {
-    "table2": _run_table2,
-    "table3": _run_table3,
+    "table2": _run_table,
+    "table3": _run_table,
     "selftest": _run_selftest,
     "synthesize": _run_synthesize,
 }

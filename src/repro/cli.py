@@ -41,7 +41,7 @@ from repro.core.crusade_ft import crusade_ft
 from repro.core.report import render_architecture
 from repro.graph.generator import GeneratorConfig, generate_spec
 from repro.io.result_json import save_result_file
-from repro.io.spec_json import load_spec_file, save_spec_file, spec_to_dict
+from repro.io.spec_json import load_spec_file, save_spec_file
 from repro.bench.examples import EXAMPLE_NAMES, build_example
 
 
@@ -67,7 +67,7 @@ def _add_synthesize(subparsers) -> None:
     p.add_argument("--profile", type=int, default=0, metavar="N",
                    help="run synthesis under cProfile, print the top-N "
                         "cumulative functions and write "
-                        "profile-<spec fingerprint>.pstats next to the "
+                        "profile-<spec digest>.pstats next to the "
                         "result JSON (or the CWD)")
     p.add_argument("--cache-dir", metavar="DIR", default=None,
                    help="persistent content-addressed synthesis store: "
@@ -240,23 +240,16 @@ def _build_tracer(args):
     return Tracer(sinks=sinks)
 
 
-def _spec_fingerprint(spec) -> str:
-    """A stable short digest of the canonical spec JSON."""
-    import hashlib
-    import json
-
-    payload = json.dumps(spec_to_dict(spec), sort_keys=True).encode("utf-8")
-    return hashlib.sha1(payload).hexdigest()[:12]
-
-
 def _profile_path(args, spec) -> str:
-    """``profile-<spec fingerprint>.pstats`` next to the result JSON,
-    or in the CWD.
+    """``profile-<spec digest prefix>.pstats`` next to the result
+    JSON, or in the CWD.
 
-    The fingerprint keeps two profiled runs sharing a working
+    The spec's store digest keeps two profiled runs sharing a working
     directory from silently clobbering each other's dump.
     """
-    name = "profile-%s.pstats" % _spec_fingerprint(spec)
+    from repro.perf.store.digests import spec_digest
+
+    name = "profile-%s.pstats" % spec_digest(spec)[:12]
     if args.out:
         directory = os.path.dirname(os.path.abspath(args.out))
         return os.path.join(directory, name)
@@ -353,27 +346,20 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _cmd_table2(args) -> int:
+def _cmd_table(args) -> int:
+    """``table2``/``table3``: one with/without row per example."""
     from repro.bench.table2 import render_table2, run_table2_row
-
-    names = args.examples or EXAMPLE_NAMES
-    rows = []
-    for name in names:
-        print("synthesizing %s..." % name, file=sys.stderr)
-        rows.append(run_table2_row(name, scale=args.scale))
-    print(render_table2(rows))
-    return 0
-
-
-def _cmd_table3(args) -> int:
     from repro.bench.table3 import render_table3, run_table3_row
 
-    names = args.examples or EXAMPLE_NAMES
+    if args.command == "table2":
+        run_row, render, suffix = run_table2_row, render_table2, ""
+    else:
+        run_row, render, suffix = run_table3_row, render_table3, " (FT)"
     rows = []
-    for name in names:
-        print("synthesizing %s (FT)..." % name, file=sys.stderr)
-        rows.append(run_table3_row(name, scale=args.scale))
-    print(render_table3(rows))
+    for name in args.examples or EXAMPLE_NAMES:
+        print("synthesizing %s%s..." % (name, suffix), file=sys.stderr)
+        rows.append(run_row(name, scale=args.scale))
+    print(render(rows))
     return 0
 
 
@@ -642,8 +628,8 @@ _HANDLERS = {
     "generate": _cmd_generate,
     "example": _cmd_example,
     "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
+    "table2": _cmd_table,
+    "table3": _cmd_table,
     "figure2": _cmd_figure2,
     "experiments": _cmd_experiments,
     "campaign": _cmd_campaign,

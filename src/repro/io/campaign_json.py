@@ -59,19 +59,39 @@ def canonical_dumps(payload: Any) -> str:
     )
 
 
-def dump_canonical(payload: Any, path: PathLike) -> None:
-    """Atomically write ``payload`` as canonical JSON to ``path``.
+def write_atomic(path: PathLike, data: bytes, durable: bool = True) -> None:
+    """Atomic write: temp file (+ fsync when durable) + ``os.replace``.
 
-    Writes to a sibling temp file, fsyncs, then ``os.replace``s into
-    place so readers never observe a half-written document.
+    Readers never observe a half-written file.  The temp file is a
+    sibling suffixed with the writer's pid, so concurrent writers
+    (racing campaign or service workers) never share one; whoever
+    replaces last wins.  ``durable=False`` skips the fsync: atomicity
+    then comes from the rename alone, and a crash can leave a
+    truncated file, which only callers with corrupt-tolerant readers
+    may accept.  A failed write unlinks its temp file.
     """
     path = pathlib.Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(canonical_dumps(payload))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    tmp = path.with_name(path.name + ".tmp.%d" % os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+
+
+def dump_canonical(payload: Any, path: PathLike) -> None:
+    """Atomically and durably write ``payload`` as canonical JSON to
+    ``path`` (serialized first, so an unserializable payload touches
+    no file)."""
+    write_atomic(path, canonical_dumps(payload).encode("ascii"))
 
 
 def load_json(path: PathLike) -> Any:

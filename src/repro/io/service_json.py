@@ -253,7 +253,7 @@ def strip_run_varying(result_payload: Dict[str, Any]) -> Dict[str, Any]:
     legitimately run-varying fields -- so a computed response and a
     cache-served response of the same request carry byte-identical
     ``result`` payloads (the service's headline contract, asserted by
-    the CI service-smoke job).
+    ``tests/service/test_cli_serve.py``).
     """
     neutral = dict(result_payload)
     neutral.pop("cpu_seconds", None)

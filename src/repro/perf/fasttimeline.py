@@ -194,27 +194,6 @@ class FastTimeline(IntervalTimeline):
             return None
         return segments
 
-    # ------------------------------------------------------------------
-    def preempt_split(
-        self,
-        victim: BusyInterval,
-        preempt_at: float,
-        inserted_duration: float,
-        overhead: float,
-        new_owner: tuple,
-    ) -> Tuple[Tuple[float, float], float]:
-        """Preempt ``victim`` at ``preempt_at``; delegates to the
-        superclass and rebuilds the end index."""
-        # Delegate to the superclass, then rebuild the end index: the
-        # base implementation deletes and re-inserts intervals through
-        # ``_insert`` *and* raw ``del``, so the parallel list must be
-        # reconciled afterwards.
-        result = super().preempt_split(
-            victim, preempt_at, inserted_duration, overhead, new_owner
-        )
-        self._ends = [iv.end for iv in self._intervals]
-        return result
-
 
 class FastPpeModeTimeline(PpeModeTimeline):
     """Drop-in :class:`PpeModeTimeline` with a pruned ``place``.
@@ -339,9 +318,6 @@ class FastPpeModeTimeline(PpeModeTimeline):
         finish, start, how, index, chosen_mode = best
         if how == "join":
             window = windows[index]
-            if start < window.start:  # unreachable (start >= window.start);
-                window.start = start  # kept for parity with min()
-                starts[index] = start
             if finish > window.end:
                 window.end = finish
                 ends[index] = finish

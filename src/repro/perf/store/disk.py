@@ -18,13 +18,13 @@ holds one canonical-JSON record per spec *name* -- the newest run's
 digests -- which is what :mod:`repro.perf.warmstart` diffs a
 resubmission against.
 
-Durability and concurrency follow :mod:`repro.io.campaign_json`:
-every write lands in a same-directory temp file (suffixed with the
-writer's pid so concurrent campaign workers never share one), is
-flushed and fsynced, then ``os.replace``\\ d into place -- readers and
-racing writers only ever observe complete entries, and the last
-writer of a key wins (all writers of one content-addressed key carry
-identical bytes anyway).
+Every write goes through :func:`repro.io.campaign_json.write_atomic`:
+a same-directory temp file (suffixed with the writer's pid so
+concurrent campaign workers never share one), flushed and fsynced
+(fragments skip the fsync), then ``os.replace``\\ d into place --
+readers and racing writers only ever observe complete entries, and
+the last writer of a key wins (all writers of one content-addressed
+key carry identical bytes anyway).
 
 Reads are *corrupt-tolerant*: a truncated, garbled or unpicklable
 entry -- a crashed writer on a filesystem without atomic rename
@@ -44,7 +44,7 @@ import pathlib
 import pickle
 from typing import Any, Dict, Optional, Union
 
-from repro.io.campaign_json import canonical_dumps, load_json
+from repro.io.campaign_json import dump_canonical, load_json, write_atomic
 from repro.perf.store.digests import (
     STORE_SCHEMA_VERSION,
     catalog_digest,
@@ -139,7 +139,7 @@ class SynthesisStore:
         try:
             existing = stamp.read_text()
         except OSError:
-            self._write_bytes(stamp, FORMAT_LINE.encode("ascii"))
+            write_atomic(stamp, FORMAT_LINE.encode("ascii"))
             return
         if existing != FORMAT_LINE:
             raise StoreFormatError(
@@ -148,43 +148,15 @@ class SynthesisStore:
             )
 
     # ------------------------------------------------------------------
-    # durable writes
+    # pickled entries
     # ------------------------------------------------------------------
-    def _write_bytes(self, path: pathlib.Path, data: bytes,
-                     durable: bool = True) -> None:
-        """Atomic write: temp file (+ fsync when durable) + ``os.replace``.
-
-        The pid suffix keeps concurrent writers (racing campaign
-        workers) on distinct temp files; whoever replaces last wins,
-        and content-addressed keys make both payloads identical.
-        ``durable=False`` skips the fsync: atomicity (readers never see
-        a partial entry) comes from the rename alone, and fragment
-        writes are frequent enough that per-write fsync latency would
-        erase the warm-start win -- a crash-truncated entry is exactly
-        what the corrupt-tolerant read path absorbs.
-        """
-        tmp = path.with_name(path.name + ".tmp.%d" % os.getpid())
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                if durable:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # a failed write never leaves litter
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-
     def _dump(self, path: pathlib.Path, tag: str, payload: Any,
               durable: bool = True) -> None:
         """Pickle ``payload`` under a (tag, version) header, atomically."""
         data = pickle.dumps(
             (tag, STORE_SCHEMA_VERSION, payload), protocol=pickle.HIGHEST_PROTOCOL
         )
-        self._write_bytes(path, data, durable=durable)
+        write_atomic(path, data, durable=durable)
 
     def _load(self, path: pathlib.Path, tag: str, tracer=None) -> Optional[Any]:
         """Unpickle an entry; any unusable entry is a counted miss."""
@@ -252,11 +224,13 @@ class SynthesisStore:
                       tracer=None) -> None:
         """Persist one freshly built schedule fragment.
 
-        Non-durable (no fsync -- see :meth:`_write_bytes`) and skipped
-        entirely when the entry already exists: the key is
-        content-addressed, so any existing entry already carries these
-        bytes (an LRU-evicted-and-rebuilt fragment, or a racing
-        campaign worker that got there first).
+        Non-durable (no fsync: fragment writes are frequent enough that
+        per-write fsync latency would erase the warm-start win, and a
+        crash-truncated entry is exactly what the corrupt-tolerant read
+        path absorbs) and skipped entirely when the entry already
+        exists: the key is content-addressed, so any existing entry
+        already carries these bytes (an LRU-evicted-and-rebuilt
+        fragment, or a racing campaign worker that got there first).
         """
         path = self._fragment_path(fp_digest, validity)
         if path.exists():
@@ -293,18 +267,9 @@ class SynthesisStore:
         return record
 
     def save_index(self, spec_name: str, record: Dict[str, Any]) -> None:
-        """Atomically record the newest run's digests for a spec name.
-
-        Canonical JSON, but written through :meth:`_write_bytes` rather
-        than :func:`repro.io.campaign_json.dump_canonical`: the latter's
-        fixed temp-file name could collide between two campaign workers
-        indexing the same spec concurrently, while the pid-suffixed
-        temp path cannot.
-        """
+        """Atomically record the newest run's digests for a spec name
+        (canonical JSON)."""
         payload = dict(record)
         payload["version"] = STORE_SCHEMA_VERSION
         payload["spec"] = spec_name
-        self._write_bytes(
-            self._index_path(spec_name),
-            canonical_dumps(payload).encode("utf-8"),
-        )
+        dump_canonical(payload, self._index_path(spec_name))

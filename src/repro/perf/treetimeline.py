@@ -135,33 +135,15 @@ class TreeTimeline(FastTimeline):
             self._convert()
         return result
 
-    def preempt_split(
-        self,
-        victim: BusyInterval,
-        preempt_at: float,
-        inserted_duration: float,
-        overhead: float,
-        new_owner: tuple,
-    ) -> Tuple[Tuple[float, float], float]:
-        """Preempt ``victim`` (cold path): the flat implementation,
-        plus the conversion check."""
-        result = super().preempt_split(
-            victim, preempt_at, inserted_duration, overhead, new_owner
-        )
-        if not self._degraded and len(self._intervals) >= self.convert_at:
-            self._convert()
-        return result
-
 
 class _BlockedTimeline(TreeTimeline):
     """The blocked phase of a :class:`TreeTimeline`.
 
     Never constructed directly -- instances *become* this class when
     :meth:`TreeTimeline._convert` rebinds ``__class__``, and revert to
-    :class:`TreeTimeline` when :meth:`_flatten` does (degradation and
-    the rare preemption rebuild).  Blocked instances are never
-    degraded: every invariant-breaking mutation flattens first, so the
-    methods here branch on nothing.
+    :class:`TreeTimeline` when :meth:`_flatten` does (on degradation).
+    Blocked instances are never degraded: every invariant-breaking
+    mutation flattens first, so the methods here branch on nothing.
     """
 
     # -- representation management -------------------------------------
@@ -206,34 +188,6 @@ class _BlockedTimeline(TreeTimeline):
     def busy_time(self) -> float:
         """Total occupied time (the flat walk's summation order)."""
         return sum(iv.end - iv.start for block in self._bivs for iv in block)
-
-    def span(self) -> Tuple[float, float]:
-        """(first start, last end), or (0, 0) when empty."""
-        if not self._n:
-            return (0.0, 0.0)
-        return (self._bivs[0][0].start, max(self._last_end))
-
-    def running_at(self, when: float) -> Optional[BusyInterval]:
-        """The interval covering ``when``, if any (linear semantics)."""
-        for block in self._bivs:
-            for interval in block:
-                if interval.start <= when + TIME_EPS and when < interval.end - TIME_EPS:
-                    return interval
-                if interval.start > when:
-                    return None
-        return None
-
-    def free_until_after(self, when: float) -> float:
-        """First moment at or after ``when`` with nothing running."""
-        moment = when
-        for block in self._bivs:
-            for interval in block:
-                if interval.end <= moment + TIME_EPS:
-                    continue
-                if moment < interval.start - TIME_EPS:
-                    return moment
-                moment = interval.end
-        return moment
 
     # -- hot path ------------------------------------------------------
     def earliest_fit(self, ready: float, duration: float) -> float:
@@ -391,21 +345,6 @@ class _BlockedTimeline(TreeTimeline):
         if remaining > TIME_EPS:
             return None
         return segments
-
-    def preempt_split(
-        self,
-        victim: BusyInterval,
-        preempt_at: float,
-        inserted_duration: float,
-        overhead: float,
-        new_owner: tuple,
-    ) -> Tuple[Tuple[float, float], float]:
-        """Preempt ``victim`` (cold path): flatten, delegate to the
-        exact flat implementation, re-block if still warranted."""
-        self._flatten()
-        return self.preempt_split(
-            victim, preempt_at, inserted_duration, overhead, new_owner
-        )
 
 
 class TreePpeModeTimeline(FastPpeModeTimeline):

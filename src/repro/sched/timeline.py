@@ -4,7 +4,7 @@ Two kinds of resources exist:
 
 * serially used resources (processors, links) -- an
   :class:`IntervalTimeline` of busy intervals with first-fit gap
-  placement and restricted preemption support;
+  placement and the gap-splitting sweep behind restricted preemption;
 * programmable devices -- a :class:`PpeModeTimeline` of mode windows:
   tasks of the same configuration mode may overlap (they are separate
   circuit regions), tasks of different modes are separated by a reboot
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.units import TIME_EPS, time_leq, time_lt
+from repro.units import TIME_EPS, time_lt
 
 
 class Timeline(abc.ABC):
@@ -44,12 +44,13 @@ class Timeline(abc.ABC):
 
     This is the contract the scheduler (:mod:`repro.sched.scheduler`)
     actually programs against: earliest-gap queries from a ready time,
-    interval inserts, the restricted-preemption gap-splitting sweep,
-    and the busy/span reductions the reporting layer reads after a
-    run.  The differential oracle in ``tests/sched/oracle.py`` holds
-    every implementation to bit-identical answers, which is what lets
-    the production timelines stand in for the linear reference under
-    the repo's byte-identity contract.
+    interval inserts and the restricted-preemption gap-splitting
+    sweep, plus the interval list and busy time that Gantt charts,
+    validation and JSON export read after a run.  The differential
+    oracle in ``tests/sched/oracle.py`` holds every implementation to
+    bit-identical answers, which is what lets the production timelines
+    stand in for the linear reference under the repo's byte-identity
+    contract.
     """
 
     @abc.abstractmethod
@@ -84,10 +85,6 @@ class Timeline(abc.ABC):
     def busy_time(self) -> float:
         """Total occupied time."""
 
-    @abc.abstractmethod
-    def span(self) -> Tuple[float, float]:
-        """(first start, last end), or (0, 0) when empty."""
-
 
 class ModeTimeline(abc.ABC):
     """Abstract mode-window timeline of one programmable device.
@@ -119,10 +116,6 @@ class ModeTimeline(abc.ABC):
     def busy_time(self) -> float:
         """Total window time (excludes reboot gaps)."""
 
-    @abc.abstractmethod
-    def span(self) -> Tuple[float, float]:
-        """(first start, last end), or (0, 0) when empty."""
-
 
 @dataclass
 class BusyInterval:
@@ -142,10 +135,10 @@ class BusyInterval:
 class IntervalTimeline(Timeline):
     """Busy intervals of a serially used resource, kept sorted.
 
-    Supports first-fit placement at or after a ready time, and the
-    restricted preemption primitive: splitting one busy interval to
-    admit a higher-priority task, pushing the preempted remainder
-    later.
+    Supports first-fit placement at or after a ready time, and
+    splitting a task's work across free gaps (restricted preemption:
+    higher-priority work is always reserved first, so no busy
+    interval is ever split open for a later task).
     """
 
     def __init__(self) -> None:
@@ -209,72 +202,6 @@ class IntervalTimeline(Timeline):
         self._insert(busy)
         return start, end
 
-    # ------------------------------------------------------------------
-    def running_at(self, when: float) -> Optional[BusyInterval]:
-        """The interval covering time ``when``, if any."""
-        for interval in self._intervals:
-            if time_leq(interval.start, when) and time_lt(when, interval.end):
-                return interval
-            if interval.start > when:
-                break
-        return None
-
-    def free_until_after(self, when: float) -> float:
-        """First moment at or after ``when`` when nothing is running."""
-        moment = when
-        for interval in self._intervals:
-            if time_leq(interval.end, moment):
-                continue
-            if time_lt(moment, interval.start):
-                return moment
-            moment = interval.end
-        return moment
-
-    def preempt_split(
-        self,
-        victim: BusyInterval,
-        preempt_at: float,
-        inserted_duration: float,
-        overhead: float,
-        new_owner: tuple,
-    ) -> Tuple[Tuple[float, float], float]:
-        """Split ``victim`` at ``preempt_at`` to run a new task.
-
-        The victim keeps [start, preempt_at); the new task runs
-        [preempt_at, preempt_at + inserted_duration); the victim's
-        remainder resumes after the new task plus ``overhead`` and must
-        fit before the next busy interval, else
-        :class:`SchedulingError` is raised (the caller then declines to
-        preempt).
-
-        Returns ((new task start, new task end), victim's new finish).
-        """
-        if victim not in self._intervals:
-            raise SchedulingError("victim interval is not on this timeline")
-        if not (time_lt(victim.start, preempt_at) and time_lt(preempt_at, victim.end)):
-            raise SchedulingError(
-                "preemption point %g outside victim (%g, %g)"
-                % (preempt_at, victim.start, victim.end)
-            )
-        remainder = victim.end - preempt_at
-        new_end = preempt_at + inserted_duration
-        resume = new_end + overhead
-        victim_finish = resume + remainder
-        index = self._intervals.index(victim)
-        if index + 1 < len(self._intervals):
-            next_start = self._intervals[index + 1].start
-            if time_lt(next_start, victim_finish):
-                raise SchedulingError(
-                    "preempted remainder would collide with the next interval"
-                )
-        # Rebuild: victim head, new task, victim tail.
-        del self._intervals[index]
-        del self._starts[index]
-        self._insert(BusyInterval(victim.start, preempt_at, victim.owner))
-        self._insert(BusyInterval(preempt_at, new_end, new_owner))
-        self._insert(BusyInterval(resume, victim_finish, victim.owner))
-        return (preempt_at, new_end), victim_finish
-
     def split_fit(
         self,
         ready: float,
@@ -333,12 +260,6 @@ class IntervalTimeline(Timeline):
         """Total occupied time."""
         return sum(i.end - i.start for i in self._intervals)
 
-    def span(self) -> Tuple[float, float]:
-        """(first start, last end), or (0, 0) when empty."""
-        if not self._intervals:
-            return (0.0, 0.0)
-        return (self._intervals[0].start, max(i.end for i in self._intervals))
-
 
 @dataclass
 class ModeWindow:
@@ -378,10 +299,6 @@ class PpeModeTimeline(ModeTimeline):
 
     def __init__(self) -> None:
         self.windows: List[ModeWindow] = []
-
-    def last_window(self) -> Optional[ModeWindow]:
-        """Most recent mode window, if any."""
-        return self.windows[-1] if self.windows else None
 
     def _needs_boot(self, index: int) -> bool:
         """Whether window ``index`` pays its reboot."""
@@ -486,7 +403,6 @@ class PpeModeTimeline(ModeTimeline):
         finish, start, how, index, chosen_mode = best
         if how == "join":
             window = self.windows[index]
-            window.start = min(window.start, start)
             window.end = max(window.end, finish)
             return start, finish
         self.windows.insert(
@@ -503,9 +419,3 @@ class PpeModeTimeline(ModeTimeline):
     def busy_time(self) -> float:
         """Total window time (excludes reboot gaps)."""
         return sum(w.duration for w in self.windows)
-
-    def span(self) -> Tuple[float, float]:
-        """(first start, last end), or (0, 0) when empty."""
-        if not self.windows:
-            return (0.0, 0.0)
-        return (self.windows[0].start, self.windows[-1].end)

@@ -122,8 +122,8 @@ def render_response(status: int, payload) -> bytes:
     """One complete canonical-JSON HTTP response, ready to write.
 
     ``payload`` is serialized with :func:`canonical_dumps`, so equal
-    payloads are byte-identical on the wire -- the property the
-    service-smoke CI job compares.
+    payloads are byte-identical on the wire -- the property
+    ``tests/service/test_cli_serve.py`` compares.
     """
     body = canonical_dumps(payload).encode("utf-8")
     head = (

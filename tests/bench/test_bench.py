@@ -9,7 +9,7 @@ from repro.bench.examples import EXAMPLE_NAMES, build_example, example_profile
 from repro.bench.figure2 import figure2_library, figure2_spec, run_figure2
 from repro.bench.runner import pct, render_table
 from repro.bench.table1 import ERUF_SWEEP, render_table1, run_table1
-from repro.bench.table2 import Table2Row, run_table2_row, render_table2
+from repro.bench.table2 import ComparisonRow, run_table2_row, render_table2
 from repro.delay.circuits import UNROUTABLE_AT_FULL
 
 
@@ -164,9 +164,11 @@ class TestBaselineConfig:
 
         calls = []
         monkeypatch.setattr(table3, "crusade_ft", self._recorder(calls))
-        table3.run_table3_row("tiny", config=self.CONFIG, spec=tiny_spec)
+        row = table3.run_table3_row("tiny", config=self.CONFIG, spec=tiny_spec)
         assert calls == [replace(self.CONFIG, reconfiguration=False),
                          self.CONFIG]
+        # Tables 2 and 3 share one row class.
+        assert isinstance(row, ComparisonRow)
 
 
 class TestRunnerHelpers:

@@ -7,7 +7,12 @@ import json
 import pytest
 
 from repro.errors import SpecificationError
-from repro.io.campaign_json import canonical_dumps, dump_canonical, read_jsonl
+from repro.io.campaign_json import (
+    canonical_dumps,
+    dump_canonical,
+    read_jsonl,
+    write_atomic,
+)
 from repro.campaign import CampaignSpec, RetryPolicy
 from repro.campaign.checkpoint import CampaignDir
 
@@ -38,6 +43,25 @@ def test_dump_canonical_is_atomic_no_tmp_left_behind(tmp_path):
     assert json.loads(target.read_text()) == {"x": 2}
     leftovers = [p for p in tmp_path.iterdir() if p != target]
     assert leftovers == []
+
+
+def test_dump_canonical_failure_leaves_no_temp_file(tmp_path):
+    """An unserializable payload raises before any file is touched:
+    no temp file, and the previous document survives intact."""
+    target = tmp_path / "m.json"
+    dump_canonical({"x": 1}, target)
+    with pytest.raises(TypeError):
+        dump_canonical({"x": object()}, target)
+    assert list(tmp_path.glob("*.tmp*")) == []
+    assert json.loads(target.read_text()) == {"x": 1}
+
+
+def test_write_atomic_failure_unlinks_its_temp_file(tmp_path):
+    """A write that fails after opening its temp file removes it."""
+    target = tmp_path / "entry.bin"
+    with pytest.raises(TypeError):
+        write_atomic(target, "not bytes")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_jsonl_tolerates_a_trailing_partial_line(tmp_path):

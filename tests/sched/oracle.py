@@ -23,10 +23,9 @@ arguments -- e.g. ``("occupy", 0.0, 1.0, ("task", 3))`` -- so traces,
 fuzzers and regression cases all share one vocabulary:
 
 * serial ops: ``occupy``, ``earliest_fit``, ``split_fit``,
-  ``busy_time``, ``span``, ``running_at``, ``free_until_after``,
-  ``len``;
+  ``busy_time``, ``len``;
 * mode ops: ``place`` (mode, ready, duration, boot_time, allowed),
-  ``busy_time``, ``span``, ``reconfigurations``, ``boot_time_total``.
+  ``busy_time``, ``reconfigurations``, ``boot_time_total``.
 """
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -77,13 +76,6 @@ def run_serial_op(tl, op: tuple):
             return ("ok", tl.split_fit(*op[1:]))
         if kind == "busy_time":
             return ("ok", tl.busy_time())
-        if kind == "span":
-            return ("ok", tl.span())
-        if kind == "running_at":
-            hit = tl.running_at(op[1])
-            return ("ok", None if hit is None else (hit.start, hit.end, hit.owner))
-        if kind == "free_until_after":
-            return ("ok", tl.free_until_after(op[1]))
         if kind == "len":
             return ("ok", len(tl))
     except SchedulingError as exc:
@@ -100,8 +92,6 @@ def run_ppe_op(tl, op: tuple):
             return ("ok", tl.place(*op[1:]))
         if kind == "busy_time":
             return ("ok", tl.busy_time())
-        if kind == "span":
-            return ("ok", tl.span())
         if kind == "reconfigurations":
             return ("ok", tl.reconfigurations)
         if kind == "boot_time_total":

@@ -1,4 +1,4 @@
-"""Resource timelines: interval placement, preemption, mode windows."""
+"""Resource timelines: interval placement and mode windows."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,48 +34,6 @@ class TestIntervalTimeline:
         tl.occupy(0.0, 2.0, ("a",))
         with pytest.raises(SchedulingError):
             tl.occupy(1.0, 1.0, ("b",))
-
-    def test_running_at(self):
-        tl = IntervalTimeline()
-        tl.occupy(1.0, 2.0, ("a",))
-        assert tl.running_at(1.5).owner == ("a",)
-        assert tl.running_at(0.5) is None
-        assert tl.running_at(3.0) is None  # half-open interval
-
-    def test_span(self):
-        tl = IntervalTimeline()
-        assert tl.span() == (0.0, 0.0)
-        tl.occupy(1.0, 1.0, ("a",))
-        tl.occupy(5.0, 2.0, ("b",))
-        assert tl.span() == (1.0, 7.0)
-
-    def test_preempt_split(self):
-        tl = IntervalTimeline()
-        victim = None
-        tl.occupy(0.0, 4.0, ("victim",))
-        victim = tl.intervals[0]
-        (start, end), victim_finish = tl.preempt_split(
-            victim, preempt_at=1.0, inserted_duration=1.0, overhead=0.5,
-            new_owner=("hi",),
-        )
-        assert (start, end) == (1.0, 2.0)
-        # Remainder: 3.0 long, resumes at 2.5 -> finish 5.5.
-        assert victim_finish == pytest.approx(5.5)
-        assert len(tl) == 3
-
-    def test_preempt_split_refuses_collision(self):
-        tl = IntervalTimeline()
-        tl.occupy(0.0, 4.0, ("victim",))
-        tl.occupy(4.0, 1.0, ("next",))
-        victim = tl.intervals[0]
-        with pytest.raises(SchedulingError):
-            tl.preempt_split(victim, 1.0, 1.0, 0.5, ("hi",))
-
-    def test_preempt_point_must_be_inside(self):
-        tl = IntervalTimeline()
-        tl.occupy(0.0, 2.0, ("victim",))
-        with pytest.raises(SchedulingError):
-            tl.preempt_split(tl.intervals[0], 2.5, 1.0, 0.0, ("hi",))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -168,9 +126,9 @@ class TestPpeModeTimeline:
         tl.place(0, 0.0, 1.0, 0.1)
         tl.place(1, 2.0, 1.0, 0.1)
         assert tl.busy_time() == pytest.approx(2.0)
-        lo, hi = tl.span()
-        assert lo == 0.0
-        assert hi == pytest.approx(3.0)  # boot fits inside the idle gap
+        assert tl.windows[0].start == 0.0
+        # The boot fits inside the idle gap: nothing is pushed later.
+        assert tl.windows[-1].end == pytest.approx(3.0)
 
     def test_negative_durations_rejected(self):
         tl = PpeModeTimeline()

@@ -127,13 +127,10 @@ class SerialOracleMachine(RuleBasedStateMachine):
             assert result[0] == "ok", "split segment may never collide"
         self.occupied += 1
 
-    @rule(when=eps_times)
-    def query_point(self, when):
-        """Point queries and reductions."""
-        self.diff.step(("running_at", when))
-        self.diff.step(("free_until_after", when))
+    @rule()
+    def reductions(self):
+        """Busy-time and length reductions."""
         self.diff.step(("busy_time",))
-        self.diff.step(("span",))
         self.diff.step(("len",))
 
 
@@ -182,9 +179,8 @@ class PpeOracleMachine(RuleBasedStateMachine):
 
     @rule()
     def reductions(self):
-        """Reboot accounting and span reductions."""
+        """Busy-time and reboot-accounting reductions."""
         self.diff.step(("busy_time",))
-        self.diff.step(("span",))
         self.diff.step(("reconfigurations",))
         self.diff.step(("boot_time_total",))
 
@@ -298,7 +294,6 @@ class TestRegressions:
             ("reconfigurations",),
             ("boot_time_total",),
             ("busy_time",),
-            ("span",),
         ]
         check_ppe(ops)
 
