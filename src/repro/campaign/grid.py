@@ -9,11 +9,12 @@ each with a stable human-readable id like
 log, so expansion refuses grids that would produce duplicates.
 
 Variants map onto :class:`repro.core.config.CrusadeConfig` knobs and
-are checked against its fields when built; the named presets in
-:data:`VARIANT_PRESETS` are the paper's rules and the alternative
-cluster-order policy that the benchmark ablations sweep.  There is no
-pruning preset: pruning never changes a result, and manifests carry
-no timings, so a ``prune=False`` column could only repeat ``default``.
+are checked against its fields and its own validation when built; the
+named presets in :data:`VARIANT_PRESETS` are the paper's rules and the
+alternative cluster order that the benchmark ablations sweep.  There
+is no pruning preset: pruning never changes a result, and manifests
+carry no timings, so a ``prune=False`` column could only repeat
+``default``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from repro.io.campaign_json import CAMPAIGN_SCHEMA_VERSION
 from repro.campaign.jobs import JOB_KINDS, Job
 
 #: Named config variants: CrusadeConfig knob overrides per name.
-#: ``largest-first`` is expressed purely through the pipeline's policy
-#: hooks (see :mod:`repro.core.stages.policies`): it re-orders cluster
-#: allocation biggest-first instead of by priority.
+#: ``largest-first`` sets ``CrusadeConfig.policy``: it re-orders
+#: cluster allocation biggest-first instead of by priority.
 VARIANT_PRESETS: Dict[str, Dict[str, Any]] = {
     "default": {},
     "largest-first": {"policy": "largest-first"},
@@ -48,14 +48,21 @@ class Variant:
     config: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        """Reject keys that are not ``CrusadeConfig`` fields here,
-        rather than as a retried ``TypeError`` inside a worker."""
+        """Reject keys that are not ``CrusadeConfig`` fields, and values
+        ``CrusadeConfig`` refuses, here rather than as a retried error
+        inside every worker of the column."""
         unknown = sorted(set(self.config) - CONFIG_FIELDS)
         if unknown:
             raise SpecificationError(
                 "variant %r: unknown config field(s) %s"
                 % (self.name, ", ".join(unknown))
             )
+        try:
+            CrusadeConfig(**self.config)
+        except SpecificationError as exc:
+            raise SpecificationError(
+                "variant %r: %s" % (self.name, exc)
+            ) from None
 
     @classmethod
     def preset(cls, name: str) -> "Variant":

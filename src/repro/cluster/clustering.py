@@ -21,7 +21,7 @@ the largest DRAM bank for software).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SpecificationError
 from repro.cluster.priority import (
@@ -101,6 +101,18 @@ class ClusteringResult:
             self.clusters.values(), key=lambda c: (-c.priority, c.name)
         )
 
+    def ordered_largest_first(self) -> List[Cluster]:
+        """Biggest clusters first (size, then priority, then name).
+
+        The ``largest-first`` ablation order: placing bulky clusters
+        while the architecture is still cheap to reshape is a classic
+        bin-packing ordering.
+        """
+        return sorted(
+            self.clusters.values(),
+            key=lambda c: (-c.size, -c.priority, c.name),
+        )
+
     def clusters_of_graph(self, graph_name: str) -> List[Cluster]:
         """Clusters belonging to one task graph, sorted by name."""
         return sorted(
@@ -111,6 +123,14 @@ class ClusteringResult:
     @property
     def n_clusters(self) -> int:
         return len(self.clusters)
+
+
+#: Cluster allocation orders by ``CrusadeConfig.policy`` value:
+#: ``default`` is the paper's decreasing-priority order (Section 5).
+CLUSTER_ORDERS: Dict[str, Callable[[ClusteringResult], List[Cluster]]] = {
+    "default": ClusteringResult.ordered_by_priority,
+    "largest-first": ClusteringResult.ordered_largest_first,
+}
 
 
 def _allowed_types(task: Task, library: ResourceLibrary) -> Set[str]:

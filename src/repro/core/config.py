@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.cluster.clustering import CLUSTER_ORDERS
 from repro.delay.model import DelayPolicy
 from repro.errors import SpecificationError
 
@@ -72,14 +73,14 @@ class CrusadeConfig:
         to completion.  Aborts are reported as
         ``sched.abort`` / ``sched.abort.<reason>`` counters.
     policy:
-        Name of the registered :class:`~repro.core.stages.policies.
-        SynthesisPolicy` steering the heuristic's open decision points
-        (cluster allocation order, candidate preference, merge
-        acceptance).  ``"default"`` reproduces the paper's rules
-        exactly; alternative policies (``"largest-first"``,
-        ``"reuse-first"``) are campaign-grid ablation axes.  A string
-        so configs stay picklable and JSON-serializable for the
-        campaign runner.
+        Cluster allocation order, one of the names in
+        :data:`~repro.cluster.clustering.CLUSTER_ORDERS`:
+        ``"default"`` is the paper's decreasing-priority order,
+        ``"largest-first"`` (biggest clusters first) the campaign
+        grid's ablation column.  Candidate order and merge acceptance
+        are the paper's fixed rules.  A string so configs stay
+        picklable and JSON-serializable for the campaign runner; any
+        other value is rejected here.
     cache_dir:
         Directory of the persistent content-addressed synthesis store
         (:mod:`repro.perf.store`); ``None`` (default) disables it.
@@ -124,6 +125,11 @@ class CrusadeConfig:
             raise SpecificationError("need at least one link strategy")
         if self.interface_retries < 0:
             raise SpecificationError("interface_retries must be >= 0")
+        if self.policy not in CLUSTER_ORDERS:
+            raise SpecificationError(
+                "unknown policy %r (choose from %s)"
+                % (self.policy, ", ".join(sorted(CLUSTER_ORDERS)))
+            )
 
     def use_fast_inner_loop(self, total_tasks: int) -> bool:
         """Resolve the auto setting against a system size."""

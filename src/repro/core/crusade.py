@@ -5,7 +5,8 @@ Flow (each step is a stage in :mod:`repro.core.stages`):
 1. **Pre-processing** -- validate the specification, build the
    association array (hyperperiod copies), assign deadline-based
    priority levels and cluster the task graphs along critical paths.
-2. **Synthesis** -- allocate clusters in decreasing priority order.
+2. **Synthesis** -- allocate clusters in decreasing priority order
+   (or biggest first, under ``CrusadeConfig(policy="largest-first")``).
    For each cluster an allocation array of candidate placements is
    built (cheapest first) and each candidate is applied to a trial
    architecture, scheduled, and checked against every deadline; the
@@ -18,9 +19,9 @@ Flow (each step is a stage in :mod:`repro.core.stages`):
    merge procedure folds compatible PPEs into multi-mode devices while
    deadlines and the boot-time requirement hold.
 
-This module is the public entry point; the stage objects, the shared
-:class:`~repro.core.stages.context.SynthesisContext` and the policy
-hooks live in :mod:`repro.core.stages`.
+This module is the public entry point; the stage objects and the
+shared :class:`~repro.core.stages.context.SynthesisContext` live in
+:mod:`repro.core.stages`.
 """
 
 from __future__ import annotations
@@ -83,10 +84,11 @@ def crusade(
     surface may be donated -- the equivalence suites donate the
     reference scheduler's engine and get byte-identical results.
 
-    ``config.policy`` names the :class:`~repro.core.stages.policies.
-    SynthesisPolicy` whose hooks steer the heuristic's open decision
-    points (cluster order, candidate preference, merge acceptance);
-    the default policy reproduces the paper's rules exactly.
+    ``config.policy`` picks the cluster allocation order:
+    ``"default"`` is the paper's decreasing priority,
+    ``"largest-first"`` places the biggest clusters first.  Candidate
+    order (cheapest first) and merge acceptance (every deadline holds
+    and the cost strictly falls) are the paper's fixed rules.
 
     ``config.cache_dir`` (or the ``REPRO_CACHE_DIR`` environment
     variable) opens the persistent content-addressed synthesis store

@@ -7,26 +7,20 @@ SynthesisContext`; ``crusade()`` composes them via
 result-identical to the pre-stage driver (pinned by the golden-result
 fixtures under ``tests/core/golden/``).
 
-Heuristic decision points are policy hooks
-(:class:`~repro.core.stages.policies.SynthesisPolicy`), selected by
-name through ``CrusadeConfig.policy``.
+The stages run the paper's fixed rules; the one choice a caller makes
+is the cluster allocation order, named by ``CrusadeConfig.policy``
+(:data:`~repro.cluster.clustering.CLUSTER_ORDERS`).
 """
 
 from repro.core.stages.base import Stage, run_stages
 from repro.core.stages.context import SynthesisContext
-from repro.core.stages.policies import (
-    POLICIES,
-    SynthesisPolicy,
-    register_policy,
-    resolve_policy,
-)
 from repro.core.stages.pipeline import default_stages, synthesize
 from repro.core.stages.preprocess import Preprocess
 from repro.core.stages.clustering import Clustering
 from repro.core.stages.allocation import Allocation, CandidateSelection
 from repro.core.stages.fullcheck import FullCheck
 from repro.core.stages.repair import Repair, repair_pass
-from repro.core.stages.modemerge import MergeRoute, ModeMerge
+from repro.core.stages.modemerge import ModeMerge
 from repro.core.stages.interface import InterfaceSynthesis
 from repro.core.stages.finalize import Finalize
 
@@ -34,10 +28,6 @@ __all__ = [
     "Stage",
     "run_stages",
     "SynthesisContext",
-    "SynthesisPolicy",
-    "POLICIES",
-    "register_policy",
-    "resolve_policy",
     "default_stages",
     "synthesize",
     "Preprocess",
@@ -47,7 +37,6 @@ __all__ = [
     "FullCheck",
     "Repair",
     "repair_pass",
-    "MergeRoute",
     "ModeMerge",
     "InterfaceSynthesis",
     "Finalize",

@@ -1,13 +1,13 @@
 """Allocation stage (Section 5, step 2: the synthesis inner loop).
 
-Clusters are allocated in policy order.  For each cluster an
-allocation array of candidate placements is built (cheapest first,
-re-ordered by the policy's candidate preference) and scored as
-copy-on-write overlays on the working architecture, each evaluated
-through the run's engine and fed to the :class:`CandidateSelection`
-core that makes the first-feasible / least-infeasible choice.  The
-winning candidate is committed and priorities are recomputed with the
-new allocation.
+Clusters are allocated in the order ``CrusadeConfig.policy`` names
+(the paper's decreasing priority by default).  For each cluster an
+allocation array of candidate placements is built (cheapest first)
+and scored as copy-on-write overlays on the working architecture, each
+evaluated through the run's engine and fed to the
+:class:`CandidateSelection` core that makes the first-feasible /
+least-infeasible choice.  The winning candidate is committed and
+priorities are recomputed with the new allocation.
 
 When no candidate is feasible the least-infeasible one is kept
 (heuristics can fail; the final result is flagged infeasible), with
@@ -23,7 +23,7 @@ from typing import List, Optional, Set
 
 from repro.errors import AllocationError, SynthesisError
 from repro.arch.architecture import Architecture
-from repro.cluster.clustering import Cluster
+from repro.cluster.clustering import CLUSTER_ORDERS, Cluster
 from repro.cluster.priority import recompute_priorities
 from repro.core.stages.base import Stage
 from repro.core.stages.context import SynthesisContext
@@ -107,7 +107,7 @@ class Allocation(Stage):
     name = "allocation"
 
     def run(self, ctx: SynthesisContext) -> None:
-        """Allocate all clusters in policy order."""
+        """Allocate all clusters in the configured order."""
         ctx.arch = Architecture(ctx.library)
         ctx.priorities = compute_priorities(ctx.spec, ctx.pessimistic)
         ctx.fast = ctx.config.use_fast_inner_loop(ctx.spec.total_tasks)
@@ -118,7 +118,7 @@ class Allocation(Stage):
         # pessimistic pre-allocation levels price intra-cluster edges
         # differently).
         ctx.allocation_aware = False
-        for cluster in ctx.policy.cluster_order(ctx.clustering):
+        for cluster in CLUSTER_ORDERS[ctx.config.policy](ctx.clustering):
             ctx.tracer.incr("alloc.clusters")
             selection = self.allocate_cluster(ctx, cluster)
             self.commit(ctx, cluster, selection)
@@ -127,8 +127,8 @@ class Allocation(Stage):
     def candidate_options(
         self, ctx: SynthesisContext, cluster: Cluster
     ) -> List:
-        """The cluster's allocation array, in policy preference order."""
-        options = build_allocation_array(
+        """The cluster's allocation array, cheapest first."""
+        return build_allocation_array(
             cluster,
             ctx.arch,
             ctx.clustering,
@@ -139,7 +139,6 @@ class Allocation(Stage):
             allow_new_modes=ctx.config.reconfiguration,
             tracer=ctx.tracer,
         )
-        return ctx.policy.candidate_order(options, cluster)
 
     # -- scoring -------------------------------------------------------
     def allocate_cluster(

@@ -21,7 +21,6 @@ from repro.cluster.clustering import ClusteringResult
 from repro.cluster.priority import PriorityContext
 from repro.core.config import CrusadeConfig
 from repro.core.report import CoSynthesisResult
-from repro.core.stages.policies import SynthesisPolicy, resolve_policy
 from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import Tracer, resolve_tracer
@@ -48,7 +47,6 @@ class SynthesisContext:
     config: CrusadeConfig
     tracer: Tracer
     engine: IncrementalEngine
-    policy: SynthesisPolicy
     #: Wall-clock origin for the result's ``cpu_seconds``.
     started: float
 
@@ -98,7 +96,7 @@ class SynthesisContext:
 
         Mirrors the public ``crusade()`` signature: ``None`` arguments
         mean "use the default" (catalog library, default config, null
-        tracer, a fresh engine, config-named policy).
+        tracer, a fresh engine).
         """
         started = time.perf_counter()
         if library is None:
@@ -111,7 +109,6 @@ class SynthesisContext:
             config=config,
             tracer=resolve_tracer(tracer),
             engine=engine if engine is not None else IncrementalEngine(),
-            policy=resolve_policy(config.policy),
             started=started,
             clustering=clustering,
             baseline=baseline,

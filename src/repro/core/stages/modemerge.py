@@ -6,18 +6,15 @@ entry points into reconfiguration: (a) the mode-aware allocation
 followed by PPE merging, and (b) the plain single-mode baseline
 improved by the Figure 3 merge loop.  Because route (b) starts from
 the baseline and only accepts cost-decreasing merges, reconfiguration
-never yields a costlier architecture than the baseline.
-
-Routes are data here (:class:`MergeRoute`), not duplicated control
-flow: each names its seed architecture and the order of the list is
-the tie-break (route (a) wins cost ties).
+never yields a costlier architecture than the baseline.  Route (a)
+runs first and wins cost ties.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import SynthesisError
 from repro.arch.architecture import Architecture
@@ -36,19 +33,6 @@ from repro.alloc.evaluate import EvalResult, evaluate_architecture
 _log = logging.getLogger("repro.crusade")
 
 
-@dataclass
-class MergeRoute:
-    """One reconfiguration entry point: a named merge seed."""
-
-    #: Route key ("a" or "b"), used in debug logs.
-    key: str
-    #: Lazy seed architecture builder, returning ``None`` when the
-    #: route is closed (its precondition -- a feasible seed -- does
-    #: not hold).  Lazy so side effects (route (b) synthesizes the
-    #: baseline on demand) happen in route order.
-    seed: Callable[[], Optional[Architecture]]
-
-
 class ModeMerge(Stage):
     """Merge compatible PPEs into multi-mode devices (Figure 3)."""
 
@@ -59,20 +43,27 @@ class ModeMerge(Stage):
         return ctx.config.reconfiguration
 
     def run(self, ctx: SynthesisContext) -> None:
-        """Merge along every open route; keep the cheapest feasible."""
+        """Merge along both routes; keep the cheapest feasible result.
+
+        Route (a) merges the mode-aware allocation, only worth pursuing
+        when the allocation phase met every deadline, and runs before
+        the baseline is synthesized.  Route (b) merges a clone of the
+        plain single-mode baseline (Figure 3's entry when compatibility
+        vectors were not specified), synthesizing the baseline first if
+        the caller did not donate one.
+        """
         resolved_compat = ctx.compat
         if resolved_compat is None:
             resolved_compat = CompatibilityAnalysis.from_schedule(
                 ctx.spec, ctx.full.schedule
             )
-        outcomes: List[Tuple[Optional[EvalResult], Dict[str, int]]] = []
-        for route in self.routes(ctx):
-            start_arch = route.seed()
-            if start_arch is None:
-                outcomes.append((None, {}))
-                continue
-            outcomes.append(
-                self.merged_candidate(ctx, resolved_compat, start_arch)
+        route_a = route_b = (None, {})
+        if ctx.full.feasible:
+            route_a = self.merged_candidate(ctx, resolved_compat, ctx.arch)
+        self.ensure_baseline(ctx)
+        if ctx.baseline.feasible:
+            route_b = self.merged_candidate(
+                ctx, resolved_compat, ctx.baseline.arch.clone()
             )
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug(
@@ -80,11 +71,11 @@ class ModeMerge(Stage):
                 *(
                     "none" if candidate is None
                     else "$%.0f %s" % (candidate.cost, candidate.feasible)
-                    for candidate, _ in outcomes
+                    for candidate, _ in (route_a, route_b)
                 ),
             )
         chosen_route = None
-        for candidate, stats in outcomes:
+        for candidate, stats in (route_a, route_b):
             if candidate is None or not candidate.feasible:
                 continue
             if chosen_route is None or candidate.cost < chosen_route[0].cost:
@@ -93,27 +84,6 @@ class ModeMerge(Stage):
             ctx.best, ctx.merge_stats = chosen_route
             ctx.arch = ctx.best.arch
             ctx.interface = getattr(ctx.best, "interface", None)
-
-    def routes(self, ctx: SynthesisContext) -> List[MergeRoute]:
-        """The route list, in tie-break order.
-
-        Route (a) merges the mode-aware allocation (only worth
-        pursuing when the allocation phase met every deadline); route
-        (b) merges the plain single-mode baseline (Figure 3's entry
-        when compatibility vectors were not specified), synthesizing
-        the baseline first if the caller did not donate one.
-        """
-        def seed_a() -> Optional[Architecture]:
-            """The allocation-phase architecture, when feasible."""
-            return ctx.arch if ctx.full.feasible else None
-
-        def seed_b() -> Optional[Architecture]:
-            """A clone of the (possibly just synthesized) baseline."""
-            self.ensure_baseline(ctx)
-            return ctx.baseline.arch.clone() if ctx.baseline.feasible else None
-
-        return [MergeRoute(key="a", seed=seed_a),
-                MergeRoute(key="b", seed=seed_b)]
 
     def ensure_baseline(self, ctx: SynthesisContext) -> None:
         """Synthesize the reconfiguration-free baseline if absent.
@@ -161,7 +131,6 @@ class ModeMerge(Stage):
         seeded = evaluator(start_arch)
         if seeded is None or not seeded.feasible:
             return None, {}
-        accept = ctx.policy.accept_merge
         outcome = merge_reconfigurable_pes(
             ctx.spec,
             ctx.clustering,
@@ -172,7 +141,6 @@ class ModeMerge(Stage):
             combine_modes=ctx.config.combine_modes,
             tracer=ctx.tracer,
             prune=ctx.config.prune,
-            accept=accept,
         )
         stats = {
             "accepted": outcome.merges_accepted,
@@ -193,16 +161,11 @@ class ModeMerge(Stage):
         merge array, mode combining) rejects any verdict that is not
         feasible, so a single proven violation dooms the trial: the
         scheduler runs under a zero-violation bound and aborts early.
-        A custom ``accept_merge`` hook may accept infeasible
-        verdicts, so it disables the bound -- the same gating as the
-        merge loop's dollar-cost prune.  An aborted trial is rejected
-        as if interface synthesis had failed (reason counters book it
-        as ``interface`` rather than ``deadline``; the decision is
-        identical).
+        An aborted trial is rejected as if interface synthesis had
+        failed (reason counters book it as ``interface`` rather than
+        ``deadline``; the decision is identical).
         """
-        bound = None
-        if ctx.config.bound_abort and ctx.policy.accept_merge is None:
-            bound = (0, 0.0, 0.0)
+        bound = (0, 0.0, 0.0) if ctx.config.bound_abort else None
 
         def evaluate_with_interface(candidate: Architecture):
             """Score a merge trial, boot times from a fresh interface."""

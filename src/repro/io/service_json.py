@@ -36,7 +36,9 @@ shapes exist:
 Validation happens *here*, before anything touches the synthesis
 engine: :func:`validate_request` either returns the parsed
 ``(spec, config overrides)`` pair or raises
-:class:`RequestValidationError` carrying the full error list.
+:class:`RequestValidationError` carrying the full error list.  Config
+values are checked by ``CrusadeConfig``'s own validation, so a request
+the engine would refuse is refused at admission.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.config import CrusadeConfig
 from repro.errors import SpecificationError
 from repro.graph.spec import SystemSpec
 from repro.io.spec_json import spec_from_dict, spec_to_dict
@@ -224,6 +227,10 @@ def validate_request(
         errors.append("catalog: unknown catalog %r (known: %s)"
                       % (catalog, ", ".join(KNOWN_CATALOGS)))
     overrides = _check_config(payload.get("config"), errors)
+    try:
+        CrusadeConfig(**overrides)
+    except SpecificationError as exc:
+        errors.append("config: %s" % exc)
     spec = None
     spec_payload = payload.get("spec")
     if not isinstance(spec_payload, dict):

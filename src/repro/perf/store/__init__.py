@@ -50,6 +50,7 @@ from repro.perf.store.disk import (
     ENV_CACHE_DIR,
     StoreFormatError,
     SynthesisStore,
+    join_result_key,
     resolve_store,
 )
 from repro.perf.store.encode import canonical_encode, encoded_digest
@@ -66,6 +67,7 @@ __all__ = [
     "fingerprint_digest",
     "graph_digest",
     "graph_digests",
+    "join_result_key",
     "resolve_store",
     "spec_digest",
     "value_digest",

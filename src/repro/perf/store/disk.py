@@ -103,6 +103,17 @@ def resolve_store(config) -> Optional["SynthesisStore"]:
     return SynthesisStore(cache_dir)
 
 
+def join_result_key(spec: str, catalog: str, config: str) -> str:
+    """The full-result tier key from its three content digests.
+
+    The one owner of the key format: ``crusade()`` (through
+    :meth:`SynthesisStore.result_key`) and the service's exact-hit
+    probe both call it, so a store either of them filled answers the
+    other.
+    """
+    return "%s-%s-%s" % (spec, catalog, config)
+
+
 def _incr(tracer, name: str, n: int = 1) -> None:
     """Count on a tracer that may be absent."""
     if tracer is not None:
@@ -191,7 +202,7 @@ class SynthesisStore:
     # ------------------------------------------------------------------
     def result_key(self, spec, library, config) -> str:
         """The full-result tier key of one synthesis request."""
-        return "%s-%s-%s" % (
+        return join_result_key(
             spec_digest(spec), catalog_digest(library), config_digest(config),
         )
 

@@ -15,7 +15,7 @@ step), shrinking boot storage and reconfiguration count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Set, Tuple
 
 from repro.errors import AllocationError
 from repro.arch.architecture import Architecture
@@ -214,7 +214,6 @@ def merge_reconfigurable_pes(
     combine_modes: bool = True,
     tracer: Tracer = NULL_TRACER,
     prune: bool = False,
-    accept: Optional[Callable[[EvalResult, EvalResult], bool]] = None,
 ) -> MergeOutcome:
     """Run the Figure 3 merge loop from a deadline-feasible start.
 
@@ -228,13 +227,6 @@ def merge_reconfigurable_pes(
     surcharge, so a trial whose hardware-only cost already reaches the
     incumbent's total can be rejected without scheduling.  The
     accepted merge sequence is identical either way.
-
-    ``accept`` overrides the acceptance rule: called as
-    ``accept(verdict, incumbent)``, it replaces the paper's
-    feasible-and-strictly-cheaper test (the policy hook behind
-    ``SynthesisPolicy.accept_merge``).  Because the dollar-cost cut's
-    admissibility argument assumes the default rule, a custom
-    ``accept`` disables the ``prune`` cut.
     """
     if not initial.feasible:
         raise AllocationError(
@@ -267,11 +259,7 @@ def merge_reconfigurable_pes(
                     reason="apply_error",
                 )
                 continue
-            if (
-                prune
-                and accept is None
-                and trial.cost - trial.interface_cost >= current.cost
-            ):
+            if prune and trial.cost - trial.interface_cost >= current.cost:
                 outcome.merges_rejected += 1
                 tracer.incr("merge.rejects.cost")
                 tracer.incr("prune.cut")
@@ -282,10 +270,10 @@ def merge_reconfigurable_pes(
                 )
                 continue
             verdict = evaluate(trial)
-            if verdict is not None and (
-                accept(verdict, current)
-                if accept is not None
-                else verdict.feasible and verdict.cost < current.cost
+            if (
+                verdict is not None
+                and verdict.feasible
+                and verdict.cost < current.cost
             ):
                 current = verdict
                 outcome.merges_accepted += 1
@@ -300,8 +288,6 @@ def merge_reconfigurable_pes(
                     reason = "interface"
                 elif not verdict.feasible:
                     reason = "deadline"
-                elif accept is not None:
-                    reason = "policy"
                 else:
                     reason = "cost"
                 tracer.incr("merge.rejects.%s" % reason)

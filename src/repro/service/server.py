@@ -56,6 +56,7 @@ from repro.perf.store import (
     SynthesisStore,
     catalog_digest,
     config_digest,
+    join_result_key,
     spec_digest,
 )
 from repro.resources.catalog import default_library
@@ -297,7 +298,7 @@ class SynthesisServer:
             "catalog": self._catalog_digest,
             "config": config_digest(config),
         }
-        key = "%(spec)s-%(catalog)s-%(config)s" % key_parts
+        key = join_result_key(**key_parts)
         # -- station 2: exact-hit probe ------------------------------
         probe_started = time.perf_counter()
         if self.store is not None:

@@ -114,6 +114,19 @@ def test_variant_rejects_unknown_config_fields(build):
         build()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"max_explicit_copies": 0}, "max_explicit_copies must be >= 1"),
+    ({"policy": "reuse-first"}, "unknown policy 'reuse-first'"),
+])
+def test_variant_rejects_values_crusade_config_refuses(config, message):
+    """A bad value fails when the grid is built, not as a failed job in
+    every worker of its column; a stored campaign naming the removed
+    ``reuse-first`` order fails at load the same way."""
+    with pytest.raises(SpecificationError, match=message) as info:
+        Variant.from_dict({"name": "v", "config": config})
+    assert str(info.value).startswith("variant 'v': ")
+
+
 def test_removed_preset_keys_are_rejected_at_load():
     """Campaigns stored with the removed from-scratch presets fail at
     load with the offending key named."""

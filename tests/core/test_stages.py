@@ -1,16 +1,12 @@
-"""The staged pipeline: runner semantics and policy hooks."""
+"""The staged pipeline: runner semantics, cluster orders, merge rule."""
 
 import pytest
 
 from repro import CrusadeConfig, Tracer, crusade
 from repro.core.stages import (
-    POLICIES,
     Stage,
     SynthesisContext,
-    SynthesisPolicy,
     default_stages,
-    register_policy,
-    resolve_policy,
     run_stages,
 )
 from repro.errors import SpecificationError
@@ -80,31 +76,21 @@ class TestStageRunner:
 
 
 class TestPolicyRegistry:
-    def test_resolve_by_name_object_and_default(self):
-        default = resolve_policy(None)
-        assert default is POLICIES["default"]
-        assert resolve_policy("largest-first").name == "largest-first"
-        custom = SynthesisPolicy(name="inline")
-        assert resolve_policy(custom) is custom
+    """``CrusadeConfig.policy`` is a closed set of cluster orders."""
 
-    def test_unknown_policy_raises_with_known_names(self, tiny_spec):
-        with pytest.raises(SpecificationError, match="default"):
-            resolve_policy("no-such-policy")
-        with pytest.raises(SpecificationError):
-            crusade(tiny_spec, config=CrusadeConfig(policy="no-such-policy"))
-
-    def test_register_policy_is_by_name(self):
-        probe = SynthesisPolicy(name="probe-policy")
-        try:
-            assert register_policy(probe) is probe
-            assert resolve_policy("probe-policy") is probe
-        finally:
-            POLICIES.pop("probe-policy", None)
+    def test_unknown_policy_raises_with_known_names(self):
+        for name in ("no-such-policy", "reuse-first"):
+            with pytest.raises(SpecificationError) as info:
+                CrusadeConfig(policy=name)
+            assert "default" in str(info.value)
+            assert "largest-first" in str(info.value)
 
 
 class TestPolicyHooks:
+    """The two cluster allocation orders."""
+
     def test_largest_first_orders_clusters_by_size(self, synthetic_spec):
-        from repro.cluster.clustering import cluster_spec
+        from repro.cluster.clustering import CLUSTER_ORDERS, cluster_spec
         from repro.cluster.priority import PriorityContext
         from repro.resources.catalog import default_library
 
@@ -113,36 +99,25 @@ class TestPolicyHooks:
             synthetic_spec, library,
             context=PriorityContext.pessimistic(library),
         )
-        order = resolve_policy("largest-first").cluster_order(clustering)
+        assert sorted(CLUSTER_ORDERS) == ["default", "largest-first"]
+        assert CLUSTER_ORDERS["default"](clustering) \
+            == clustering.ordered_by_priority()
+        order = CLUSTER_ORDERS["largest-first"](clustering)
         sizes = [c.size for c in order]
         assert sizes == sorted(sizes, reverse=True)
         assert {c.name for c in order} == set(clustering.clusters)
 
-    def test_reuse_first_prefers_existing_hardware(self):
-        from types import SimpleNamespace
-
-        from repro.alloc.array import AllocationKind
-
-        options = [
-            SimpleNamespace(kind=AllocationKind.NEW_PE, tag=0),
-            SimpleNamespace(kind=AllocationKind.EXISTING_MODE, tag=1),
-            SimpleNamespace(kind=AllocationKind.NEW_PE, tag=2),
-            SimpleNamespace(kind=AllocationKind.EXISTING_MODE, tag=3),
-        ]
-        ordered = resolve_policy("reuse-first").candidate_order(options, None)
-        assert [o.tag for o in ordered] == [1, 3, 0, 2]
-
     def test_policy_variants_synthesize_valid_results(self, synthetic_spec):
-        """Non-default policies explore different orders but must
-        still produce deadline-feasible architectures here."""
-        for name in ("largest-first", "reuse-first"):
-            result = crusade(
-                synthetic_spec,
-                config=CrusadeConfig(
-                    max_explicit_copies=2, reconfiguration=False, policy=name
-                ),
-            )
-            assert result.feasible, name
+        """The non-default order explores a different allocation but
+        must still produce a deadline-feasible architecture here."""
+        result = crusade(
+            synthetic_spec,
+            config=CrusadeConfig(
+                max_explicit_copies=2, reconfiguration=False,
+                policy="largest-first",
+            ),
+        )
+        assert result.feasible
 
     def test_default_policy_matches_unset(self, synthetic_spec):
         from repro.io.result_json import canonical_result_json
@@ -154,11 +129,14 @@ class TestPolicyHooks:
         assert canonical_result_json(crusade(synthetic_spec, config=config)) \
             == canonical_result_json(crusade(synthetic_spec, config=named))
 
-    def test_accept_merge_hook_steers_the_merge_loop(self, small_library):
-        """A reject-everything acceptance rule must suppress the merge
-        the default rule accepts on the canonical two-FPGA setup, and
-        a custom rule must also disable the dollar-cost prune cut
-        (whose admissibility argument assumes the default rule)."""
+
+class TestMergeRule:
+    def test_accepts_the_one_cheaper_merge_with_and_without_prune(
+        self, small_library
+    ):
+        """Figure 3's rule (every deadline holds, cost strictly falls)
+        accepts exactly one merge on the canonical two-FPGA setup, and
+        the dollar-cost prune cut does not change that."""
         from repro import DelayPolicy, SystemSpec, Task, TaskGraph
         from repro.arch.architecture import Architecture
         from repro.cluster.clustering import cluster_spec
@@ -201,17 +179,13 @@ class TestPolicyHooks:
 
         initial = evaluate(arch)
         assert initial.feasible
-        default = merge_reconfigurable_pes(
-            spec, clustering, compat, DelayPolicy(), initial, evaluate
-        )
-        assert default.merges_accepted == 1
-        vetoed = merge_reconfigurable_pes(
-            spec, clustering, compat, DelayPolicy(), initial, evaluate,
-            prune=True, accept=lambda verdict, incumbent: False,
-        )
-        assert vetoed.merges_accepted == 0
-        assert vetoed.merges_rejected >= 1
-        assert vetoed.result.cost == initial.cost
+        for prune in (False, True):
+            outcome = merge_reconfigurable_pes(
+                spec, clustering, compat, DelayPolicy(), initial, evaluate,
+                prune=prune,
+            )
+            assert outcome.merges_accepted == 1, prune
+            assert outcome.result.cost < initial.cost, prune
 
 
 class TestModeMergeBaseline:

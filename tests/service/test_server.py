@@ -118,6 +118,25 @@ def test_invalid_request_gets_every_error_in_one_400(harness_factory):
     assert "format:" in joined and "config.zoom" in joined and "spec:" in joined
 
 
+def test_out_of_range_config_values_are_a_400_before_dispatch(
+    harness_factory,
+):
+    """Values ``CrusadeConfig`` refuses never reach the shard pool."""
+    harness = harness_factory(workers=1, retries=1)
+    for config in ({"max_explicit_copies": 0}, {"interface_retries": -1},
+                   {"policy": "bogus"}):
+        status, body = submit(
+            "127.0.0.1", harness.port, build_request(service_spec(), config)
+        )
+        assert status == 400, config
+        assert body["error"]["kind"] == "bad-request"
+        (error,) = body["error"]["errors"]
+        assert error.startswith("config:"), error
+    counters = stats("127.0.0.1", harness.port)["counters"]
+    assert counters["service.rejected.invalid"] == 3
+    assert not [name for name in counters if name.startswith("service.jobs.")]
+
+
 def test_oversized_declared_body_is_a_413(harness_factory):
     harness = harness_factory(pool=FakePool())
     raw = (b"POST /synthesize HTTP/1.1\r\n"
@@ -151,6 +170,28 @@ def test_cache_miss_then_exact_hit_is_byte_identical(harness_factory, tmp_path):
     assert counters["service.cache.miss"] == 1
     assert counters["service.cache.hit"] == 1
     assert counters["service.jobs.done"] == 1
+
+
+def test_store_filled_by_crusade_serves_the_first_request(harness_factory,
+                                                          tmp_path):
+    """``crusade()`` and the service probe agree on the result key."""
+    from repro import CrusadeConfig, crusade
+    from repro.perf.store import SynthesisStore, join_result_key
+    from repro.resources.catalog import default_library
+
+    store_dir = str(tmp_path / "store")
+    spec = service_spec()
+    crusade(spec, config=CrusadeConfig(cache_dir=store_dir))
+    pool = FakePool()
+    harness = harness_factory(pool=pool, cache_dir=store_dir)
+    harness.run(_set_event(pool))
+    status, body = submit("127.0.0.1", harness.port, build_request(spec))
+    assert status == 200
+    assert body["cache_hit"] is True
+    assert pool.calls == []
+    assert join_result_key(**body["key"]) == SynthesisStore(
+        store_dir
+    ).result_key(spec, default_library(), CrusadeConfig())
 
 
 def test_config_overrides_shift_the_key_by_their_semantics(harness_factory,

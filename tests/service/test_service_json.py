@@ -84,6 +84,16 @@ def test_boolean_does_not_pass_an_integer_knob():
     assert "config.max_explicit_copies" in error and "boolean" in error
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_explicit_copies", 0, "max_explicit_copies must be >= 1"),
+    ("interface_retries", -1, "interface_retries must be >= 0"),
+    ("policy", "bogus", "unknown policy 'bogus'"),
+])
+def test_values_crusade_config_refuses_fail_validation(field, value, message):
+    (error,) = errors_of(valid_payload(**{field: value}))
+    assert error.startswith("config:") and message in error
+
+
 def test_wrongly_typed_and_unknown_config_errors_accumulate():
     payload = valid_payload()
     payload["config"] = {"combine_modes": "yes", "zoom": 1}
