@@ -12,13 +12,12 @@ from repro.arch.modes import Mode
 from repro.arch.pe_instance import PEInstance
 from repro.arch.link_instance import LinkInstance
 from repro.arch.architecture import Architecture
-from repro.arch.cost import architecture_cost, cost_breakdown
+from repro.arch.cost import cost_breakdown
 
 __all__ = [
     "Mode",
     "PEInstance",
     "LinkInstance",
     "Architecture",
-    "architecture_cost",
     "cost_breakdown",
 ]

@@ -50,11 +50,6 @@ class CostBreakdown:
         }
 
 
-def architecture_cost(arch: Architecture) -> float:
-    """Total dollar cost of an architecture (convenience wrapper)."""
-    return arch.cost
-
-
 def cost_breakdown(arch: Architecture) -> CostBreakdown:
     """Split an architecture's cost into reporting categories."""
     processors = 0.0

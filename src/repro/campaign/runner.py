@@ -53,16 +53,6 @@ JOB_TARGET = "repro.campaign.jobs:execute_job"
 #: Supervision tick: the longest the loop sleeps with work in flight.
 _TICK_S = 0.25
 
-#: Terminal-failure details for crash/timeout, shared with the
-#: execution substrate.  Deliberately **policy-independent** -- no
-#: attempt counts, no timeout budgets -- because ``error_summary`` of
-#: this text lands in the manifest's per-job ``error`` field, and a
-#: resume under ``policy_override`` must still produce byte-identical
-#: manifest output.  Attempt counts live in the checkpoint record and
-#: the obs events instead.
-_CRASH_DETAIL = _supervision.CRASH_DETAIL
-_TIMEOUT_DETAIL = _supervision.TIMEOUT_DETAIL
-
 
 @dataclass
 class CampaignOutcome:

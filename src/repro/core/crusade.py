@@ -1,6 +1,6 @@
 """The CRUSADE co-synthesis algorithm (Section 5, Figure 5).
 
-Flow (each step is a stage in :mod:`repro.core.stages`):
+Flow (each step is a function in :mod:`repro.core.stages`):
 
 1. **Pre-processing** -- validate the specification, build the
    association array (hyperperiod copies), assign deadline-based
@@ -19,9 +19,10 @@ Flow (each step is a stage in :mod:`repro.core.stages`):
    merge procedure folds compatible PPEs into multi-mode devices while
    deadlines and the boot-time requirement hold.
 
-This module is the public entry point; the stage objects and the
-shared :class:`~repro.core.stages.context.SynthesisContext` live in
-:mod:`repro.core.stages`.
+This module is the public entry point; the steps, the
+:func:`~repro.core.stages.pipeline.synthesize` sequence that runs
+them, and the shared :class:`~repro.core.stages.context.
+SynthesisContext` live in :mod:`repro.core.stages`.
 """
 
 from __future__ import annotations
@@ -56,8 +57,10 @@ def crusade(
     Returns a :class:`~repro.core.report.CoSynthesisResult`; when the
     heuristic cannot meet every deadline the result is returned with
     ``feasible=False`` rather than raising, so callers can inspect how
-    close it came.  ``clustering`` lets CRUSADE-FT substitute its
-    fault-tolerance-level clustering (Section 6).
+    close it came.  The Figure 5 steps run in order in
+    :func:`~repro.core.stages.pipeline.synthesize`.  ``clustering``
+    lets CRUSADE-FT substitute its fault-tolerance-level clustering
+    (Section 6); the clustering step is then skipped.
 
     When dynamic reconfiguration is enabled the driver explores two
     routes and keeps the cheaper feasible one, mirroring the paper's

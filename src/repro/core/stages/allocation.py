@@ -1,4 +1,4 @@
-"""Allocation stage (Section 5, step 2: the synthesis inner loop).
+"""Allocation step (Section 5, step 2: the synthesis inner loop).
 
 Clusters are allocated in the order ``CrusadeConfig.policy`` names
 (the paper's decreasing priority by default).  For each cluster an
@@ -25,7 +25,6 @@ from repro.errors import AllocationError, SynthesisError
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import CLUSTER_ORDERS, Cluster
 from repro.cluster.priority import recompute_priorities
-from repro.core.stages.base import Stage
 from repro.core.stages.context import SynthesisContext
 from repro.core.stages.support import (
     allocation_aware_context,
@@ -101,34 +100,37 @@ class CandidateSelection:
             self.fallback = make_verdict()
 
 
-class Allocation(Stage):
-    """Place every cluster, cheapest feasible candidate first."""
+def allocate(ctx: SynthesisContext) -> None:
+    """Allocate all clusters in the configured order."""
+    ctx.arch = Architecture(ctx.library)
+    ctx.priorities = compute_priorities(ctx.spec, ctx.pessimistic)
+    fast = ctx.config.use_fast_inner_loop(ctx.spec.total_tasks)
+    # Allocation-aware priorities reuse previous values for graphs the
+    # placement cannot have perturbed -- but only once the previous
+    # values were themselves allocation-aware (the pessimistic
+    # pre-allocation levels price intra-cluster edges differently).
+    allocation_aware = False
+    for cluster in CLUSTER_ORDERS[ctx.config.policy](ctx.clustering):
+        ctx.tracer.incr("alloc.clusters")
+        selection = _allocate_cluster(ctx, cluster, fast)
+        _commit(ctx, cluster, selection, allocation_aware)
+        allocation_aware = True
 
-    name = "allocation"
 
-    def run(self, ctx: SynthesisContext) -> None:
-        """Allocate all clusters in the configured order."""
-        ctx.arch = Architecture(ctx.library)
-        ctx.priorities = compute_priorities(ctx.spec, ctx.pessimistic)
-        ctx.fast = ctx.config.use_fast_inner_loop(ctx.spec.total_tasks)
-        ctx.allocation_feasible = True
-        # Allocation-aware priorities reuse previous values for graphs
-        # the placement cannot have perturbed -- but only once the
-        # previous values were themselves allocation-aware (the
-        # pessimistic pre-allocation levels price intra-cluster edges
-        # differently).
-        ctx.allocation_aware = False
-        for cluster in CLUSTER_ORDERS[ctx.config.policy](ctx.clustering):
-            ctx.tracer.incr("alloc.clusters")
-            selection = self.allocate_cluster(ctx, cluster)
-            self.commit(ctx, cluster, selection)
-
-    # -- candidate generation ------------------------------------------
-    def candidate_options(
-        self, ctx: SynthesisContext, cluster: Cluster
-    ) -> List:
-        """The cluster's allocation array, cheapest first."""
-        return build_allocation_array(
+# -- scoring ----------------------------------------------------------
+def _allocate_cluster(
+    ctx: SynthesisContext, cluster: Cluster, fast: bool
+) -> CandidateSelection:
+    """Score candidates strategy by strategy until one is chosen."""
+    selection = CandidateSelection()
+    pruner = (
+        CandidatePruner(ctx.spec, ctx.assoc, ctx.clustering, cluster)
+        if ctx.config.prune
+        else None
+    )
+    for strategy in ctx.config.link_strategies:
+        # The cluster's allocation array, cheapest first.
+        options = build_allocation_array(
             cluster,
             ctx.arch,
             ctx.clustering,
@@ -139,241 +141,222 @@ class Allocation(Stage):
             allow_new_modes=ctx.config.reconfiguration,
             tracer=ctx.tracer,
         )
+        if not options:
+            continue
+        _score_cow(ctx, cluster, options, strategy, selection, pruner, fast)
+        if selection.done:
+            break
+    _resolve_fallback(ctx, cluster, selection, fast)
+    return selection
 
-    # -- scoring -------------------------------------------------------
-    def allocate_cluster(
-        self, ctx: SynthesisContext, cluster: Cluster
-    ) -> CandidateSelection:
-        """Score candidates strategy by strategy until one is chosen."""
-        selection = CandidateSelection()
-        pruner = (
-            CandidatePruner(ctx.spec, ctx.assoc, ctx.clustering, cluster)
-            if ctx.config.prune
-            else None
+
+def _incumbent_bound(
+    ctx: SynthesisContext, selection: CandidateSelection
+) -> Optional[tuple]:
+    """The badness tuple in-flight evaluations may abort against.
+
+    The current least-infeasible incumbent: an aborted candidate
+    provably exceeds its violation count, so it can neither be
+    feasible nor win the ``(badness, seq)`` argmin -- dropping it
+    changes nothing (see :class:`~repro.sched.scheduler.ScheduleAbort`).
+    None disables aborting.
+    """
+    if ctx.config.bound_abort and selection.fallback_key is not None:
+        return selection.fallback_key[0]
+    return None
+
+
+def _evaluate_candidate(
+    ctx: SynthesisContext, cluster: Cluster, option, strategy, fast: bool
+) -> Optional[EvalResult]:
+    """Evaluate one candidate on a cloned architecture."""
+    trial = ctx.arch.clone()
+    try:
+        apply_option(
+            option, trial, cluster, ctx.clustering, ctx.spec, strategy
         )
-        for strategy in ctx.config.link_strategies:
-            options = self.candidate_options(ctx, cluster)
-            if not options:
-                continue
-            self.score_cow(ctx, cluster, options, strategy, selection,
-                           pruner)
-            if selection.done:
-                break
-        self.resolve_fallback(ctx, cluster, selection)
-        return selection
-
-    @staticmethod
-    def incumbent_bound(
-        ctx: SynthesisContext, selection: CandidateSelection
-    ) -> Optional[tuple]:
-        """The badness tuple in-flight evaluations may abort against.
-
-        The current least-infeasible incumbent: an aborted candidate
-        provably exceeds its violation count, so it can neither be
-        feasible nor win the ``(badness, seq)`` argmin -- dropping it
-        changes nothing (see :class:`~repro.sched.scheduler.
-        ScheduleAbort`).  None disables aborting.
-        """
-        if ctx.config.bound_abort and selection.fallback_key is not None:
-            return selection.fallback_key[0]
+    except AllocationError:
         return None
+    graphs = (
+        coupled_graphs(trial, ctx.clustering, cluster.graph) if fast else None
+    )
+    return evaluate_architecture(
+        ctx.spec,
+        ctx.assoc,
+        ctx.clustering,
+        trial,
+        ctx.priorities,
+        preemption=ctx.config.preemption,
+        graphs=graphs,
+        tracer=ctx.tracer,
+        engine=ctx.engine,
+    )
 
-    @staticmethod
-    def count_abort(ctx: SynthesisContext, reason: str) -> None:
-        """Book one aborted evaluation under its per-reason counter."""
-        ctx.tracer.incr("sched.abort")
-        ctx.tracer.incr("sched.abort." + reason)
 
-    def evaluate_candidate(
-        self, ctx: SynthesisContext, cluster: Cluster, option, strategy
-    ) -> Optional[EvalResult]:
-        """Evaluate one candidate on a cloned architecture."""
-        trial = ctx.arch.clone()
+def _score_cow(
+    ctx: SynthesisContext,
+    cluster: Cluster,
+    options: List,
+    strategy: str,
+    selection: CandidateSelection,
+    pruner: Optional[CandidatePruner],
+    fast: bool,
+) -> None:
+    """Score options as copy-on-write overlays on the working
+    architecture, reverting each unless it wins."""
+    for option in options:
+        ctx.tracer.incr("alloc.options.considered")
+        selection.advance()
         try:
-            apply_option(
-                option, trial, cluster, ctx.clustering, ctx.spec, strategy
+            handle = apply_option_cow(
+                option, ctx.arch, cluster, ctx.clustering, ctx.spec,
+                strategy,
             )
         except AllocationError:
-            return None
-        graphs = (
-            coupled_graphs(trial, ctx.clustering, cluster.graph)
-            if ctx.fast
-            else None
-        )
-        return evaluate_architecture(
-            ctx.spec,
-            ctx.assoc,
-            ctx.clustering,
-            trial,
-            ctx.priorities,
-            preemption=ctx.config.preemption,
-            graphs=graphs,
-            tracer=ctx.tracer,
-            engine=ctx.engine,
-        )
-
-    def score_cow(
-        self,
-        ctx: SynthesisContext,
-        cluster: Cluster,
-        options: List,
-        strategy: str,
-        selection: CandidateSelection,
-        pruner: Optional[CandidatePruner],
-    ) -> None:
-        """Score options as copy-on-write overlays on the working
-        architecture, reverting each unless it wins."""
-        for option in options:
-            ctx.tracer.incr("alloc.options.considered")
-            selection.advance()
+            ctx.tracer.incr("alloc.options.apply_failed")
+            continue
+        ctx.tracer.incr("perf.cow.applies")
+        keep = False
+        try:
+            graphs = (
+                coupled_graphs(ctx.arch, ctx.clustering, cluster.graph)
+                if fast
+                else None
+            )
+            if pruner is not None:
+                cut = pruner.bound(ctx.arch, option, graphs, ctx.tracer)
+                if cut is not None:
+                    ctx.tracer.incr("prune.cut")
+                    ctx.tracer.incr("prune.cut." + cut.reason)
+                    selection.defer_pruned(cut.floor, option, strategy)
+                    continue
+                ctx.tracer.incr("prune.kept")
             try:
-                handle = apply_option_cow(
-                    option, ctx.arch, cluster, ctx.clustering, ctx.spec,
-                    strategy,
+                verdict = evaluate_architecture(
+                    ctx.spec,
+                    ctx.assoc,
+                    ctx.clustering,
+                    ctx.arch,
+                    ctx.priorities,
+                    preemption=ctx.config.preemption,
+                    graphs=graphs,
+                    tracer=ctx.tracer,
+                    engine=ctx.engine,
+                    bound=_incumbent_bound(ctx, selection),
                 )
-            except AllocationError:
-                ctx.tracer.incr("alloc.options.apply_failed")
+            except ScheduleAbort as abort:
+                # The finally block reverts the overlay (keep is still
+                # False); the candidate is simply dropped.
+                ctx.tracer.incr("sched.abort")
+                ctx.tracer.incr("sched.abort." + abort.reason)
                 continue
-            ctx.tracer.incr("perf.cow.applies")
-            keep = False
-            try:
-                graphs = (
-                    coupled_graphs(ctx.arch, ctx.clustering, cluster.graph)
-                    if ctx.fast
-                    else None
+            if verdict.feasible:
+                selection.choose(verdict, touched=handle.touched_pes)
+                keep = True
+            else:
+                ctx.tracer.incr("alloc.options.infeasible")
+                selection.offer(
+                    verdict.badness(),
+                    make_verdict=lambda: replace(
+                        verdict, arch=ctx.arch.clone()
+                    ),
                 )
-                if pruner is not None:
-                    cut = pruner.bound(ctx.arch, option, graphs, ctx.tracer)
-                    if cut is not None:
-                        ctx.tracer.incr("prune.cut")
-                        ctx.tracer.incr("prune.cut." + cut.reason)
-                        selection.defer_pruned(cut.floor, option, strategy)
-                        continue
-                    ctx.tracer.incr("prune.kept")
-                try:
-                    verdict = evaluate_architecture(
-                        ctx.spec,
-                        ctx.assoc,
-                        ctx.clustering,
-                        ctx.arch,
-                        ctx.priorities,
-                        preemption=ctx.config.preemption,
-                        graphs=graphs,
-                        tracer=ctx.tracer,
-                        engine=ctx.engine,
-                        bound=self.incumbent_bound(ctx, selection),
-                    )
-                except ScheduleAbort as abort:
-                    # The finally block reverts the overlay (keep is
-                    # still False); the candidate is simply dropped.
-                    self.count_abort(ctx, abort.reason)
-                    continue
-                if verdict.feasible:
-                    selection.choose(verdict, touched=handle.touched_pes)
-                    keep = True
-                else:
-                    ctx.tracer.incr("alloc.options.infeasible")
-                    selection.offer(
-                        verdict.badness(),
-                        make_verdict=lambda: replace(
-                            verdict, arch=ctx.arch.clone()
-                        ),
-                    )
-            finally:
-                if keep:
-                    ctx.tracer.incr("perf.cow.commits")
-                else:
-                    handle.revert()
-                    ctx.tracer.incr("perf.cow.reverts")
-            if selection.done:
-                break
+        finally:
+            if keep:
+                ctx.tracer.incr("perf.cow.commits")
+            else:
+                handle.revert()
+                ctx.tracer.incr("perf.cow.reverts")
+        if selection.done:
+            break
 
-    # -- fallback resolution -------------------------------------------
-    def resolve_fallback(
-        self,
-        ctx: SynthesisContext,
-        cluster: Cluster,
-        selection: CandidateSelection,
-    ) -> None:
-        """Settle the least-infeasible choice when nothing was feasible.
 
-        Pruned candidates are provably infeasible but may still be the
-        least-infeasible fallback; their floors are admissible badness
-        lower bounds, so evaluating them best-bound-first and skipping
-        any whose ``(floor, seq)`` cannot beat the incumbent
-        ``(badness, seq)`` yields the exhaustive loop's exact choice.
-        """
-        if selection.chosen is None and selection.pruned:
-            selection.pruned.sort(key=lambda item: (item[0], item[1]))
-            for floor, pseq, option, pstrategy in selection.pruned:
-                if selection.fallback_key is not None and (
-                    (tuple(floor), pseq) >= selection.fallback_key
-                ):
-                    ctx.tracer.incr("prune.fallback_skipped")
-                    continue
-                ctx.tracer.incr("prune.fallback_evals")
-                verdict = self.evaluate_candidate(
-                    ctx, cluster, option, pstrategy
-                )
-                if verdict is None:
-                    continue
-                key = (verdict.badness(), pseq)
-                if selection.fallback_key is None or key < selection.fallback_key:
-                    selection.fallback = verdict
-                    selection.fallback_key = key
-        if selection.chosen is None:
-            if selection.fallback is None:
-                raise SynthesisError(
-                    "no allocation option exists for cluster %r"
-                    % (cluster.name,)
-                )
-            selection.chosen = selection.fallback
-            selection.chosen_touched = None
-            selection.from_fallback = True
-            ctx.allocation_feasible = False
-            ctx.tracer.incr("alloc.clusters.fallback")
-            _log.debug(
-                "cluster %s: NO feasible option, kept least-infeasible",
-                cluster.name,
+# -- fallback resolution ----------------------------------------------
+def _resolve_fallback(
+    ctx: SynthesisContext,
+    cluster: Cluster,
+    selection: CandidateSelection,
+    fast: bool,
+) -> None:
+    """Settle the least-infeasible choice when nothing was feasible.
+
+    Pruned candidates are provably infeasible but may still be the
+    least-infeasible fallback; their floors are admissible badness
+    lower bounds, so evaluating them best-bound-first and skipping any
+    whose ``(floor, seq)`` cannot beat the incumbent ``(badness, seq)``
+    yields the exhaustive loop's exact choice.
+    """
+    if selection.chosen is None and selection.pruned:
+        selection.pruned.sort(key=lambda item: (item[0], item[1]))
+        for floor, pseq, option, pstrategy in selection.pruned:
+            if selection.fallback_key is not None and (
+                (tuple(floor), pseq) >= selection.fallback_key
+            ):
+                ctx.tracer.incr("prune.fallback_skipped")
+                continue
+            ctx.tracer.incr("prune.fallback_evals")
+            verdict = _evaluate_candidate(ctx, cluster, option, pstrategy,
+                                          fast)
+            if verdict is None:
+                continue
+            key = (verdict.badness(), pseq)
+            if selection.fallback_key is None or key < selection.fallback_key:
+                selection.fallback = verdict
+                selection.fallback_key = key
+    if selection.chosen is None:
+        if selection.fallback is None:
+            raise SynthesisError(
+                "no allocation option exists for cluster %r" % (cluster.name,)
             )
-
-    # -- commit --------------------------------------------------------
-    def commit(
-        self,
-        ctx: SynthesisContext,
-        cluster: Cluster,
-        selection: CandidateSelection,
-    ) -> None:
-        """Adopt the chosen architecture and refresh priority levels."""
-        ctx.arch = selection.chosen.arch
-        placement = ctx.arch.placement_of(cluster.name)
-        ctx.tracer.event(
-            "cluster.placed",
-            cluster=cluster.name,
-            graph=cluster.graph,
-            pe=placement[0],
-            mode=placement[1],
-            feasible=not selection.from_fallback,
-        )
+        selection.chosen = selection.fallback
+        selection.chosen_touched = None
+        selection.from_fallback = True
+        ctx.tracer.incr("alloc.clusters.fallback")
         _log.debug(
-            "cluster %s (graph %s, %d gates, %d pins) -> %s mode %d",
+            "cluster %s: NO feasible option, kept least-infeasible",
             cluster.name,
-            cluster.graph,
-            cluster.area_gates,
-            cluster.pins,
-            placement[0],
-            placement[1],
         )
-        context = allocation_aware_context(ctx.library, ctx.arch,
-                                           ctx.clustering)
-        if ctx.allocation_aware and selection.chosen_touched is not None:
-            dirty = {cluster.graph}
-            for name, (pe_id, _) in ctx.arch.cluster_alloc.items():
-                if pe_id in selection.chosen_touched:
-                    dirty.add(ctx.clustering.clusters[name].graph)
-            ctx.priorities = recompute_priorities(
-                ctx.spec, context, ctx.priorities, dirty, ctx.tracer
-            )
-        else:
-            ctx.priorities = compute_priorities(ctx.spec, context)
-        ctx.allocation_aware = True
+
+
+# -- commit -----------------------------------------------------------
+def _commit(
+    ctx: SynthesisContext,
+    cluster: Cluster,
+    selection: CandidateSelection,
+    allocation_aware: bool,
+) -> None:
+    """Adopt the chosen architecture and refresh priority levels.
+
+    ``allocation_aware`` says whether ``ctx.priorities`` already
+    reflect a partial allocation, so untouched graphs may keep theirs.
+    """
+    ctx.arch = selection.chosen.arch
+    placement = ctx.arch.placement_of(cluster.name)
+    ctx.tracer.event(
+        "cluster.placed",
+        cluster=cluster.name,
+        graph=cluster.graph,
+        pe=placement[0],
+        mode=placement[1],
+        feasible=not selection.from_fallback,
+    )
+    _log.debug(
+        "cluster %s (graph %s, %d gates, %d pins) -> %s mode %d",
+        cluster.name,
+        cluster.graph,
+        cluster.area_gates,
+        cluster.pins,
+        placement[0],
+        placement[1],
+    )
+    context = allocation_aware_context(ctx.library, ctx.arch, ctx.clustering)
+    if allocation_aware and selection.chosen_touched is not None:
+        dirty = {cluster.graph}
+        for name, (pe_id, _) in ctx.arch.cluster_alloc.items():
+            if pe_id in selection.chosen_touched:
+                dirty.add(ctx.clustering.clusters[name].graph)
+        ctx.priorities = recompute_priorities(
+            ctx.spec, context, ctx.priorities, dirty, ctx.tracer
+        )
+    else:
+        ctx.priorities = compute_priorities(ctx.spec, context)

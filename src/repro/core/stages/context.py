@@ -1,13 +1,32 @@
 """The shared mutable state of one synthesis run.
 
-:class:`SynthesisContext` is the single object the pipeline stages
+:class:`SynthesisContext` is the single object the Figure 5 steps
 read and write; it owns what the old monolithic driver threaded
 through nested closures -- specification, library, configuration,
 clustering, association array, the working architecture, priority
 levels, tracer, incremental engine, compatibility analysis and
 validation warnings -- plus the evolving verdicts (``full``,
 ``best``) and reconfiguration artifacts (``interface``,
-``merge_stats``) the later stages produce.
+``merge_stats``) the later steps produce.
+
+Field ownership (who writes what):
+
+==============  ===================================================
+step            context fields written
+==============  ===================================================
+``preprocess``  ``warnings``, ``assoc``, ``pessimistic``, ``compat``
+``clustering``  ``clustering`` (skipped when donated)
+``allocation``  ``arch``, ``priorities``
+``full_check``  ``full``, ``best``
+``repair``      ``full``, ``best``, ``arch``, ``priorities``
+``merge``       ``best``, ``arch``, ``interface``, ``merge_stats``,
+                ``baseline``
+``interface``   ``best``, ``interface``
+==============  ===================================================
+
+The unphased finalize step writes nothing: it packages ``best`` as
+the :class:`~repro.core.report.CoSynthesisResult` that
+:func:`~repro.core.stages.pipeline.synthesize` returns.
 """
 
 from __future__ import annotations
@@ -36,9 +55,9 @@ from repro.alloc.evaluate import EvalResult
 class SynthesisContext:
     """Everything one ``crusade()`` run knows, in one place.
 
-    Stages receive the context, mutate their slice of it, and leave
-    the rest alone; :mod:`repro.core.stages.base` documents which
-    stage owns which fields.
+    Each step receives the context, mutates its slice of it, and
+    leaves the rest alone; the module docstring lists which step owns
+    which fields.
     """
 
     # -- inputs (fixed for the whole run) ------------------------------
@@ -57,29 +76,21 @@ class SynthesisContext:
     #: merge seed); computed internally when absent.
     baseline: Optional[CoSynthesisResult] = None
 
-    # -- preprocess stage ----------------------------------------------
+    # -- preprocess step -----------------------------------------------
     warnings: List[str] = field(default_factory=list)
     assoc: Optional[AssociationArray] = None
     pessimistic: Optional[PriorityContext] = None
     compat: Optional[CompatibilityAnalysis] = None
 
-    # -- allocation stage ----------------------------------------------
+    # -- allocation step -----------------------------------------------
     arch: Optional[Architecture] = None
     priorities: Optional[Dict[str, Dict[str, float]]] = None
-    fast: bool = False
-    allocation_feasible: bool = True
-    #: Whether ``priorities`` already reflect a partial allocation
-    #: (pre-allocation pessimistic levels price edges differently).
-    allocation_aware: bool = False
 
-    # -- full check / repair / merge / interface stages ----------------
+    # -- full check / repair / merge / interface steps -----------------
     full: Optional[EvalResult] = None
     best: Optional[EvalResult] = None
     interface: Optional[InterfacePlan] = None
     merge_stats: Dict[str, int] = field(default_factory=dict)
-
-    # -- finalize stage -------------------------------------------------
-    result: Optional[CoSynthesisResult] = None
 
     @classmethod
     def begin(

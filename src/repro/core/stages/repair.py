@@ -1,7 +1,7 @@
-"""Repair stage: bounded re-allocation of deadline-missing clusters.
+"""Repair step: bounded re-allocation of deadline-missing clusters.
 
 The fast inner loop verifies only resource-coupled graphs, so
-transitive interference may surface only at the full check; this stage
+transitive interference may surface only at the full check; this step
 repairs by re-homing the clusters of late tasks (a bounded
 re-allocation pass -- the heuristic still cannot guarantee
 optimality).
@@ -9,14 +9,12 @@ optimality).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.errors import AllocationError
 from repro.cluster.clustering import ClusteringResult
 from repro.core.config import CrusadeConfig
-from repro.core.stages.base import Stage
 from repro.core.stages.context import SynthesisContext
 from repro.core.stages.support import (
     allocation_aware_context,
@@ -34,8 +32,6 @@ from repro.alloc.evaluate import (
     apply_option_cow,
     evaluate_architecture,
 )
-
-_log = logging.getLogger("repro.crusade")
 
 
 def repair_pass(
@@ -245,24 +241,15 @@ def repair_pass(
     return current
 
 
-class Repair(Stage):
-    """Re-home late clusters when the full check missed deadlines."""
-
-    name = "repair"
-
-    def should_run(self, ctx: SynthesisContext) -> bool:
-        """Only when the full check found missed deadlines."""
-        return not ctx.full.report.all_met
-
-    def run(self, ctx: SynthesisContext) -> None:
-        """Run the repair pass and adopt whatever it ends up with."""
-        ctx.full = repair_pass(
-            ctx.spec, ctx.assoc, ctx.clustering, ctx.full, ctx.priorities,
-            ctx.compat, ctx.config, ctx.tracer, engine=ctx.engine,
-        )
-        ctx.best = ctx.full
-        ctx.arch = ctx.full.arch
-        context = allocation_aware_context(ctx.library, ctx.arch,
-                                           ctx.clustering)
-        ctx.priorities = compute_priorities(ctx.spec, context)
-        ctx.allocation_feasible = ctx.full.report.all_met
+def repair_deadlines(ctx: SynthesisContext) -> None:
+    """Run the repair pass on the full check's verdict and adopt
+    whatever it ends up with (gated out when that verdict already
+    meets every deadline)."""
+    ctx.full = repair_pass(
+        ctx.spec, ctx.assoc, ctx.clustering, ctx.full, ctx.priorities,
+        ctx.compat, ctx.config, ctx.tracer, engine=ctx.engine,
+    )
+    ctx.best = ctx.full
+    ctx.arch = ctx.full.arch
+    context = allocation_aware_context(ctx.library, ctx.arch, ctx.clustering)
+    ctx.priorities = compute_priorities(ctx.spec, context)

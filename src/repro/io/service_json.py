@@ -115,9 +115,7 @@ class RequestValidationError(ValueError):
 # request side
 # ----------------------------------------------------------------------
 def build_request(
-    spec: SystemSpec,
-    config: Optional[Mapping[str, Any]] = None,
-    catalog: str = "default",
+    spec: SystemSpec, config: Optional[Mapping[str, Any]] = None
 ) -> Dict[str, Any]:
     """A ``crusade-request`` document for ``spec`` (the client side).
 
@@ -125,15 +123,7 @@ def build_request(
     against :data:`SERVICE_CONFIG_FIELDS`, so a stale client cannot
     silently drop a knob a newer server would honour.
     """
-    payload: Dict[str, Any] = {
-        "format": REQUEST_FORMAT,
-        "version": SERVICE_SCHEMA_VERSION,
-        "catalog": catalog,
-        "spec": spec_to_dict(spec),
-    }
-    if config:
-        payload["config"] = dict(config)
-    return payload
+    return request_from_spec_payload(spec_to_dict(spec), config)
 
 
 def request_from_spec_payload(

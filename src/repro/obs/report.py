@@ -49,9 +49,9 @@ Counter name prefixes and what they measure:
     The fast-inner-loop sub-specification cache
     (``scope.hits`` / ``.misses`` / ``.evictions``).
 ``stage.*``
-    The stage runner (:mod:`repro.core.stages.base`):
+    The Figure 5 steps (:func:`repro.core.stages.pipeline.synthesize`):
     ``stage.<name>.runs`` / ``stage.<name>.skipped`` per pipeline
-    stage, feeding the ``--stats`` per-stage table.
+    step, feeding the ``--stats`` per-stage table.
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Canonical pipeline order for the ``--stats`` stage table, matching
-#: :func:`repro.core.stages.pipeline.default_stages` (kept as data here
-#: so the observability layer stays import-independent of the core).
+#: the step order of :func:`repro.core.stages.pipeline.synthesize`
+#: (kept as data here so the observability layer stays
+#: import-independent of the core).
 PIPELINE_STAGE_ORDER = (
     "preprocess",
     "clustering",
@@ -122,7 +123,7 @@ def stats_from_dict(payload: Dict[str, Any]) -> SynthesisStats:
 def render_stage_table(stats: SynthesisStats) -> List[str]:
     """The pipeline-stage rows of the ``--stats`` block.
 
-    One row per stage the runner saw, in canonical pipeline order:
+    One row per step the pipeline counted, in canonical order:
     run/skip counts, exclusive seconds, and the share of all phased
     time.  Stages the run never reached are omitted; unphased stages
     (finalize) and skipped stages show ``-`` for time.  A nested

@@ -60,6 +60,22 @@ class HttpError(Exception):
         self.detail = detail
 
 
+async def _read_line(reader: asyncio.StreamReader, kind: str) -> bytes:
+    """One line of at most :data:`MAX_LINE_BYTES`, or a 400.
+
+    A line past the reader's own buffer limit (64 KiB under
+    ``asyncio.start_server``) makes ``readline`` raise ``ValueError``;
+    it is just as much too long.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        line = None
+    if line is None or len(line) > MAX_LINE_BYTES:
+        raise HttpError(400, "%s line too long" % kind)
+    return line
+
+
 async def read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
@@ -70,11 +86,9 @@ async def read_request(
     anything that fails the subset's limits.  Header names are
     lower-cased; duplicate headers keep the last value.
     """
-    line = await reader.readline()
+    line = await _read_line(reader, "request")
     if not line:
         return None
-    if len(line) > MAX_LINE_BYTES:
-        raise HttpError(400, "request line too long")
     try:
         method, path, version = line.decode("ascii").split()
     except (UnicodeDecodeError, ValueError):
@@ -83,9 +97,7 @@ async def read_request(
         raise HttpError(400, "unsupported protocol %r" % (version,))
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
-        if len(line) > MAX_LINE_BYTES:
-            raise HttpError(400, "header line too long")
+        line = await _read_line(reader, "header")
         if line in (b"\r\n", b"\n", b""):
             break
         if len(headers) >= MAX_HEADERS:

@@ -20,8 +20,6 @@ from typing import Iterable
 #: Seconds in common engineering sub-units, for readable literals.
 US = 1e-6
 MS = 1e-3
-SECOND = 1.0
-MINUTE = 60.0
 
 #: Kilobyte / megabyte in bytes (binary convention, matching datasheets).
 KB = 1024
@@ -37,9 +35,6 @@ TIME_EPS = 1e-12
 
 #: Hours in 1e9 hours -- FIT rates are failures per 1e9 hours.
 FIT_HOURS = 1e9
-
-#: Seconds per hour, used when converting FIT/MTTR to per-second rates.
-SECONDS_PER_HOUR = 3600.0
 
 #: Minutes per year, used for unavailability requirements (min/year).
 MINUTES_PER_YEAR = 365.25 * 24 * 60

@@ -9,10 +9,10 @@ rather than raised), and the offender walk up a critical chain.
 
 import pytest
 
-from repro import CrusadeConfig, SystemSpec, Task, TaskGraph, Tracer
+from repro import CrusadeConfig, SystemSpec, Task, TaskGraph, Tracer, crusade
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import trivial_clustering
-from repro.core.stages.repair import Repair, repair_pass
+from repro.core.stages.repair import repair_pass
 from repro.core.stages.support import (
     allocation_aware_context,
     compute_priorities,
@@ -86,22 +86,20 @@ class TestNoOffenderPath:
         assert counters.get("repair.rehomings_tried", 0) == 0
 
     def test_repair_stage_skips_when_full_check_passed(self, small_library):
-        """The pipeline stage's gate mirrors the fast path."""
-        from repro.core.stages.context import SynthesisContext
-
-        spec = _chain_spec(deadline=0.01)
-        clustering = trivial_clustering(spec, small_library)
-        arch = Architecture(small_library)
-        cpu = arch.new_pe(small_library.pe_type("CPU"))
-        for name in clustering.clusters:
-            _place(arch, clustering, name, cpu.id)
+        """The pipeline's repair gate mirrors the fast path: a full
+        check that meets every deadline never enters the repair pass."""
         tracer = Tracer()
-        _, _, current = _evaluate(
-            spec, small_library, clustering, arch, tracer
+        result = crusade(
+            _chain_spec(deadline=0.01),
+            library=small_library,
+            config=CrusadeConfig(reconfiguration=False),
+            tracer=tracer,
         )
-        ctx = SynthesisContext.begin(spec, library=small_library)
-        ctx.full = current
-        assert Repair().should_run(ctx) is (not current.report.all_met)
+        assert result.feasible
+        counters = tracer.counters.as_dict()
+        assert counters["stage.repair.skipped"] == 1
+        assert "stage.repair.runs" not in counters
+        assert "repair.rounds" not in counters
 
 
 class TestNonConvergence:

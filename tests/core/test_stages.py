@@ -1,60 +1,43 @@
-"""The staged pipeline: runner semantics, cluster orders, merge rule."""
+"""The staged pipeline: step order and gates, cluster orders, merge rule."""
 
 import pytest
 
-from repro import CrusadeConfig, Tracer, crusade
-from repro.core.stages import (
-    Stage,
-    SynthesisContext,
-    default_stages,
-    run_stages,
-)
+from repro import CrusadeConfig, SystemSpec, Task, TaskGraph, Tracer, crusade
+from repro.core.stages import SynthesisContext
 from repro.errors import SpecificationError
+from repro.graph.task import MemoryRequirement
+from repro.obs import MemorySink
+from repro.obs.report import PIPELINE_STAGE_ORDER
+
+
+def _hopeless_spec():
+    """One task whose execution time alone exceeds its deadline, so
+    the full check misses and repair runs (and cannot help)."""
+    g = TaskGraph(name="hopeless", period=0.1, deadline=0.005)
+    g.add_task(Task(name="t", exec_times={"CPU": 0.02},
+                    memory=MemoryRequirement(program=64)))
+    return SystemSpec("hopeless-sys", [g])
 
 
 class TestStageRunner:
-    def test_runs_and_skips_are_counted_and_phased(self, tiny_spec):
-        ran = []
-
-        class Always(Stage):
-            name = "always"
-
-            def run(self, ctx):
-                ran.append(self.name)
-
-        class Never(Stage):
-            name = "never"
-
-            def should_run(self, ctx):
-                return False
-
-            def run(self, ctx):  # pragma: no cover - must not run
-                raise AssertionError("skipped stage must not run")
-
-        class Unphased(Always):
-            name = "unphased"
-
-            @property
-            def phase_name(self):
-                return None
-
-        tracer = Tracer()
-        ctx = SynthesisContext.begin(tiny_spec, tracer=tracer)
-        out = run_stages(ctx, [Always(), Never(), Unphased()])
-        assert out is ctx
-        assert ran == ["always", "unphased"]
-        counters = tracer.counters.as_dict()
-        assert counters["stage.always.runs"] == 1
-        assert counters["stage.never.skipped"] == 1
-        assert counters["stage.unphased.runs"] == 1
-        assert "always" in tracer.timers.as_dict()
-        assert "unphased" not in tracer.timers.as_dict()
-
-    def test_default_pipeline_order_matches_figure5(self):
-        assert [s.name for s in default_stages()] == [
+    def test_default_pipeline_order_matches_figure5(self, small_library):
+        """Phases open in Figure 5 order.  Nothing here is feasible, so
+        every gate opens: repair runs, the merge produces no plan and
+        interface runs, and route (b)'s baseline pass (donated
+        clustering, reconfiguration off) nests inside ``merge``."""
+        sink = MemorySink()
+        result = crusade(_hopeless_spec(), library=small_library,
+                         tracer=Tracer(sinks=[sink]))
+        assert not result.feasible
+        phases = [e.fields["phase"] for e in sink.named("phase.start")]
+        figure5 = list(PIPELINE_STAGE_ORDER[:-1])
+        assert figure5 == [
             "preprocess", "clustering", "allocation", "full_check",
-            "repair", "merge", "interface", "finalize",
+            "repair", "merge", "interface",
         ]
+        nested = ["preprocess", "allocation", "full_check", "repair",
+                  "interface"]
+        assert phases == figure5[:6] + nested + figure5[6:]
 
     def test_crusade_emits_stage_counters(self, small_library, tiny_spec):
         tracer = Tracer()
@@ -66,13 +49,50 @@ class TestStageRunner:
         )
         assert result.feasible
         counters = tracer.counters.as_dict()
-        for name in ("preprocess", "clustering", "allocation",
-                     "full_check", "finalize"):
+        ran = ("preprocess", "clustering", "allocation", "full_check",
+               "interface")
+        for name in ran + ("finalize",):
             assert counters["stage.%s.runs" % name] == 1
-        # Reconfiguration off: the merge stage must be gated out, and
-        # a feasible full check gates repair out.
+        # Reconfiguration off: the merge step must be gated out, and a
+        # feasible full check gates repair out.
         assert counters["stage.merge.skipped"] == 1
         assert counters["stage.repair.skipped"] == 1
+        # Phase timers hold exactly the steps that ran; finalize is
+        # counted but unphased.
+        assert set(tracer.timers.as_dict()) == set(ran)
+
+    def test_donated_clustering_skips_the_clustering_step(
+        self, small_library, tiny_spec
+    ):
+        from repro.cluster.clustering import cluster_spec
+
+        tracer = Tracer()
+        crusade(
+            tiny_spec,
+            library=small_library,
+            config=CrusadeConfig(reconfiguration=False),
+            clustering=cluster_spec(tiny_spec, small_library),
+            tracer=tracer,
+        )
+        counters = tracer.counters.as_dict()
+        assert counters["stage.clustering.skipped"] == 1
+        assert "stage.clustering.runs" not in counters
+        assert "clustering" not in tracer.timers.as_dict()
+
+    def test_merge_plan_skips_the_interface_step(self, synthetic_spec):
+        """A reconfiguration run whose merge kept a route already has
+        its interface plan; only the nested baseline (reconfiguration
+        off) runs the interface step."""
+        tracer = Tracer()
+        result = crusade(
+            synthetic_spec, config=CrusadeConfig(max_explicit_copies=2),
+            tracer=tracer,
+        )
+        assert result.interface is not None
+        counters = tracer.counters.as_dict()
+        assert counters["stage.merge.runs"] == 1
+        assert counters["stage.interface.skipped"] == 1
+        assert counters["stage.interface.runs"] == 1
 
 
 class TestPolicyRegistry:
@@ -137,7 +157,7 @@ class TestMergeRule:
         """Figure 3's rule (every deadline holds, cost strictly falls)
         accepts exactly one merge on the canonical two-FPGA setup, and
         the dollar-cost prune cut does not change that."""
-        from repro import DelayPolicy, SystemSpec, Task, TaskGraph
+        from repro import DelayPolicy
         from repro.arch.architecture import Architecture
         from repro.cluster.clustering import cluster_spec
         from repro.cluster.priority import PriorityContext
@@ -196,7 +216,7 @@ class TestModeMergeBaseline:
         from dataclasses import replace
 
         from repro.core.stages import pipeline
-        from repro.core.stages.modemerge import ModeMerge
+        from repro.core.stages.modemerge import ensure_baseline
 
         nested = []
 
@@ -211,6 +231,6 @@ class TestModeMergeBaseline:
             policy="largest-first", bound_abort=False,
         )
         ctx = SynthesisContext.begin(tiny_spec, config=config)
-        ModeMerge().ensure_baseline(ctx)
+        ensure_baseline(ctx)
         assert nested == [replace(config, reconfiguration=False)]
         assert ctx.baseline == "baseline result"

@@ -146,6 +146,19 @@ def test_oversized_declared_body_is_a_413(harness_factory):
     assert b"payload-too-large" in answer
 
 
+def test_header_line_past_the_stream_limit_is_a_400(harness_factory):
+    """A header line longer than the stream reader's 64 KiB limit gets
+    the same counted 400 as one just past ``MAX_LINE_BYTES``."""
+    harness = harness_factory(pool=FakePool())
+    raw = (b"POST /synthesize HTTP/1.1\r\n"
+           b"X-Big: " + b"x" * 69991 + b"\r\n\r\n")
+    answer = raw_exchange(harness.port, raw)
+    assert answer.startswith(b"HTTP/1.1 400 ")
+    assert b"header line too long" in answer
+    counters = stats("127.0.0.1", harness.port)["counters"]
+    assert counters["service.rejected"] == 1
+
+
 def test_bare_tcp_probe_is_tolerated(harness_factory):
     harness = harness_factory(pool=FakePool())
     assert raw_exchange(harness.port, b"") == b""
