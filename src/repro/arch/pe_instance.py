@@ -190,12 +190,6 @@ class PEInstance:
 
         return -(-self.mode(mode_index).gates_used // GATES_PER_PFU)
 
-    def max_pfus_used(self) -> int:
-        """Largest per-mode PFU usage (drives boot-image sizing)."""
-        if not isinstance(self.pe_type, PpeType):
-            raise AllocationError("PE %r is not programmable" % (self.id,))
-        return max(self.pfus_used(m.index) for m in self.modes)
-
     @property
     def cost(self) -> float:
         """Dollar cost of this instance: PE type plus DRAM bank."""

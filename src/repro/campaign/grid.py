@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.config import CrusadeConfig
 from repro.errors import SpecificationError
 from repro.io.campaign_json import CAMPAIGN_SCHEMA_VERSION
-from repro.campaign.jobs import JOB_KINDS, Job
+from repro.campaign.jobs import CAMPAIGN_GRID_KINDS, Job
 
 #: Named config variants: CrusadeConfig knob overrides per name.
 #: ``largest-first`` sets ``CrusadeConfig.policy``: it re-orders
@@ -159,10 +159,10 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         """Validate the grid axes."""
-        if self.kind not in JOB_KINDS:
+        if self.kind not in CAMPAIGN_GRID_KINDS:
             raise SpecificationError(
                 "unknown campaign kind %r (choose from %s)"
-                % (self.kind, ", ".join(sorted(JOB_KINDS)))
+                % (self.kind, ", ".join(sorted(CAMPAIGN_GRID_KINDS)))
             )
         if not self.examples:
             raise SpecificationError("a campaign needs at least one example")

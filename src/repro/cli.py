@@ -605,10 +605,11 @@ def _cmd_submit(args) -> int:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if status != 200:
-        print("HTTP %d %s: %s" % (status, document.get("error", "?"),
-                                  document.get("detail", "")), file=sys.stderr)
-        for error in document.get("errors", []):
-            print("  - %s" % error, file=sys.stderr)
+        error = document.get("error", {})
+        print("HTTP %d %s: %s" % (status, error.get("kind", "?"),
+                                  error.get("detail", "")), file=sys.stderr)
+        for problem in error.get("errors", []):
+            print("  - %s" % problem, file=sys.stderr)
         return 1
     if document.get("status") == "failed":
         error = document.get("error", {})

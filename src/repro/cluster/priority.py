@@ -72,33 +72,6 @@ class PriorityContext:
 
         return cls(exec_time=exec_time, comm_time=comm_time)
 
-    @classmethod
-    def optimistic(cls, library: ResourceLibrary) -> "PriorityContext":
-        """Best-case estimators (minimum times); used by feasibility
-        pre-checks, not by the main flow."""
-        link_types = library.links_by_cost()
-
-        def exec_time(graph: TaskGraph, task: Task) -> float:
-            usable = [
-                wcet
-                for pe_name, wcet in task.exec_times.items()
-                if wcet is not None
-                and task.can_run_on(pe_name)
-                and library.has_pe_type(pe_name)
-            ]
-            if not usable:
-                raise SpecificationError(
-                    "task %r has no usable PE type in library" % (task.name,)
-                )
-            return min(usable)
-
-        def comm_time(graph: TaskGraph, edge: Edge) -> float:
-            if edge.bytes_ == 0:
-                return 0.0
-            return min(l.comm_time(edge.bytes_) for l in link_types)
-
-        return cls(exec_time=exec_time, comm_time=comm_time)
-
 
 def compute_task_priorities(
     graph: TaskGraph, context: PriorityContext

@@ -6,7 +6,7 @@ benchmarks flip individual knobs.  The performance layer has no mode
 switches beyond ``prune`` and ``bound_abort``, both result-neutral and
 set only here (no environment variable or CLI flag reaches them): every
 run evaluates through the incremental engine (:mod:`repro.perf.engine`)
-on the one production timeline pair (:mod:`repro.perf.treetimeline`).
+on the one production timeline pair (:mod:`repro.perf.fasttimeline`).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ graph traversals.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -125,11 +125,6 @@ class TaskGraph:
         """Mapping of (src, dst) to :class:`Edge` (do not mutate)."""
         return self._edges
 
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying networkx digraph (treat as read-only)."""
-        return self._nx
-
     def __len__(self) -> int:
         return len(self._tasks)
 
@@ -219,10 +214,6 @@ class TaskGraph:
     def total_area_gates(self) -> int:
         """Sum of gate areas over all tasks (hardware sizing aid)."""
         return sum(t.area_gates for t in self._tasks.values())
-
-    def subgraph_tasks(self, names: Iterable[str]) -> List[Task]:
-        """The tasks named in ``names``, validated to exist."""
-        return [self.task(n) for n in names]
 
     def __repr__(self) -> str:
         return "TaskGraph(%r, %d tasks, %d edges, period=%g)" % (

@@ -22,12 +22,10 @@ tracer counters:
   cross-run fragment tier under ``CrusadeConfig.cache_dir``) and the
   warm-start path that diffs a resubmitted spec against the cached
   prior run and rebinds still-valid schedule fragments;
-* :mod:`repro.perf.fasttimeline` / :mod:`repro.perf.treetimeline` --
-  the production implementations of the :class:`repro.sched.timeline`
-  abstract timelines: bisect-indexed flat lists that switch to a
-  blocked index once a timeline grows long, held byte-identical to
-  the linear reference classes by the differential oracle in
-  ``tests/sched``.
+* :mod:`repro.perf.fasttimeline` -- the production implementations
+  of the :class:`repro.sched.timeline` abstract timelines:
+  bisect-indexed flat lists, held byte-identical to the linear
+  reference classes by the differential oracle in ``tests/sched``.
 
 Results are byte-identical to the reference scheduler in
 ``tests/sched/reference_scheduler.py``; the property suites in
@@ -42,7 +40,6 @@ from repro.perf.prune import (
     PruneVerdict,
     RepairBound,
 )
-from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
 
 __all__ = [
     "AppliedOption",
@@ -52,7 +49,5 @@ __all__ = [
     "RepairBound",
     "component_fingerprint",
     "partition_components",
-    "TreePpeModeTimeline",
-    "TreeTimeline",
     "undo_journal",
 ]

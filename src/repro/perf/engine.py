@@ -35,7 +35,7 @@ evaluation is a fresh single component.  The engine therefore also
 owns a :class:`repro.perf.fastsched.SchedulerContext`: cache misses
 are scheduled over precomputed per-spec plans, memoized routes and
 transfer times, and the bisect-indexed production timelines
-(:mod:`repro.perf.treetimeline`) -- byte-identical to the reference
+(:mod:`repro.perf.fasttimeline`) -- byte-identical to the reference
 scheduler in ``tests/sched/reference_scheduler.py`` but roughly twice
 as fast, which is where the engine's speedup comes from when
 fingerprints never repeat.

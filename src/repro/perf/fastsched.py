@@ -22,11 +22,9 @@ above across runs:
 * **transfer-time memos** for ``LinkType.comm_time`` and the
   best-case estimator used for virtually placed endpoints;
 * the timeline factory pair every schedule it builds uses:
-  :class:`~repro.perf.treetimeline.TreeTimeline` for processors and
-  links (flat and bisected, switching to the blocked index past
-  :data:`~repro.perf.treetimeline.DEFAULT_CONVERT_AT` intervals) and
-  :class:`~repro.perf.treetimeline.TreePpeModeTimeline` for
-  programmable devices.
+  :class:`~repro.perf.fasttimeline.FastTimeline` for processors and
+  links and :class:`~repro.perf.fasttimeline.FastPpeModeTimeline`
+  for programmable devices.
 
 The scheduler makes every decision -- heap keys, iteration orders,
 epsilon comparisons, tie-breaks -- exactly as the reference loop in
@@ -42,7 +40,7 @@ import weakref
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
-from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
+from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
 
 #: Plans are tiny next to schedule fragments, but the scoped sub-spec
 #: cache they key off is itself LRU-bounded -- keep a little headroom.
@@ -176,8 +174,8 @@ class SchedulerContext:
     does, to capture traces for the differential oracle).
     """
 
-    timeline_cls = TreeTimeline
-    ppe_timeline_cls = TreePpeModeTimeline
+    timeline_cls = FastTimeline
+    ppe_timeline_cls = FastPpeModeTimeline
 
     def __init__(self) -> None:
         """Create empty plan/route/transfer-time caches."""

@@ -32,7 +32,7 @@ whole periods (see :mod:`repro.graph.association`).
 :class:`repro.perf.fastsched.SchedulerContext` -- the cross-run caches
 the incremental engine owns: a per-spec plan of instance records,
 route and transfer-time memos, and the production timeline pair
-(:mod:`repro.perf.treetimeline`).  Requests without a context get a
+(:mod:`repro.perf.fasttimeline`).  Requests without a context get a
 fresh one.  Its oracle is the reference loop in
 ``tests/sched/reference_scheduler.py``, which re-derives every
 decision input from the specification on every run and schedules onto

@@ -16,11 +16,8 @@ they need no timeline at all.
 Both timeline kinds sit behind small abstract bases -- :class:`Timeline`
 and :class:`ModeTimeline` -- that name exactly the operations the
 scheduler and its consumers use.  The scheduler builds one production
-pair, from :mod:`repro.perf.treetimeline`: bisect-indexed flat lists
-(the algorithms of :mod:`repro.perf.fasttimeline`) that switch to a
-blocked index once a timeline grows past
-:data:`~repro.perf.treetimeline.DEFAULT_CONVERT_AT` intervals.  The
-naive linear classes here stay in production too: they are the
+pair, the bisect-indexed flat lists of :mod:`repro.perf.fasttimeline`.
+The naive linear classes here stay in production too: they are the
 reference semantics the differential oracle
 (``tests/sched/oracle.py``) and the reference scheduler
 (``tests/sched/reference_scheduler.py``) hold the production pair to,

@@ -64,6 +64,13 @@ def test_spec_round_trips_through_canonical_json():
 def test_unknown_kind_and_empty_axes_are_rejected():
     with pytest.raises(SpecificationError, match="unknown campaign kind"):
         _spec(kind="table9")
+    # ``synthesize`` jobs need a per-job spec only the service builds;
+    # a grid of them would fail every job after its retries.
+    synthesize = r"'synthesize' \(choose from selftest, table2, table3\)"
+    with pytest.raises(SpecificationError, match=synthesize):
+        _spec(kind="synthesize")
+    with pytest.raises(SpecificationError, match=synthesize):
+        CampaignSpec.from_dict(dict(_spec().to_dict(), kind="synthesize"))
     with pytest.raises(SpecificationError, match="at least one example"):
         _spec(examples=())
     with pytest.raises(SpecificationError, match="at least one scale"):

@@ -78,13 +78,6 @@ class TestTaskPriorities:
         prios = compute_task_priorities(g, context)
         assert prios["t0"] > prios["t2"]
 
-    def test_optimistic_leq_pessimistic(self, library):
-        g = chain(pe="MC68360", bytes_=256)
-        pes = compute_task_priorities(g, PriorityContext.pessimistic(library))
-        opt = compute_task_priorities(g, PriorityContext.optimistic(library))
-        for name in g.tasks:
-            assert opt[name] <= pes[name] + 1e-12
-
 
 class TestEdgePriorities:
     def test_edge_priority_formula(self):

@@ -225,6 +225,37 @@ class TestDisk:
         path.write_bytes(path.read_bytes()[:10])
         assert store.load_result("k") is None
 
+    def test_flat_tree_timeline_entry_loads_as_a_fast_timeline(self, tmp_path):
+        """Entries written while ``TreeTimeline`` was the production
+        class carry its unused blocked-index fields; they still load
+        into a working timeline."""
+        from repro.perf.treetimeline import TreeTimeline
+
+        timeline = TreeTimeline()
+        timeline.occupy(0.0, 1.0, ("a",))
+        timeline.__dict__.update(
+            convert_at=1024, _n=0, _bivs=[], _bsts=[], _bens=[],
+            _last_start=[], _last_end=[],
+        )
+        store = SynthesisStore(tmp_path)
+        store.save_result("k", {"timeline": timeline})
+        loaded = store.load_result("k")["timeline"]
+        assert loaded.intervals == timeline.intervals
+        assert loaded.earliest_fit(0.5, 1.0) == 1.0
+
+    def test_blocked_timeline_entry_is_a_counted_miss(self, tmp_path):
+        """A timeline pickled in the deleted blocked layout would load
+        as a wrong timeline; it must be dropped and resynthesized."""
+        from repro.obs import Tracer
+        from repro.perf.treetimeline import _BlockedTimeline
+
+        store = SynthesisStore(tmp_path)
+        store.save_result("k", {"timeline": _BlockedTimeline()})
+        tracer = Tracer()
+        assert store.load_result("k", tracer) is None
+        assert tracer.counters.get("perf.store.corrupt") == 1
+        assert not store._result_path("k").exists()
+
 
 # ----------------------------------------------------------------------
 # resolution

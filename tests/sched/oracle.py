@@ -3,12 +3,11 @@ implementations.
 
 The repo's byte-identity contract says every timeline implementation
 -- the naive linear :class:`~repro.sched.timeline.IntervalTimeline`
-(the reference semantics), the bisect-indexed
-:class:`~repro.perf.fasttimeline.FastTimeline`, and the blocked-index
-:class:`~repro.perf.treetimeline.TreeTimeline` in each of its phases
--- must be observationally indistinguishable: same return values,
-same exceptions (type *and* message, since error text reaches
-reports), same interval/window dumps after every operation.
+(the reference semantics) and the bisect-indexed
+:class:`~repro.perf.fasttimeline.FastTimeline`, in its bisected and
+its degraded mode -- must be observationally indistinguishable: same
+return values, same exceptions (type *and* message, since error text
+reaches reports), same interval/window dumps after every operation.
 
 This module is the reusable harness behind that claim.  It replays an
 explicit operation sequence against every registered implementation
@@ -32,34 +31,19 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
-from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
 from repro.sched.timeline import IntervalTimeline, PpeModeTimeline
-
-
-def _tree_eager() -> TreeTimeline:
-    return TreeTimeline(convert_at=0)
-
-
-def _tree_small() -> TreeTimeline:
-    # Converts after a handful of intervals: a short fuzz run still
-    # exercises the flat phase, the conversion, and the blocked phase.
-    return TreeTimeline(convert_at=12)
-
 
 #: name -> zero-arg factory; every serial-timeline implementation the
 #: oracle holds to identical behaviour.  ``linear`` is the reference.
 SERIAL_FACTORIES: Dict[str, Callable[[], IntervalTimeline]] = {
     "linear": IntervalTimeline,
     "fast": FastTimeline,
-    "tree-eager": _tree_eager,
-    "tree-auto": _tree_small,
 }
 
 #: name -> zero-arg factory for the programmable-device timelines.
 PPE_FACTORIES: Dict[str, Callable[[], PpeModeTimeline]] = {
     "linear": PpeModeTimeline,
     "fast": FastPpeModeTimeline,
-    "tree": TreePpeModeTimeline,
 }
 
 

@@ -11,10 +11,12 @@ implementation grows is surface the differential oracle would have
 to keep bit-identical for no caller.
 """
 
+import ast
 import pathlib
 
 import pytest
 
+import repro
 from repro.perf import fasttimeline, treetimeline
 from repro.sched import timeline
 from tests.sched.oracle import PpeDifferential, SerialDifferential
@@ -30,16 +32,22 @@ MODE_CONTRACT = frozenset(
 SERIAL_CLASSES = (
     timeline.IntervalTimeline,
     fasttimeline.FastTimeline,
-    treetimeline.TreeTimeline,
-    treetimeline._BlockedTimeline,
 )
 MODE_CLASSES = (
     timeline.PpeModeTimeline,
     fasttimeline.FastPpeModeTimeline,
-    treetimeline.TreePpeModeTimeline,
+)
+
+#: The empty names ``perfbench/layers.py`` binds (see
+#: :mod:`repro.perf.treetimeline`), each with the fast class it extends.
+BENCHMARK_ONLY_CLASSES = (
+    (treetimeline.TreeTimeline, fasttimeline.FastTimeline),
+    (treetimeline._BlockedTimeline, fasttimeline.FastTimeline),
+    (treetimeline.TreePpeModeTimeline, fasttimeline.FastPpeModeTimeline),
 )
 
 NGXM_TRACE = pathlib.Path(__file__).parent / "traces" / "ngxm_scale0p05.jsonl.gz"
+SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
 
 
 def _public(cls) -> set:
@@ -87,3 +95,46 @@ def test_oracle_vocabulary_has_no_removed_op(differential, op):
     """The oracle refuses ops no implementation offers any more."""
     with pytest.raises(AssertionError, match="unknown"):
         differential().step((op, 0.0))
+
+
+def _imported_modules(path: pathlib.Path):
+    """Every module name ``path`` imports, including the
+    ``package.name`` a ``from package import name`` may load."""
+    package = path.relative_to(SRC_ROOT.parent).parent.parts
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            parts = list(package[:len(package) - node.level + 1]
+                         if node.level else ())
+            module = ".".join(parts + ([node.module] if node.module else []))
+            yield module
+            for alias in node.names:
+                yield module + "." + alias.name
+
+
+def test_no_program_module_imports_the_benchmark_only_names():
+    """``repro.perf.treetimeline`` exists for the benchmark alone:
+    nothing in ``src/`` may build on it again."""
+    importers = sorted(
+        str(path.relative_to(SRC_ROOT))
+        for path in SRC_ROOT.rglob("*.py")
+        if "repro.perf.treetimeline" in _imported_modules(path)
+    )
+    assert importers == []
+
+
+@pytest.mark.parametrize(
+    "cls, base",
+    [pytest.param(cls, base, id=cls.__name__)
+     for cls, base in BENCHMARK_ONLY_CLASSES],
+)
+def test_benchmark_only_classes_add_nothing(cls, base):
+    """Each offers exactly its fast base class's contract and defines
+    no public name itself.  The benchmark wraps an op (``earliest_fit``,
+    ``occupy``, ``split_fit``, ``place``) on the class that defines it,
+    so every op stays counted once, on the fast pair."""
+    assert issubclass(cls, base)
+    assert _public(cls) == _public(base)
+    assert [name for name in vars(cls) if not name.startswith("_")] == []

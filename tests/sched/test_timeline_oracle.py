@@ -25,11 +25,10 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-import repro.perf.treetimeline as treetimeline
 from repro import GeneratorConfig, crusade, generate_spec
 from repro.io.result_json import canonical_result_json
 from repro.perf.engine import IncrementalEngine
-from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
+from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
 from repro.units import TIME_EPS
 from tests.sched.oracle import (
     PpeDifferential,
@@ -199,12 +198,6 @@ TestPpeOracle = PpeOracleMachine.TestCase
 TestPpeOracle.settings = _fuzz_settings
 
 
-@pytest.fixture(autouse=True)
-def _small_blocks(monkeypatch):
-    """Shrink the block size so short fuzz runs cross block splits."""
-    monkeypatch.setattr(treetimeline, "_LOAD", 8)
-
-
 class TestRegressions:
     """Deterministic cases the fuzzers once found (or nearly missed)."""
 
@@ -268,7 +261,7 @@ class TestRegressions:
 
     def test_end_order_degradation_stays_identical(self):
         """An epsilon-sliver insert that breaks the end-sorted
-        invariant must flip fast/tree timelines into their degraded
+        invariant must flip fast timelines into their degraded
         linear fallback without an observable difference."""
         ops = [("occupy", float(i), 0.9, ("base", i)) for i in range(30)]
         # Zero-length sliver within epsilon of interval 5's start:
@@ -297,26 +290,6 @@ class TestRegressions:
         ]
         check_ppe(ops)
 
-    def test_blocked_phase_spans_block_splits(self):
-        """Enough in-order inserts to force several block splits; gap
-        queries then walk across block boundaries."""
-        ops = []
-        for i in range(120):
-            ops.append(("occupy", i * 1.0, 0.75, ("t", i)))
-        ops.extend(("earliest_fit", q + 0.5, 0.25) for q in range(0, 120, 7))
-        ops.append(("split_fit", 0.25, 2.0, 0.05, 6))
-        diff = check_serial(ops)
-        tree = diff.timelines["tree-eager"]
-        assert type(tree).__name__ == "_BlockedTimeline"
-        assert len(tree._bivs) > 3, "fuzz must actually cross block splits"
-
-    def test_eager_tree_converts_immediately(self):
-        """``convert_at=0`` -- the oracle's seam into the blocked
-        phase -- converts on the first insert."""
-        tl = TreeTimeline(convert_at=0)
-        tl.occupy(0.0, 1.0, ("a",))
-        assert type(tl).__name__ == "_BlockedTimeline"
-
 
 class TestTraceReplay:
     """Committed real-workload traces replayed through the oracle."""
@@ -340,8 +313,8 @@ class TestTraceReplay:
         with record_timelines(engine, str(path)) as recorder:
             traced = crusade(spec, engine=engine)
         assert recorder._fh.closed
-        assert engine.context.timeline_cls is TreeTimeline
-        assert engine.context.ppe_timeline_cls is TreePpeModeTimeline
+        assert engine.context.timeline_cls is FastTimeline
+        assert engine.context.ppe_timeline_cls is FastPpeModeTimeline
         assert canonical_result_json(traced) == canonical_result_json(
             crusade(spec)
         )

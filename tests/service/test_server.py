@@ -301,3 +301,27 @@ def test_drain_refuses_new_work_but_keeps_answering_probes(harness_factory):
     assert healthz("127.0.0.1", harness.port)["status"] == "drained"
     counters = stats("127.0.0.1", harness.port)["counters"]
     assert counters["service.rejected.draining"] == 1
+
+
+def test_cli_submit_prints_the_error_kind_and_every_problem(
+    harness_factory, tmp_path, capsys,
+):
+    """``repro submit`` reads the ``error`` object a ``crusade-error``
+    document nests: one status line, then one line per problem."""
+    from repro.cli import main
+    from repro.io.spec_json import save_spec_file
+
+    harness = harness_factory(pool=FakePool())
+    spec_path = tmp_path / "spec.json"
+    save_spec_file(service_spec(), spec_path)
+    code = main([
+        "submit", str(spec_path), "--port", str(harness.port),
+        "--set", "bogus=1", "--set", "max_cluster_size=0",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        "HTTP 400 bad-request: request failed validation",
+        "  - config.bogus: unknown or non-overridable field",
+        "  - config: max_cluster_size must be >= 1",
+    ]
