@@ -191,8 +191,7 @@ def _run_synthesize(job: Job) -> Dict[str, Any]:
     """
     from repro.core.config import CrusadeConfig
     from repro.core.crusade import crusade
-    from repro.io.result_json import result_to_dict
-    from repro.io.service_json import strip_run_varying
+    from repro.io.result_json import result_to_dict, strip_run_varying
     from repro.io.spec_json import spec_from_dict
 
     spec = spec_from_dict(job.params["spec"])

@@ -39,6 +39,7 @@ from repro.core.config import CrusadeConfig
 from repro.core.crusade import crusade
 from repro.core.crusade_ft import crusade_ft
 from repro.core.report import render_architecture
+from repro.errors import ReproError
 from repro.graph.generator import GeneratorConfig, generate_spec
 from repro.io.result_json import save_result_file
 from repro.io.spec_json import load_spec_file, save_spec_file
@@ -640,9 +641,14 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2 for the
+    library's own errors, printed as one ``error:`` line)."""
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ReproError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,20 +3,22 @@
 A :class:`TaskGraph` owns a set of :class:`~repro.graph.task.Task`
 nodes and :class:`~repro.graph.edge.Edge` arcs, plus the rate
 constraints of the paper's execution model: an earliest start time
-(EST), a period, and a deadline.  The underlying structure is a
-:class:`networkx.DiGraph`, exposed read-only for algorithms that want
-graph traversals.
+(EST), a period, and a deadline.  The edge table is the only stored
+structure; sorted predecessor and successor lists and the deterministic
+topological order are derived from it on first use.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterator, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.errors import SpecificationError
 from repro.graph.edge import Edge
 from repro.graph.task import Task
+
+#: ``(predecessors, successors, topological order)`` of a graph.
+_Derived = Tuple[Dict[str, List[str]], Dict[str, List[str]], List[str]]
 
 
 class TaskGraph:
@@ -36,6 +38,11 @@ class TaskGraph:
     est:
         Earliest start time of the first copy, in seconds from time 0.
     """
+
+    #: Derived from ``_edges``; ``None`` until the first query after a
+    #: change.  A class default, so graphs unpickled from store entries
+    #: written before this cache existed derive it on first use too.
+    _derived: Optional[_Derived] = None
 
     def __init__(
         self,
@@ -66,8 +73,6 @@ class TaskGraph:
         self.est = float(est)
         self._tasks: Dict[str, Task] = {}
         self._edges: Dict[Tuple[str, str], Edge] = {}
-        self._nx = nx.DiGraph()
-        self._topo_cache: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -79,8 +84,7 @@ class TaskGraph:
                 "duplicate task %r in graph %r" % (task.name, self.name)
             )
         self._tasks[task.name] = task
-        self._nx.add_node(task.name)
-        self._topo_cache = None
+        self._derived = None
         return task
 
     def add_edge(self, src: str, dst: str, bytes_: int = 0) -> Edge:
@@ -96,21 +100,35 @@ class TaskGraph:
                 "duplicate edge %s->%s in graph %r" % (src, dst, self.name)
             )
         self._edges[edge.key] = edge
-        self._nx.add_edge(src, dst)
-        self._topo_cache = None
+        self._derived = None
         return edge
 
-    def replace_task(self, task: Task) -> None:
-        """Replace an existing task definition in place, keeping edges.
+    def _adjacency(self) -> _Derived:
+        """The derived cache, rebuilt from ``sorted(_edges)`` if stale.
 
-        Used by the fault-tolerance transformation when annotating
-        tasks, never by client code building a specification.
+        The order is Kahn's algorithm popping the smallest ready name,
+        so it never depends on insertion order; on a cyclic graph it
+        stops short of the tasks on or behind a cycle.
         """
-        if task.name not in self._tasks:
-            raise SpecificationError(
-                "cannot replace unknown task %r in graph %r" % (task.name, self.name)
-            )
-        self._tasks[task.name] = task
+        if self._derived is None:
+            preds: Dict[str, List[str]] = {name: [] for name in sorted(self._tasks)}
+            succs: Dict[str, List[str]] = {name: [] for name in preds}
+            for src, dst in sorted(self._edges):
+                succs[src].append(dst)
+                preds[dst].append(src)
+            waiting = {name: len(into) for name, into in preds.items()}
+            # Built in name order, so already a heap.
+            ready = [name for name, count in waiting.items() if count == 0]
+            order: List[str] = []
+            while ready:
+                name = heapq.heappop(ready)
+                order.append(name)
+                for succ in succs[name]:
+                    waiting[succ] -= 1
+                    if waiting[succ] == 0:
+                        heapq.heappush(ready, succ)
+            self._derived = (preds, succs, order)
+        return self._derived
 
     # ------------------------------------------------------------------
     # queries
@@ -151,35 +169,39 @@ class TaskGraph:
 
     def predecessors(self, task_name: str) -> List[str]:
         """Names of tasks with an edge into ``task_name`` (sorted)."""
-        return sorted(self._nx.predecessors(task_name))
+        self.task(task_name)  # an unknown name raises SpecificationError
+        return list(self._adjacency()[0][task_name])
 
     def successors(self, task_name: str) -> List[str]:
         """Names of tasks fed by ``task_name`` (sorted)."""
-        return sorted(self._nx.successors(task_name))
+        self.task(task_name)  # an unknown name raises SpecificationError
+        return list(self._adjacency()[1][task_name])
 
     def sources(self) -> List[str]:
         """Tasks with no predecessors, sorted by name."""
-        return sorted(n for n in self._nx.nodes if self._nx.in_degree(n) == 0)
+        return [name for name, into in self._adjacency()[0].items() if not into]
 
     def sinks(self) -> List[str]:
         """Tasks with no successors, sorted by name."""
-        return sorted(n for n in self._nx.nodes if self._nx.out_degree(n) == 0)
+        return [name for name, out in self._adjacency()[1].items() if not out]
 
     def topological_order(self) -> List[str]:
         """Deterministic topological order of task names.
 
         Ties are broken lexicographically so repeated runs are
-        reproducible regardless of insertion order.
+        reproducible regardless of insertion order.  Raises
+        :class:`SpecificationError` when the graph has a cycle.
         """
-        if self._topo_cache is None:
-            self._topo_cache = list(
-                nx.lexicographical_topological_sort(self._nx)
+        if not self.is_acyclic():
+            raise SpecificationError(
+                "task graph %r contains a cycle; task graphs must be acyclic"
+                % (self.name,)
             )
-        return list(self._topo_cache)
+        return list(self._adjacency()[2])
 
     def is_acyclic(self) -> bool:
         """True when the graph has no directed cycles."""
-        return nx.is_directed_acyclic_graph(self._nx)
+        return len(self._adjacency()[2]) == len(self._tasks)
 
     def effective_deadline(self, task_name: str) -> Optional[float]:
         """Deadline applying to ``task_name``, if any.
@@ -191,7 +213,7 @@ class TaskGraph:
         task = self.task(task_name)
         if task.deadline is not None:
             return task.deadline
-        if self._nx.out_degree(task_name) == 0:
+        if not self._adjacency()[1][task_name]:
             return self.deadline
         return None
 

@@ -31,11 +31,7 @@ def validate_graph(
     warnings: List[str] = []
     if len(graph) == 0:
         raise SpecificationError("task graph %r has no tasks" % (graph.name,))
-    if not graph.is_acyclic():
-        raise SpecificationError(
-            "task graph %r contains a cycle; task graphs must be acyclic"
-            % (graph.name,)
-        )
+    graph.topological_order()  # raises SpecificationError on a cycle
     if graph.deadline > graph.period:
         warnings.append(
             "graph %r deadline %g exceeds period %g; copies may overlap"

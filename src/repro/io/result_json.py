@@ -16,6 +16,7 @@ from typing import Any, Dict, Union
 
 from repro.arch.cost import cost_breakdown
 from repro.core.report import CoSynthesisResult
+from repro.io.campaign_json import canonical_dumps
 from repro.obs.report import SynthesisStats, stats_from_dict
 
 
@@ -147,19 +148,30 @@ def result_to_dict(result: CoSynthesisResult) -> Dict[str, Any]:
     return payload
 
 
+def strip_run_varying(result_payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A run-neutral copy of a ``crusade-result`` export.
+
+    Drops ``cpu_seconds`` and the traced ``stats`` block -- the only
+    legitimately run-varying fields -- so two runs on the same inputs,
+    or a computed service response and a cache-served one, carry
+    byte-identical payloads.
+    """
+    neutral = dict(result_payload)
+    neutral.pop("cpu_seconds", None)
+    neutral.pop("stats", None)
+    return neutral
+
+
 def canonical_result_json(result: CoSynthesisResult) -> str:
     """Deterministic JSON text of a result, timing stripped.
 
     Two synthesis runs on the same inputs must produce byte-identical
-    canonical text: ``cpu_seconds`` and the traced ``stats`` block (the
-    only legitimately run-varying fields) are removed, keys are sorted,
-    and the text ends with a single newline.  This is what the golden
-    regression fixtures under ``tests/core/golden/`` store.
+    canonical text: the run-varying fields are stripped
+    (:func:`strip_run_varying`) and the rest is written as canonical
+    JSON.  This is what the golden regression fixtures under
+    ``tests/core/golden/`` store.
     """
-    payload = result_to_dict(result)
-    payload.pop("cpu_seconds", None)
-    payload.pop("stats", None)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return canonical_dumps(strip_run_varying(result_to_dict(result)))
 
 
 def stats_from_result_dict(payload: Dict[str, Any]) -> Union[SynthesisStats, None]:

@@ -49,6 +49,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.core.config import CrusadeConfig
 from repro.errors import SpecificationError
 from repro.graph.spec import SystemSpec
+from repro.io.result_json import strip_run_varying
 from repro.io.spec_json import spec_from_dict, spec_to_dict
 
 #: Format names stamped into every service document.
@@ -243,21 +244,6 @@ def validate_request(
 # ----------------------------------------------------------------------
 # response side
 # ----------------------------------------------------------------------
-def strip_run_varying(result_payload: Dict[str, Any]) -> Dict[str, Any]:
-    """A run-neutral copy of a ``crusade-result`` export.
-
-    Drops ``cpu_seconds`` and the traced ``stats`` block -- the only
-    legitimately run-varying fields -- so a computed response and a
-    cache-served response of the same request carry byte-identical
-    ``result`` payloads (the service's headline contract, asserted by
-    ``tests/service/test_cli_serve.py``).
-    """
-    neutral = dict(result_payload)
-    neutral.pop("cpu_seconds", None)
-    neutral.pop("stats", None)
-    return neutral
-
-
 def done_response(
     key: Mapping[str, str],
     result_payload: Dict[str, Any],

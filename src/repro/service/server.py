@@ -13,7 +13,10 @@ stations, each cheaper than the next would be:
    (spec digest, catalog digest, semantic config digest -- the same
    key :mod:`repro.perf.store` files results under) is computed and
    the store's full-result tier probed; a hit is served without
-   queueing anything (``cache_hit: true``).
+   queueing anything (``cache_hit: true``).  A miss is checked by
+   :func:`~repro.graph.validate.validate_spec` against the server's
+   catalog, so a spec ``crusade()`` would refuse (a cyclic graph, a
+   task no library PE type can run) is a 400, not a failed job.
 3. **In-flight coalescing** -- a request whose triple matches a job
    already queued or running attaches to that job's future instead of
    dispatching a duplicate (``coalesced: true``); N identical
@@ -41,6 +44,8 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.core.config import CrusadeConfig
+from repro.errors import SpecificationError
+from repro.graph.validate import validate_spec
 from repro.io.service_json import (
     RequestValidationError,
     SERVICE_SCHEMA_VERSION,
@@ -288,16 +293,16 @@ class SynthesisServer:
         try:
             spec, overrides = validate_request(payload)
         except RequestValidationError as exc:
-            self.tracer.incr("service.rejected.invalid")
-            return 400, error_body(
-                "bad-request", "request failed validation", errors=exc.errors
-            )
+            return self._bad_request(exc.errors)
         config = CrusadeConfig(cache_dir=self.cache_dir, **overrides)
-        key_parts = {
-            "spec": spec_digest(spec),
-            "catalog": self._catalog_digest,
-            "config": config_digest(config),
-        }
+        try:
+            key_parts = {
+                "spec": spec_digest(spec),  # a cyclic graph raises here
+                "catalog": self._catalog_digest,
+                "config": config_digest(config),
+            }
+        except SpecificationError as exc:
+            return self._bad_request(["spec: %s" % exc])
         key = join_result_key(**key_parts)
         # -- station 2: exact-hit probe ------------------------------
         probe_started = time.perf_counter()
@@ -314,6 +319,11 @@ class SynthesisServer:
                     key_parts, result_to_dict(cached),
                     cache_hit=True, coalesced=False,
                 )
+        # A hit was validated when it was computed; a miss is checked here.
+        try:
+            validate_spec(spec, self._library)
+        except SpecificationError as exc:
+            return self._bad_request(["spec: %s" % exc])
         self.tracer.incr("service.cache.miss")
         # -- station 3: in-flight coalescing -------------------------
         leader_future = self._inflight.get(key)
@@ -340,6 +350,13 @@ class SynthesisServer:
         finally:
             self._inflight.pop(key, None)
         return 200, self._job_response(key_parts, outcome, coalesced=False)
+
+    def _bad_request(self, errors):
+        """The counted 400 for a request that failed validation."""
+        self.tracer.incr("service.rejected.invalid")
+        return 400, error_body(
+            "bad-request", "request failed validation", errors=errors
+        )
 
     async def _dispatch(
         self, key: str, spec, overrides: Dict[str, Any]
@@ -399,12 +416,3 @@ class SynthesisServer:
             key_parts, error.get("kind", "error"), error.get("detail", ""),
             coalesced=coalesced,
         )
-
-
-async def serve(server: SynthesisServer) -> None:
-    """Start ``server`` and run until cancelled (the CLI's core)."""
-    await server.start()
-    try:
-        await asyncio.Event().wait()  # cancelled by signal handlers
-    finally:
-        await server.close()

@@ -1,6 +1,9 @@
 """TaskGraph structure, traversal, and deadline semantics."""
 
+import pickle
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import SpecificationError, Task, TaskGraph
 from repro.graph.edge import Edge
@@ -97,6 +100,95 @@ class TestTraversal:
             g.task("zz")
         with pytest.raises(SpecificationError):
             g.edge("a", "d")
+        with pytest.raises(SpecificationError, match="no task 'nope'"):
+            g.predecessors("nope")
+        with pytest.raises(SpecificationError, match="no task 'nope'"):
+            g.successors("nope")
+
+    def test_graph_pickled_without_the_derived_cache_derives_it(self):
+        """A graph unpickled from a store entry written before the
+        cache existed has no ``_derived`` of its own and answers from
+        the class default."""
+        g = diamond()
+        del g.__dict__["_derived"]
+        old = pickle.loads(pickle.dumps(g))
+        assert "_derived" not in vars(old)
+        assert old.predecessors("d") == ["b", "c"]
+        assert old.topological_order() == ["a", "b", "c", "d"]
+
+
+@st.composite
+def shuffled_dags(draw):
+    """``(tasks, edges)`` of a random DAG, each in shuffled insertion order.
+
+    Edges run forward in a hidden ranking of the tasks, so the graph is
+    acyclic, and that ranking is independent of name order.
+    """
+    names = draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
+                          min_size=1, max_size=10, unique=True))
+    ranked = draw(st.permutations(names))
+    forward = [(a, b) for i, a in enumerate(ranked) for b in ranked[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(forward),
+                         max_size=len(forward)))
+    edges = draw(st.permutations([e for e, k in zip(forward, keep) if k]))
+    return draw(st.permutations(names)), edges
+
+
+def build_graph(tasks, edges):
+    g = TaskGraph(name="h", period=1.0)
+    for name in tasks:
+        g.add_task(simple_task(name))
+    for src, dst in edges:
+        g.add_edge(src, dst)
+    return g
+
+
+def brute_force_order(tasks, edges):
+    """Repeatedly emit the smallest task whose predecessors were all
+    emitted already."""
+    emitted = []
+    while len(emitted) < len(tasks):
+        emitted.append(min(
+            t for t in tasks if t not in emitted
+            and all(src in emitted for src, dst in edges if dst == t)
+        ))
+    return emitted
+
+
+class TestDerivedViews:
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_dags())
+    def test_views_match_the_edge_table(self, dag):
+        tasks, edges = dag
+        g = build_graph(tasks, edges)
+        assert g.is_acyclic()
+        assert g.topological_order() == brute_force_order(tasks, edges)
+        for name in tasks:
+            assert g.predecessors(name) == sorted(s for s, d in g.edges if d == name)
+            assert g.successors(name) == sorted(d for s, d in g.edges if s == name)
+        assert g.sources() == sorted(set(tasks) - {d for _, d in edges})
+        assert g.sinks() == sorted(set(tasks) - {s for s, _ in edges})
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_dags(), st.data())
+    def test_one_back_edge_makes_a_cycle(self, dag, data):
+        """An edge from any descendant of ``src`` back to ``src`` closes
+        a cycle, and the cache derived before it is not reused."""
+        tasks, edges = dag
+        assume(edges)
+        g = build_graph(tasks, edges)
+        g.topological_order()
+        src, dst = data.draw(st.sampled_from(edges))
+        below = {dst}
+        while True:
+            grown = below | {d for s, d in edges if s in below}
+            if grown == below:
+                break
+            below = grown
+        g.add_edge(data.draw(st.sampled_from(sorted(below))), src)
+        assert not g.is_acyclic()
+        with pytest.raises(SpecificationError, match="contains a cycle"):
+            g.topological_order()
 
 
 class TestDeadlines:
@@ -132,10 +224,3 @@ class TestHelpers:
         g = diamond()
         keys = [e.key for e in g.iter_edges()]
         assert keys == sorted(keys)
-
-    def test_replace_task(self):
-        g = diamond()
-        g.replace_task(Task(name="a", exec_times={"CPU": 5e-3}))
-        assert g.task("a").wcet_on("CPU") == 5e-3
-        with pytest.raises(SpecificationError):
-            g.replace_task(simple_task("nope"))

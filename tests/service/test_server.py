@@ -14,6 +14,8 @@ import json
 import socket
 import threading
 
+import pytest
+
 from repro.io.service_json import build_request, result_bytes
 from repro.service.client import drain, healthz, stats, submit
 
@@ -134,6 +136,35 @@ def test_out_of_range_config_values_are_a_400_before_dispatch(
         assert error.startswith("config:"), error
     counters = stats("127.0.0.1", harness.port)["counters"]
     assert counters["service.rejected.invalid"] == 3
+    assert not [name for name in counters if name.startswith("service.jobs.")]
+
+
+@pytest.mark.parametrize("store", [False, True], ids=["no-store", "store"])
+def test_specs_crusade_refuses_are_a_400_before_dispatch(
+    harness_factory, tmp_path, store,
+):
+    """A cyclic graph or a task naming no library PE type never
+    reaches the shard pool, with or without a store to probe."""
+    harness = harness_factory(
+        workers=1, retries=1, cache_dir=str(tmp_path) if store else None,
+    )
+    cyclic = build_request(service_spec())
+    cyclic["spec"]["graphs"][0]["edges"].append(
+        {"src": "c", "dst": "a", "bytes": 128}
+    )
+    foreign = build_request(service_spec())
+    for task in foreign["spec"]["graphs"][0]["tasks"]:
+        task["exec_times"] = {"NO-SUCH-PE": 0.0005}
+    for request, problem in ((cyclic, "contains a cycle"),
+                             (foreign, "names no PE type")):
+        status, body = submit("127.0.0.1", harness.port, request)
+        assert status == 400, body
+        assert body["error"]["kind"] == "bad-request"
+        (error,) = body["error"]["errors"]
+        assert error.startswith("spec:") and problem in error, error
+    counters = stats("127.0.0.1", harness.port)["counters"]
+    assert counters["service.rejected.invalid"] == 2
+    assert "service.errors.internal" not in counters
     assert not [name for name in counters if name.startswith("service.jobs.")]
 
 

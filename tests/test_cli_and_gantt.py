@@ -77,6 +77,26 @@ class TestCli:
             payload.pop("stats")
         assert hit == first
 
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no-store", "cache-dir"])
+    def test_library_error_is_one_line_and_exit_2(self, spec_file, tmp_path,
+                                                  capsys, cached):
+        """A spec the library refuses (here a cyclic graph) ends in an
+        ``error:`` line and exit code 2, not a traceback."""
+        payload = json.loads(spec_file.read_text())
+        edges = payload["graphs"][0]["edges"]
+        edges.append({"src": edges[0]["dst"], "dst": edges[0]["src"],
+                      "bytes": 0})
+        cyclic = tmp_path / "cyclic.json"
+        cyclic.write_text(json.dumps(payload))
+        argv = ["synthesize", str(cyclic)]
+        if cached:
+            argv += ["--cache-dir", str(tmp_path / "store")]
+        assert main(argv) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("error: task graph ")
+        assert "contains a cycle" in last
+
     def test_synthesize_profile(self, spec_file, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main([

@@ -29,6 +29,45 @@ class TestErrorHierarchy:
         assert bare.best_result is None
 
 
+_THIRD_PARTY_LOADED_BY_IMPORT = """
+import pathlib, sys
+def third_party():
+    return {
+        name for name, module in list(sys.modules.items())
+        if name.split(".")[0] != "repro"
+        and {"site-packages", "dist-packages"}
+        & set(pathlib.PurePath(getattr(module, "__file__", None) or "").parts)
+    }
+before = third_party()
+import repro
+print(sorted(third_party() - before)[:5])
+"""
+
+_CRUSADE_WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None
+from repro import GeneratorConfig, crusade, generate_spec
+spec = generate_spec(GeneratorConfig(seed=3, n_graphs=2, tasks_per_graph=5))
+print(crusade(spec).feasible)
+"""
+
+
+def _fresh_interpreter(script: str) -> str:
+    """Run ``script`` in a new interpreter with this checkout's ``src``
+    first on the path; returns its stripped stdout."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestPublicApi:
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -37,22 +76,15 @@ class TestPublicApi:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
-    def test_import_does_not_load_numpy(self):
-        """networkx is the only runtime dependency: importing the
-        package in a fresh interpreter never pulls in numpy."""
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH", "")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'numpy')[:3])"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    def test_import_loads_no_third_party_module(self):
+        """The package has no runtime dependency: importing it in a
+        fresh interpreter loads nothing from an installed-packages
+        directory that the bare interpreter had not loaded already."""
+        assert _fresh_interpreter(_THIRD_PARTY_LOADED_BY_IMPORT) == "[]"
+
+    def test_crusade_runs_with_networkx_blocked(self):
+        """No lazy import hides anywhere on the synthesis path."""
+        assert _fresh_interpreter(_CRUSADE_WITHOUT_NETWORKX) == "True"
 
     @pytest.mark.parametrize("name", [
         "Task", "TaskGraph", "SystemSpec", "crusade", "crusade_ft",
