@@ -37,6 +37,7 @@ from repro.io.campaign_json import (
     load_json,
     read_jsonl,
 )
+from repro.io.spec_json import read_json_file
 from repro.campaign.grid import CampaignSpec
 
 #: Terminal job statuses recorded in the checkpoint log.
@@ -104,7 +105,7 @@ class CampaignDir:
                 "%s is not a campaign directory (no campaign.json)"
                 % (self.root,)
             )
-        return CampaignSpec.from_dict(load_json(self.spec_path))
+        return CampaignSpec.from_dict(read_json_file(self.spec_path))
 
     # -- checkpoint log ------------------------------------------------
     def append_record(self, record: Dict[str, Any]) -> None:

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.config import CrusadeConfig
 from repro.errors import SpecificationError
 from repro.io.campaign_json import CAMPAIGN_SCHEMA_VERSION
+from repro.io.spec_json import malformed_document
 from repro.campaign.jobs import CAMPAIGN_GRID_KINDS, Job
 
 #: Named config variants: CrusadeConfig knob overrides per name.
@@ -187,24 +188,26 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict`."""
-        schema = payload.get("schema", CAMPAIGN_SCHEMA_VERSION)
-        if schema != CAMPAIGN_SCHEMA_VERSION:
-            raise SpecificationError(
-                "campaign schema %r unsupported (this build reads %d)"
-                % (schema, CAMPAIGN_SCHEMA_VERSION)
+        """Inverse of :meth:`to_dict`; a document of the wrong shape
+        raises :class:`SpecificationError`."""
+        with malformed_document():
+            schema = payload.get("schema", CAMPAIGN_SCHEMA_VERSION)
+            if schema != CAMPAIGN_SCHEMA_VERSION:
+                raise SpecificationError(
+                    "campaign schema %r unsupported (this build reads %d)"
+                    % (schema, CAMPAIGN_SCHEMA_VERSION)
+                )
+            return cls(
+                name=payload["name"],
+                kind=payload["kind"],
+                examples=tuple(payload["examples"]),
+                scales=tuple(float(s) for s in payload["scales"]),
+                variants=tuple(
+                    Variant.from_dict(v) for v in payload.get("variants", [])
+                ) or (Variant("default"),),
+                policy=RetryPolicy.from_dict(payload.get("policy", {})),
+                params=dict(payload.get("params", {})),
             )
-        return cls(
-            name=payload["name"],
-            kind=payload["kind"],
-            examples=tuple(payload["examples"]),
-            scales=tuple(float(s) for s in payload["scales"]),
-            variants=tuple(
-                Variant.from_dict(v) for v in payload.get("variants", [])
-            ) or (Variant("default"),),
-            policy=RetryPolicy.from_dict(payload.get("policy", {})),
-            params=dict(payload.get("params", {})),
-        )
 
 
 def job_id(kind: str, example: str, scale: float, variant: str) -> str:

@@ -42,7 +42,7 @@ from repro.core.report import render_architecture
 from repro.errors import ReproError
 from repro.graph.generator import GeneratorConfig, generate_spec
 from repro.io.result_json import save_result_file
-from repro.io.spec_json import load_spec_file, save_spec_file
+from repro.io.spec_json import load_spec_file, read_json_file, save_spec_file
 from repro.bench.examples import EXAMPLE_NAMES, build_example
 
 
@@ -445,10 +445,9 @@ def _cmd_campaign_run(args) -> int:
 
     from repro.campaign.grid import CampaignSpec, RetryPolicy, spec_from_flags
     from repro.campaign.runner import run_campaign
-    from repro.io.campaign_json import load_json
 
     if args.spec is not None:
-        spec = CampaignSpec.from_dict(load_json(args.spec))
+        spec = CampaignSpec.from_dict(read_json_file(args.spec))
         spec = CampaignSpec(
             name=spec.name, kind=spec.kind, examples=spec.examples,
             scales=spec.scales, variants=spec.variants,
@@ -581,8 +580,7 @@ def _cmd_submit(args) -> int:
     from repro.io.service_json import request_from_spec_payload
     from repro.service.client import ServiceUnreachable, submit
 
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        spec_payload = json.load(handle)
+    spec_payload = read_json_file(args.spec)
     config = {}
     for item in args.overrides:
         key, sep, raw = item.partition("=")

@@ -131,7 +131,6 @@ def _merged_candidate(
         evaluator,
         combine_modes=ctx.config.combine_modes,
         tracer=ctx.tracer,
-        prune=ctx.config.prune,
     )
     stats = {
         "accepted": outcome.merges_accepted,

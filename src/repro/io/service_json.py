@@ -232,9 +232,6 @@ def validate_request(
             spec = spec_from_dict(spec_payload)
         except SpecificationError as exc:
             errors.append("spec: %s" % exc)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            errors.append("spec: malformed document (%s: %s)"
-                          % (type(exc).__name__, exc))
     if errors:
         raise RequestValidationError(errors)
     assert spec is not None

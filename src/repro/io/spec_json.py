@@ -37,9 +37,10 @@ graphs can be authored by hand or emitted by external tools:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
-from typing import Any, Dict, Union
+from typing import Any, Dict, Iterator, Union
 
 from repro.errors import SpecificationError
 from repro.graph.spec import SystemSpec
@@ -182,28 +183,68 @@ def _graph_from_dict(data: Dict[str, Any]) -> TaskGraph:
     return graph
 
 
+@contextlib.contextmanager
+def malformed_document() -> Iterator[None]:
+    """Raise a decoded document's structural faults as
+    :class:`SpecificationError`.
+
+    Decoders index a document by the shape they expect, so a missing
+    key, a string where a list belongs or a list where an object
+    belongs surfaces as ``KeyError``, ``TypeError``, ``ValueError`` or
+    ``AttributeError``.  Inside this context each becomes
+    ``SpecificationError("malformed document (KeyError: 'name')")``.
+    """
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SpecificationError(
+            "malformed document (%s: %s)" % (type(exc).__name__, exc)
+        ) from exc
+
+
+def read_json_file(path: Union[str, pathlib.Path]) -> Any:
+    """The JSON document in ``path``; a file that cannot be read or is
+    not JSON raises :class:`SpecificationError` naming the path."""
+    try:
+        return json.loads(pathlib.Path(path).read_text())
+    except OSError as exc:
+        raise SpecificationError(
+            "cannot read %s: %s" % (path, exc.strerror or exc)
+        ) from exc
+    except ValueError as exc:
+        raise SpecificationError(
+            "%s is not a JSON document: %s" % (path, exc)
+        ) from exc
+
+
 def spec_from_dict(data: Dict[str, Any]) -> SystemSpec:
-    """Rebuild a specification from its JSON structures."""
-    if data.get("format") != FORMAT_NAME:
-        raise SpecificationError(
-            "not a %s document (format=%r)" % (FORMAT_NAME, data.get("format"))
+    """Rebuild a specification from its JSON structures.
+
+    A document of the wrong shape raises :class:`SpecificationError`
+    (see :func:`malformed_document`), as an invalid one does.
+    """
+    with malformed_document():
+        if data.get("format") != FORMAT_NAME:
+            raise SpecificationError(
+                "not a %s document (format=%r)"
+                % (FORMAT_NAME, data.get("format"))
+            )
+        version = data.get("version")
+        if version != FORMAT_VERSION:
+            raise SpecificationError(
+                "unsupported %s version %r (supported: %d)"
+                % (FORMAT_NAME, version, FORMAT_VERSION)
+            )
+        compatibility = data.get("compatibility")
+        if compatibility is not None:
+            compatibility = [tuple(pair) for pair in compatibility]
+        return SystemSpec(
+            name=data["name"],
+            graphs=[_graph_from_dict(g) for g in data.get("graphs") or ()],
+            compatibility=compatibility,
+            boot_time_requirement=data.get("boot_time_requirement", 0.2),
+            unavailability=data.get("unavailability") or {},
         )
-    version = data.get("version")
-    if version != FORMAT_VERSION:
-        raise SpecificationError(
-            "unsupported %s version %r (supported: %d)"
-            % (FORMAT_NAME, version, FORMAT_VERSION)
-        )
-    compatibility = data.get("compatibility")
-    if compatibility is not None:
-        compatibility = [tuple(pair) for pair in compatibility]
-    return SystemSpec(
-        name=data["name"],
-        graphs=[_graph_from_dict(g) for g in data.get("graphs") or ()],
-        compatibility=compatibility,
-        boot_time_requirement=data.get("boot_time_requirement", 0.2),
-        unavailability=data.get("unavailability") or {},
-    )
 
 
 def load_spec(text: str) -> SystemSpec:
@@ -212,5 +253,9 @@ def load_spec(text: str) -> SystemSpec:
 
 
 def load_spec_file(path: Union[str, pathlib.Path]) -> SystemSpec:
-    """Read a specification from a JSON file."""
-    return load_spec(pathlib.Path(path).read_text())
+    """Read a specification from a JSON file.
+
+    An unreadable file, invalid JSON and a malformed document all
+    raise :class:`SpecificationError`.
+    """
+    return spec_from_dict(read_json_file(path))

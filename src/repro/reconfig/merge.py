@@ -213,20 +213,12 @@ def merge_reconfigurable_pes(
     evaluate: Callable[[Architecture], EvalResult],
     combine_modes: bool = True,
     tracer: Tracer = NULL_TRACER,
-    prune: bool = False,
 ) -> MergeOutcome:
     """Run the Figure 3 merge loop from a deadline-feasible start.
 
     ``evaluate`` re-schedules a trial architecture and returns its
     verdict; the driver supplies it so merge stays agnostic of
     priorities/boot-time details.
-
-    ``prune`` enables the admissible dollar-cost cut: acceptance
-    demands a strict cost decrease, the evaluator's verdict cost is
-    hardware plus a freshly synthesized (non-negative) interface
-    surcharge, so a trial whose hardware-only cost already reaches the
-    incumbent's total can be rejected without scheduling.  The
-    accepted merge sequence is identical either way.
     """
     if not initial.feasible:
         raise AllocationError(
@@ -257,16 +249,6 @@ def merge_reconfigurable_pes(
                 tracer.event(
                     "merge.reject", host=host_id, donor=donor_id,
                     reason="apply_error",
-                )
-                continue
-            if prune and trial.cost - trial.interface_cost >= current.cost:
-                outcome.merges_rejected += 1
-                tracer.incr("merge.rejects.cost")
-                tracer.incr("prune.cut")
-                tracer.incr("prune.cut.merge")
-                tracer.event(
-                    "merge.reject", host=host_id, donor=donor_id,
-                    reason="cost",
                 )
                 continue
             verdict = evaluate(trial)

@@ -1,11 +1,11 @@
 """Admissible lower bounds on schedule finish times and resource demand.
 
 These are the scheduler-side primitives of the candidate pruning layer
-(:mod:`repro.perf.prune`): *best-case execution vectors* and a
-critical-path finish-time floor that provably never exceeds what
-:func:`repro.sched.scheduler.build_schedule` would produce for the
-same architecture, so a candidate whose floor already misses a
-deadline can be discarded without scheduling at all.
+(:mod:`repro.perf.prune`): a critical-path finish-time floor that
+provably never exceeds what :func:`repro.sched.scheduler.build_schedule`
+would produce for the same architecture, so a candidate whose floor
+already misses a deadline can be discarded without scheduling at all,
+and per-resource demand floors that prove an overload the same way.
 
 Admissibility argument
 ----------------------
@@ -20,19 +20,9 @@ scheduler enforces:
   **PPE** tasks occupy a mode window for exactly ``wcet``; tasks of
   unallocated clusters run *virtually* for ``task.min_exec_time``.
 * A task starts no earlier than its copy's arrival, and no earlier
-  than any predecessor's finish (inter-task communication only adds
-  non-negative link time, so the floor prices it at zero).
-* When an edge connects two clusters placed on the *same* programmable
-  device whose permitted mode sets are **disjoint**, the successor's
-  mode window cannot be its predecessor's window.  By induction over
-  the device's time-ordered windows, the first permitted-mode window
-  after the predecessor's pays its full reboot (its time-predecessor
-  has a different mode -- window 0 never applies because the
-  predecessor's window precedes it), and every later permitted window
-  starts later still; so the successor start is delayed by at least
-  ``min(boot(mode) for mode in its permitted set)``.  The bound is
-  skipped for near-zero durations, where the window-ordering argument
-  degenerates.
+  than any predecessor's finish (inter-task communication and mode
+  reboots only add non-negative time, so the floor prices both at
+  zero).
 
 Floating-point safety: IEEE-754 rounding is monotone, and the floor
 is accumulated with the same operation shapes (``max`` over
@@ -41,17 +31,13 @@ floor is dominated by the real schedule *bit-for-bit*, not merely up
 to an epsilon.  Demand floors are summed in a different order than
 :func:`repro.sched.finish_time.resource_demand`, so their consumers
 apply a small relative margin (see :mod:`repro.perf.prune`).
-
-Everything here is plain python: the deadline floor is one
-longest-path pass per graph, and the paper examples' graphs (at most
-28 tasks) are too small for a vectorized sweep to pay for itself.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.arch.architecture import Architecture
 from repro.arch.pe_instance import PEInstance
@@ -59,14 +45,8 @@ from repro.cluster.clustering import ClusteringResult
 from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.graph.taskgraph import TaskGraph
-from repro.reconfig.reboot import default_boot_time
 from repro.resources.pe import PEKind
 from repro.units import TIME_EPS
-
-#: Durations at or below this are excluded from the reboot bound: the
-#: window-ordering argument needs the successor's occupancy to be
-#: strictly positive even after rounding.
-BOOT_BOUND_MIN_DURATION = 1e-6
 
 
 def best_case_exec_time(task, pe: Optional[PEInstance]) -> float:
@@ -83,86 +63,43 @@ def best_case_exec_time(task, pe: Optional[PEInstance]) -> float:
     return wcet
 
 
-def best_case_exec_vector(
-    graph: TaskGraph, arch: Architecture, clustering: ClusteringResult
-) -> Dict[str, float]:
-    """Per-task duration floors for ``graph`` under a (partial)
-    allocation: the best-case execution vector of the pruning layer."""
-    vector: Dict[str, float] = {}
-    for name in graph.topological_order():
-        cluster_name = clustering.task_to_cluster.get((graph.name, name))
-        pe = None
-        if cluster_name is not None and arch.is_allocated(cluster_name):
-            pe = arch.pe(arch.placement_of(cluster_name)[0])
-        vector[name] = best_case_exec_time(graph.task(name), pe)
-    return vector
-
-
 def finish_time_floor(
-    graph: TaskGraph,
-    arch: Architecture,
-    clustering: ClusteringResult,
-    boot_time_fn: Optional[Callable[[PEInstance, int], float]] = None,
+    graph: TaskGraph, arch: Architecture, clustering: ClusteringResult
 ) -> Dict[str, float]:
     """Copy-0 absolute finish-time floors for every task of ``graph``.
 
-    A longest-path pass over the DAG using the best-case execution
-    vector, zero communication time, and the mode-switch reboot bound
-    for same-PPE edges between clusters with disjoint mode sets.  The
-    value for each task is a true lower bound on the finish time of
-    its copy-0 instance in any schedule the scheduler can emit for
-    ``arch`` (see the module docstring for the argument).
+    A longest-path pass over the DAG: each task's floor is the latest
+    predecessor floor (or the graph's arrival) plus the best-case
+    duration of its placement.  The value for each task is a true
+    lower bound on the finish time of its copy-0 instance in any
+    schedule the scheduler can emit for ``arch`` (see the module
+    docstring for the argument).
     """
-    boot_fn = boot_time_fn or default_boot_time
-    placements: Dict[str, tuple] = {}
+    est = graph.est
+    floor: Dict[str, float] = {}
     for name in graph.topological_order():
         cluster_name = clustering.task_to_cluster.get((graph.name, name))
         pe = None
         if cluster_name is not None and arch.is_allocated(cluster_name):
             pe = arch.pe(arch.placement_of(cluster_name)[0])
-        placements[name] = (pe, cluster_name)
-
-    est = graph.est
-    floor: Dict[str, float] = {}
-    for name in graph.topological_order():
-        pe, cluster_name = placements[name]
-        exec_floor = best_case_exec_time(graph.task(name), pe)
         base = est
         for pred in graph.predecessors(name):
-            ready = floor[pred]
-            pred_pe, pred_cluster = placements[pred]
-            if (
-                pe is not None
-                and pred_pe is pe
-                and pred_cluster != cluster_name
-                and pe.pe_type.kind not in (PEKind.PROCESSOR, PEKind.ASIC)
-                and exec_floor > BOOT_BOUND_MIN_DURATION
-            ):
-                own = pe.modes_of_cluster(cluster_name)
-                theirs = pe.modes_of_cluster(pred_cluster)
-                if own and theirs and not set(own) & set(theirs):
-                    reboot = min(boot_fn(pe, m) for m in own)
-                    if reboot > 0.0:
-                        ready = ready + reboot
-            if ready > base:
-                base = ready
-        floor[name] = base + exec_floor
+            if floor[pred] > base:
+                base = floor[pred]
+        floor[name] = base + best_case_exec_time(graph.task(name), pe)
     return floor
 
 
 def deadline_floor_stats(
-    graph: TaskGraph,
-    arch: Architecture,
-    clustering: ClusteringResult,
-    boot_time_fn: Optional[Callable[[PEInstance, int], float]] = None,
+    graph: TaskGraph, arch: Architecture, clustering: ClusteringResult
 ) -> Tuple[int, float]:
     """(missed deadline count, total lateness) of the copy-0 floor.
 
-    The admissible deadline statistic every pruning bound consumes:
+    The admissible deadline statistic the candidate pruner consumes:
     for each deadline-carrying task, ``finish_time_floor - (est +
     deadline)``, counted/summed when above ``TIME_EPS``.
     """
-    floor = finish_time_floor(graph, arch, clustering, boot_time_fn)
+    floor = finish_time_floor(graph, arch, clustering)
     est = graph.est
     misses = 0
     lateness = 0.0

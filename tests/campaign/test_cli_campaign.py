@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.io.campaign_json import dump_canonical
 from repro.campaign import CampaignSpec, RetryPolicy
@@ -148,3 +150,19 @@ def test_run_flags_override_the_spec_policy(tmp_path):
     stored = CampaignDir(tmp_path / "c").load_spec()
     assert stored.policy.retries == 5
     assert stored.policy.timeout_s == 9.5
+
+
+@pytest.mark.parametrize("command", ["status", "resume"])
+def test_campaign_json_that_is_not_json_is_one_line_and_exit_2(
+    tmp_path, capsys, command
+):
+    """A campaign directory whose ``campaign.json`` is not JSON ends in
+    one ``error:`` line naming the file and exit code 2, not a
+    traceback."""
+    cdir = tmp_path / "c"
+    cdir.mkdir()
+    (cdir / "campaign.json").write_text("not json")
+    assert main(["campaign", command, str(cdir)]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: ")
+    assert "campaign.json is not a JSON document" in line

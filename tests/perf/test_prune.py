@@ -2,10 +2,12 @@
 
 Property suite fuzzing generated workloads: the synthesized result
 must be byte-identical with pruning on and off -- including workloads
-that drive the deferred least-infeasible fallback reconstruction.  Unit tests pin the bound
-primitives: a deliberately deadline-infeasible candidate is cut
-without any scheduler call, and the finish-time floor never exceeds
-the real schedule.
+that drive the deferred least-infeasible fallback reconstruction.
+Pinned counts hold the cuts the two floors make on benchmark inputs.
+Unit tests pin the bound primitives: a deliberately deadline-infeasible
+candidate is cut without any scheduler call, the finish-time floor
+never exceeds the real schedule, the repair floor never exceeds a
+full evaluation, and a pruner's memo answers as a fresh pruner does.
 """
 
 import json
@@ -30,11 +32,14 @@ from repro.graph.association import AssociationArray
 from repro.graph.task import MemoryRequirement
 from repro.io.result_json import result_to_dict
 from repro.perf.prune import CandidatePruner, RepairBound
-from repro.sched.bounds import (
-    best_case_exec_vector,
-    demand_floor,
-    finish_time_floor,
+from repro.resources import (
+    LinkType,
+    MemoryBank,
+    ProcessorType,
+    ResourceLibrary,
 )
+from repro.sched.bounds import demand_floor, finish_time_floor
+from repro.units import MB
 
 PROPERTY_SETTINGS = settings(
     max_examples=8,
@@ -101,9 +106,8 @@ def test_prune_cuts_and_counters_balance():
     reasons = sum(v for k, v in c.items() if k.startswith("prune.cut."))
     assert reasons == c["prune.cut"]
     # Decision identity on the allocation loop: every applied candidate
-    # is either cut or kept (repair and merge shares counted apart).
-    alloc_cut = c["prune.cut"] - c.get("prune.cut.repair", 0) \
-        - c.get("prune.cut.merge", 0)
+    # is either cut or kept (the repair share counted apart).
+    alloc_cut = c["prune.cut"] - c.get("prune.cut.repair", 0)
     alloc_kept = c["prune.kept"] - c.get("prune.kept.repair", 0)
     assert alloc_cut + alloc_kept == (
         c["alloc.options.considered"] - c.get("alloc.options.apply_failed", 0)
@@ -205,7 +209,8 @@ def test_feasible_candidate_is_not_cut(small_library):
 
 
 def test_finish_time_floor_is_dominated_by_real_schedule(small_library):
-    """The copy-0 floor never exceeds the scheduler's finish times."""
+    """The copy-0 floor charges each CPU task its context switch and
+    never exceeds the scheduler's finish times."""
     from repro.cluster.priority import PriorityContext
     from repro.core.stages.support import compute_priorities
     from repro.sched.scheduler import ScheduleRequest, build_schedule
@@ -215,6 +220,8 @@ def test_finish_time_floor_is_dominated_by_real_schedule(small_library):
     )
     graph = spec.graph("late")
     floor = finish_time_floor(graph, arch, clustering)
+    ctx = small_library.pe_type("CPU").context_switch_time
+    assert floor["a"] == pytest.approx(0.0005 + ctx, rel=1e-12)
     priorities = compute_priorities(
         spec, PriorityContext.pessimistic(small_library)
     )
@@ -236,17 +243,119 @@ def test_demand_floor_sums_serial_occupancy(small_library):
     assert demand[pe.id] == pytest.approx(expected, rel=1e-12)
 
 
-def test_best_case_exec_vector_charges_context_switch(small_library):
-    spec, assoc, clustering, arch, pe = _late_chain_setup(small_library)
-    vector = best_case_exec_vector(spec.graph("late"), arch, clustering)
-    ctx = small_library.pe_type("CPU").context_switch_time
-    assert vector["a"] == pytest.approx(0.0005 + ctx, rel=1e-12)
+def test_repair_bound_counts_a_demand_overload(small_library):
+    """Three independent 0.5 ms tasks on one CPU every 1 ms: the
+    demand floor overloads the CPU, and the floor stays below the
+    badness a full evaluation finds."""
+    from repro.alloc.evaluate import evaluate_architecture
+    from repro.cluster.priority import PriorityContext
+    from repro.core.stages.support import compute_priorities
 
-
-def test_repair_bound_floor_is_admissible(small_library):
-    """The full-scope floor counts the chain's provable miss."""
-    spec, assoc, clustering, arch, pe = _late_chain_setup(small_library)
-    bound = RepairBound(spec, assoc, clustering)
-    floor = bound.badness_floor(arch)
+    g = TaskGraph(name="busy", period=0.001, deadline=0.001)
+    for name in ("a", "b", "c"):
+        g.add_task(Task(name=name, exec_times={"CPU": 0.0005}, memory=_mem()))
+    spec = SystemSpec("busy", [g])
+    clustering = trivial_clustering(spec, small_library)
+    arch = Architecture(small_library)
+    pe = arch.new_pe(small_library.pe_type("CPU"))
+    for cluster in clustering.ordered_by_priority():
+        arch.allocate_cluster(
+            cluster.name, pe.id, 0, gates=cluster.area_gates,
+            pins=cluster.pins, memory=cluster.memory,
+        )
+    assoc = AssociationArray(spec, max_explicit_copies=2)
+    floor = RepairBound(spec, assoc, clustering).badness_floor(arch)
     assert floor[0] >= 1
-    assert floor[2] == pytest.approx(arch.cost)
+    priorities = compute_priorities(
+        spec, PriorityContext.pessimistic(small_library)
+    )
+    verdict = evaluate_architecture(spec, assoc, clustering, arch, priorities)
+    assert floor <= verdict.badness()
+
+
+def _two_link_setup(link_name):
+    """Tasks a -> b on two CPUs joined by one link of ``link_name``:
+    the 6400-byte edge takes 100 packets, 20 ms on the slow link
+    against a 10 ms period and 0.2 ms on the fast one."""
+    lib = ResourceLibrary()
+    lib.add_pe_type(ProcessorType(
+        name="CPU", cost=50.0, speed=1.0,
+        memory_banks=(MemoryBank(16 * MB, 20.0),),
+        context_switch_time=10e-6, preemption_overhead=30e-6,
+    ))
+    for name, cost, packet_time in (("slow", 1.0, 200e-6),
+                                    ("fast", 40.0, 2e-6)):
+        lib.add_link_type(LinkType(
+            name=name, cost=cost, max_ports=2, access_times=(1e-6, 1e-6),
+            bytes_per_packet=64, packet_tx_time=packet_time,
+        ))
+    g = TaskGraph(name="g", period=0.01, deadline=0.01)
+    for name in ("a", "b"):
+        g.add_task(Task(name=name, exec_times={"CPU": 0.0005}, memory=_mem()))
+    g.add_edge("a", "b", bytes_=6400)
+    spec = SystemSpec("links", [g])
+    clustering = trivial_clustering(spec, lib)
+    arch = Architecture(lib)
+    pes = {}
+    for task in ("a", "b"):
+        cluster = clustering.clusters[clustering.task_to_cluster[("g", task)]]
+        pe = pes[task] = arch.new_pe(lib.pe_type("CPU"))
+        arch.allocate_cluster(
+            cluster.name, pe.id, 0, gates=cluster.area_gates,
+            pins=cluster.pins, memory=cluster.memory,
+        )
+    arch.connect(pes["a"].id, pes["b"].id, lib.link_type(link_name))
+    assoc = AssociationArray(spec, max_explicit_copies=2)
+    cluster = clustering.clusters[clustering.task_to_cluster[("g", "b")]]
+    option = types.SimpleNamespace(
+        kind="existing", pe_id=pes["b"].id, pe_type_name="CPU",
+        mode_index=0, replicate=(),
+    )
+    return spec, assoc, clustering, cluster, arch, option
+
+
+def test_pruner_memo_answers_as_a_fresh_pruner_across_link_strategies():
+    """Allocation reuses one pruner across link strategies, so the
+    same option lands on a slow-link and then a fast-link
+    architecture; the memoized answer must be the one a fresh pruner
+    gives for the fast link."""
+    spec, assoc, clustering, cluster, slow_arch, option = \
+        _two_link_setup("slow")
+    *_, fast_arch, _ = _two_link_setup("fast")
+    fresh = CandidatePruner(spec, assoc, clustering, cluster)
+    expected = fresh.bound(fast_arch, option, graphs=None)
+    reused = CandidatePruner(spec, assoc, clustering, cluster)
+    reused.bound(slow_arch, option, graphs=None)
+    answer = reused.bound(fast_arch, option, graphs=None)
+    assert (answer is None) == (expected is None)
+    assert expected is None
+
+
+def _prune_counters(spec):
+    tracer = Tracer()
+    crusade(spec, config=CrusadeConfig(), tracer=tracer)
+    c = tracer.counters.as_dict()
+    return {k: v for k, v in c.items() if k.startswith("prune.cut")}, \
+        c.get("prune.kept", 0)
+
+
+def test_demand_floor_cuts_pinned_on_a1tr():
+    """A1TR@0.05 (a benchmark input): the target-PE demand floor makes
+    all seven cuts."""
+    from repro.bench.examples import build_example
+
+    cuts, kept = _prune_counters(build_example("A1TR", 0.05))
+    assert cuts == {"prune.cut": 7, "prune.cut.overload": 7}
+    assert kept == 314
+
+
+def test_finish_time_floor_cuts_pinned_on_a_service_pool_spec():
+    """The first service-mix pool spec (a benchmark input): the
+    finish-time floor makes both cuts."""
+    spec = generate_spec(
+        GeneratorConfig(seed=7000, n_graphs=3, tasks_per_graph=12),
+        name="pool00",
+    )
+    cuts, kept = _prune_counters(spec)
+    assert cuts == {"prune.cut": 2, "prune.cut.deadline": 2}
+    assert kept == 36

@@ -97,6 +97,51 @@ class TestCli:
         assert last.startswith("error: task graph ")
         assert "contains a cycle" in last
 
+    @pytest.mark.parametrize("command, content, expected", [
+        pytest.param(
+            "synthesize",
+            lambda p: p["graphs"][0]["tasks"][0].pop("exec_times"),
+            "malformed document (KeyError: 'exec_times')",
+            id="synthesize-task-without-exec-times"),
+        pytest.param(
+            "synthesize", lambda p: p["graphs"][0].update(tasks="t0"),
+            "malformed document (AttributeError: ",
+            id="synthesize-tasks-is-a-string"),
+        pytest.param("synthesize", None, "No such file or directory",
+                     id="synthesize-missing-path"),
+        pytest.param("synthesize", "not json", "is not a JSON document",
+                     id="synthesize-not-json"),
+        pytest.param("submit", None, "No such file or directory",
+                     id="submit-missing-path"),
+        pytest.param("campaign", None, "No such file or directory",
+                     id="campaign-run-missing-spec"),
+    ])
+    def test_bad_input_file_is_one_line_and_exit_2(
+        self, spec_file, tmp_path, capsys, command, content, expected
+    ):
+        """An input file the CLI cannot use (missing, not JSON, or a
+        malformed document) ends in one ``error:`` line naming the
+        fault and exit code 2, not a traceback.  ``content`` edits a
+        valid spec, replaces the file's text, or (None) leaves no
+        file at all."""
+        bad = tmp_path / "bad.json"
+        if callable(content):
+            payload = json.loads(spec_file.read_text())
+            content(payload)
+            bad.write_text(json.dumps(payload))
+        elif content is not None:
+            bad.write_text(content)
+        argv = {
+            "synthesize": ["synthesize", str(bad)],
+            "submit": ["submit", str(bad), "--port", "9"],
+            "campaign": ["campaign", "run", str(bad),
+                         "--dir", str(tmp_path / "c")],
+        }[command]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error: ")
+        assert expected in line
+
     def test_synthesize_profile(self, spec_file, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main([
