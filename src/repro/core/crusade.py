@@ -39,7 +39,6 @@ from repro.graph.spec import SystemSpec
 from repro.obs.trace import Tracer, resolve_tracer
 from repro.perf.engine import IncrementalEngine
 from repro.perf.store import resolve_store
-from repro.resources.catalog import default_library
 from repro.resources.library import ResourceLibrary
 
 
@@ -109,12 +108,11 @@ def crusade(
     store = resolve_store(config)
     resolved_tracer = resolve_tracer(tracer)
     exact_key = None
-    resolved_library = library
     if store is not None and clustering is None and baseline is None \
             and engine is None:
-        if resolved_library is None:
-            resolved_library = default_library()
-        exact_key = store.result_key(spec, resolved_library, config)
+        # No library named: the key uses the default catalog's digest,
+        # memoized per process, so an exact hit builds no library.
+        exact_key = store.result_key(spec, library, config)
         cached = store.load_result(exact_key, tracer=resolved_tracer)
         if cached is not None:
             resolved_tracer.incr("perf.store.hit")
@@ -130,7 +128,7 @@ def crusade(
         resolved_tracer.incr("perf.store.miss")
     ctx = SynthesisContext.begin(
         spec,
-        library=resolved_library,
+        library=library,
         config=config,
         clustering=clustering,
         baseline=baseline,

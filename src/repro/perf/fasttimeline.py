@@ -32,6 +32,15 @@ programmable-device mode timeline, whose candidate sweep dominates
 hardware-heavy examples: bisected prefix skips, monotone lower-bound
 early exits, and a hoisted mode sort -- same candidates, same
 tie-breaks, same degraded-mode escape hatch.
+
+Both classes can also be rebuilt from a finished timeline's record
+without re-running its operations, which is how the scheduler resumes
+a build from the previous build of the same plan
+(:func:`repro.sched.scheduler.build_schedule`):
+:func:`restore_timeline` takes a prefix of the intervals in their
+stored order, and :func:`replay_mode_timeline` re-applies the outcomes
+``place`` appended to its optional ``record`` list.  Neither adds an
+instance attribute, so pickled timelines stay as they were.
 """
 
 from __future__ import annotations
@@ -236,10 +245,18 @@ class FastPpeModeTimeline(PpeModeTimeline):
         boot_time: float,
         allowed: Optional[Dict[int, float]] = None,
         allowed_sorted: Optional[list] = None,
+        record: Optional[list] = None,
     ) -> Tuple[float, float]:
         """``allowed_sorted``, when given, must be
         ``sorted(allowed.items())`` -- callers that memoize the allowed
         map per (device, cluster) hoist the sort out of this hot path.
+
+        ``record``, when given, gets the outcome appended for
+        :func:`replay_mode_timeline`: ``(index, finish)`` for a join
+        of window ``index``, ``(index, mode, start, finish,
+        boot_time)`` for a window inserted at ``index``.  Degraded
+        placements append nothing (a build that degraded keeps no
+        record).
         """
         if self._degraded:
             return super().place(mode, ready, duration, boot_time, allowed)
@@ -323,17 +340,17 @@ class FastPpeModeTimeline(PpeModeTimeline):
                 ends[index] = finish
                 if index + 1 < n and finish > ends[index + 1]:
                     self._degraded = True
+            if record is not None:
+                record.append((index, finish))
             return start, finish
         at = index + 1
+        boot = allowed[chosen_mode]
         windows.insert(
             at,
-            ModeWindow(
-                mode=chosen_mode,
-                start=start,
-                end=finish,
-                boot_time=allowed[chosen_mode],
-            ),
+            ModeWindow(mode=chosen_mode, start=start, end=finish, boot_time=boot),
         )
+        if record is not None:
+            record.append((at, chosen_mode, start, finish, boot))
         starts.insert(at, start)
         ends.insert(at, finish)
         if (at > 0 and (starts[at - 1] > start or ends[at - 1] > finish)) or (
@@ -342,3 +359,43 @@ class FastPpeModeTimeline(PpeModeTimeline):
         ):
             self._degraded = True
         return start, finish
+
+
+def restore_timeline(intervals: List[BusyInterval]) -> FastTimeline:
+    """A timeline holding ``intervals``, taken in their stored order
+    from a :class:`FastTimeline` that never degraded.
+
+    Inserts never reorder earlier intervals, so any subset of a
+    non-degraded timeline kept in its order is exactly the state
+    inserting that subset alone produces.
+    """
+    timeline = FastTimeline()
+    timeline._intervals.extend(intervals)
+    timeline._starts.extend([interval.start for interval in intervals])
+    timeline._ends.extend([interval.end for interval in intervals])
+    return timeline
+
+
+def replay_mode_timeline(outcomes: List[tuple]) -> FastPpeModeTimeline:
+    """The timeline a sequence of ``place`` calls left behind, rebuilt
+    from the outcomes they appended to ``record`` (on a
+    :class:`FastPpeModeTimeline` that never degraded)."""
+    timeline = FastPpeModeTimeline()
+    windows = timeline.windows
+    starts = timeline._starts
+    ends = timeline._wends
+    for outcome in outcomes:
+        if len(outcome) == 2:
+            index, finish = outcome
+            window = windows[index]
+            if finish > window.end:
+                window.end = finish
+                ends[index] = finish
+        else:
+            at, mode, start, finish, boot_time = outcome
+            windows.insert(at, ModeWindow(
+                mode=mode, start=start, end=finish, boot_time=boot_time,
+            ))
+            starts.insert(at, start)
+            ends.insert(at, finish)
+    return timeline

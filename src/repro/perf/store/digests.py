@@ -8,7 +8,8 @@ keys are stable across processes and machines:
   spec-JSON payloads (:mod:`repro.io.spec_json`), so two specs with
   equal content digest equally however they were constructed;
 * :func:`catalog_digest` -- over every PE/link type's dataclass
-  fields, name-sorted;
+  fields, name-sorted; :func:`default_catalog_digest` is the default
+  catalog's, computed once per process;
 * :func:`config_digest` -- over the *semantic* ``CrusadeConfig``
   fields only: knobs that are proven byte-identity-preserving
   (``prune``, ``bound_abort``) and the store's own plumbing
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from typing import Dict, Iterable
@@ -128,6 +130,20 @@ def catalog_digest(library: ResourceLibrary) -> str:
             for name in sorted(library.link_types)
         ),
     ))
+
+
+@functools.lru_cache(maxsize=None)
+def default_catalog_digest() -> str:
+    """``catalog_digest(default_library())``, computed once per process.
+
+    :func:`repro.resources.catalog.default_library` builds the same
+    catalog on every call, so its digest cannot change within a
+    process; a request that names no library keys its store lookup on
+    this and builds no library unless it misses.
+    """
+    from repro.resources.catalog import default_library
+
+    return catalog_digest(default_library())
 
 
 def config_digest(config) -> str:

@@ -49,6 +49,7 @@ from repro.perf.store.digests import (
     STORE_SCHEMA_VERSION,
     catalog_digest,
     config_digest,
+    default_catalog_digest,
     spec_digest,
     value_digest,
 )
@@ -201,9 +202,14 @@ class SynthesisStore:
     # full-result tier
     # ------------------------------------------------------------------
     def result_key(self, spec, library, config) -> str:
-        """The full-result tier key of one synthesis request."""
+        """The full-result tier key of one synthesis request
+        (``library`` None: the default catalog)."""
+        catalog = (
+            default_catalog_digest() if library is None
+            else catalog_digest(library)
+        )
         return join_result_key(
-            spec_digest(spec), catalog_digest(library), config_digest(config),
+            spec_digest(spec), catalog, config_digest(config),
         )
 
     def _result_path(self, key: str) -> pathlib.Path:

@@ -33,7 +33,20 @@ whole periods (see :mod:`repro.graph.association`).
 the incremental engine owns: a per-spec plan of instance records,
 route and transfer-time memos, and the production timeline pair
 (:mod:`repro.perf.fasttimeline`).  Requests without a context get a
-fresh one.  Its oracle is the reference loop in
+fresh one.
+
+A context also keeps a *trail* of each plan's last finished build,
+and consecutive builds of one plan -- candidate after candidate in
+the allocation loop -- mostly differ by one cluster's placement.  So
+a build first replays its heap under its own priorities against the
+trail (:func:`_reusable_prefix`): a decision is reused only when its
+task, its placement and every value it reads equal the trail's.  At
+the first decision that differs, the schedule state as of that
+decision is restored from the trail (:func:`_restore_prefix`) and the
+loop schedules on from there.  Nothing is guessed, so the schedule,
+its by-products, a bound's abort and the tracer counters are the ones
+a from-scratch build gives; only the timeline operations of the
+reused decisions are skipped.  Its oracle is the reference loop in
 ``tests/sched/reference_scheduler.py``, which re-derives every
 decision input from the specification on every run and schedules onto
 the linear timelines of :mod:`repro.sched.timeline`; the test suites
@@ -42,6 +55,7 @@ hold the two to byte-identical schedules and results.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -229,7 +243,14 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     Scheduling runs over the request's
     :class:`~repro.perf.fastsched.SchedulerContext` -- its cached
     plan, route and transfer-time memos and timeline factory pair --
-    or over a fresh context when the request carries none.
+    or over a fresh context when the request carries none.  When the
+    context holds a trail of an earlier build of the same plan, the
+    build resumes from it: the leading decisions whose every input
+    equals the trail's are copied rather than recomputed
+    (:func:`_reusable_prefix`, :func:`_restore_prefix`), and
+    scheduling goes on from the first decision that differs.  The
+    schedule, its by-products and the tracer counters are the ones a
+    from-scratch build produces.
 
     Raises :class:`SchedulingError` on internal inconsistencies (e.g.
     an unallocated task) and :class:`AllocationError` when two
@@ -256,12 +277,14 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     # The architecture is frozen for the duration of one scheduler run,
     # so per-arch/per-run lookups hoist out of the task loop entirely:
     # the route memo for the current topology, the transfer-time memo,
-    # and per-run memos for the PPE placement inputs (a device's modes
-    # carrying a cluster, and boot times, are pure functions of the
-    # frozen architecture -- the fingerprint layer already relies on
-    # boot_time_fn purity).
+    # and per-run memos for the routes and PPE placement inputs (a
+    # link's signature, a device's modes carrying a cluster, and boot
+    # times, are pure functions of the frozen architecture -- the
+    # fingerprint layer already relies on boot_time_fn purity).
     route_table = context.route_table(arch)
     comm_cache = context._comm
+    #: (pe id, pe id) -> route signature (see :func:`_route`).
+    routes: Dict[tuple, Optional[tuple]] = {}
     #: (pe id, cluster) -> ({mode: boot}, sorted items) for PPE hosts.
     allowed_memo: Dict[tuple, tuple] = {}
     boot_memo: Dict[tuple, float] = {}
@@ -276,13 +299,14 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     # checks and the plan's absolute deadlines (see
     # :class:`ScheduleAbort`).
     bound = request.bound
+    violations = request.bound_base
+    crossed: set = set()
+    bound_limit = capacity = deadline_by_key = None
     if bound is not None:
         from repro.sched.finish_time import _OVERLOAD_TOLERANCE
 
         bound_limit = bound[0]
-        violations = request.bound_base
         capacity = request.assoc.hyperperiod
-        crossed: set = set()
         deadline_by_key = plan.deadline_map()
     indegree = dict(plan.indegree)
     heap: List[Tuple[float, float, tuple]] = []
@@ -297,10 +321,12 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     edges = schedule.edges
     scheduled_count = 0
     # Per-run decision counters, flushed in one batch after the loop
-    # (identical totals, a fraction of the Tracer.incr call volume).
+    # (identical totals, a fraction of the Tracer.incr call volume);
+    # splits taken are ``schedule.preemptions``.
     n_virtual = 0
     n_real = 0
-    split_counts = [0, 0]
+    #: Decision indices that declined a preemptive split.
+    declined: List[int] = []
     # Copy-0 hyperperiod demand, accumulated inline.  Per-resource
     # accumulation order equals the post-pass
     # :func:`repro.sched.finish_time.resource_demand` order (schedule
@@ -308,6 +334,33 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     # placements, link buckets only from edge placements), so the
     # float sums are bit-identical; consumers sort the keys.
     demand: Dict[str, float] = {}
+
+    # Resume from the plan's trail, over the production timelines only:
+    # a recording factory must see every operation, so a build over one
+    # neither resumes nor keeps a trail (``places`` stays None).
+    #: PPE id -> the outcomes its timeline's ``place`` calls recorded.
+    places: Optional[Dict[str, list]] = None
+    if context.resumable:
+        places = {}
+        sigs = _cluster_signatures(plan, cluster_alloc, pes)
+        trail = context.trail_for(plan)
+        if (
+            trail is not None
+            and trail.library is library
+            and trail.preemption == preemption
+        ):
+            scheduled_count = _reusable_prefix(
+                trail, plan, sigs, heap, indegree, priorities, arch,
+                route_table, routes, allowed_memo, boot_memo, boot_time_fn,
+            )
+            if scheduled_count:
+                n_real, violations = _restore_prefix(
+                    trail, plan, scheduled_count, sigs, schedule, demand,
+                    declined, places, bound_limit, violations, capacity,
+                    crossed, deadline_by_key,
+                )
+                n_virtual = scheduled_count - n_real
+
     while heap:
         _, _, key = heapq.heappop(heap)
         graph_name, _, task_name = key
@@ -344,32 +397,28 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                     ready = pred_finish
                 continue
             pair = (pred_pe_id, pe_id)
-            try:
-                link = route_table[pair]
-            except KeyError:
-                link = route_table[pair] = arch.find_link_between(
-                    pred_pe_id, pe_id
-                )
-            if link is None:
-                raise AllocationError(
-                    "no link connects %r and %r for edge %s->%s"
-                    % (pred_pe_id, pe_id, pred_key[2], task_name)
-                )
-            timeline = schedule.link_timelines.get(link.id)
+            route = routes.get(pair)
+            if route is None:
+                route = routes[pair] = _route(arch, route_table, pair)
+                if route is None:
+                    raise AllocationError(
+                        "no link connects %r and %r for edge %s->%s"
+                        % (pred_pe_id, pe_id, pred_key[2], task_name)
+                    )
+            link_id, link_type_name, ports, link = route
+            timeline = schedule.link_timelines.get(link_id)
             if timeline is None:
-                timeline = schedule.link_timelines[link.id] = timeline_cls()
+                timeline = schedule.link_timelines[link_id] = timeline_cls()
             # Transfer time is a pure function of (link type, current
             # port count, payload) -- the paper's recomputed
             # communication vectors.
-            ports = link.ports_used
-            ckey = (link.link_type.name, ports if ports > 2 else 2, bytes_)
+            ckey = (link_type_name, ports, bytes_)
             try:
                 duration = comm_cache[ckey]
             except KeyError:
                 duration = comm_cache[ckey] = link.comm_time(bytes_)
             start = timeline.earliest_fit(pred_finish, duration)
             start, finish = timeline.occupy(start, duration, edge_key)
-            link_id = link.id
             edges[edge_key] = ScheduledEdge(
                 key=edge_key, link_id=link_id, start=start, finish=finish
             )
@@ -411,7 +460,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                 if kind is PEKind.PROCESSOR:
                     start, finish, was_split = _place_on_processor(
                         schedule, pe, key, ready, wcet, preemption,
-                        timeline_cls, split_counts,
+                        timeline_cls, declined, scheduled_count,
                     )
                 else:
                     timeline = schedule.ppe_timelines.get(pe_id)
@@ -419,15 +468,13 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                         timeline = schedule.ppe_timelines[pe_id] = (
                             ppe_timeline_cls()
                         )
+                        if places is not None:
+                            places[pe_id] = []
                     akey = (pe_id, cluster_name)
                     entry = allowed_memo.get(akey)
                     if entry is None:
-                        allowed = {
-                            m: boot_time_fn(pe, m)
-                            for m in pe.modes_of_cluster(cluster_name)
-                        }
-                        entry = allowed_memo[akey] = (
-                            allowed, sorted(allowed.items()),
+                        entry = allowed_memo[akey] = _device_modes(
+                            pe, cluster_name, boot_time_fn
                         )
                     allowed, allowed_sorted = entry
                     bkey = (pe_id, mode)
@@ -437,6 +484,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                     start, finish = timeline.place(
                         mode, ready, wcet, boot, allowed=allowed,
                         allowed_sorted=allowed_sorted,
+                        record=None if places is None else places[pe_id],
                     )
                 if key[1] == 0:
                     # Serial resource (processor or PPE): the per-PE
@@ -495,10 +543,10 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         tracer.incr("sched.tasks.real", n_real)
     if n_virtual:
         tracer.incr("sched.tasks.virtual", n_virtual)
-    if split_counts[0]:
-        tracer.incr("sched.preemption.splits_declined", split_counts[0])
-    if split_counts[1]:
-        tracer.incr("sched.preemption.splits_taken", split_counts[1])
+    if declined:
+        tracer.incr("sched.preemption.splits_declined", len(declined))
+    if schedule.preemptions:
+        tracer.incr("sched.preemption.splits_taken", schedule.preemptions)
 
     # Verdict by-products: per-graph lateness in the contract
     # insertion order (the plan's rows) and the inline demand map --
@@ -513,7 +561,315 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         lateness[name] = per_graph
     schedule.lateness = lateness
     schedule.demand = demand
+    if places is not None:
+        from repro.perf.fastsched import Trail
+
+        context.keep_trail(Trail(
+            plan, library, preemption, schedule, sigs,
+            {pair: route[:3] for pair, route in routes.items()
+             if route is not None},
+            allowed_memo, boot_memo, places, declined,
+        ))
     return schedule
+
+
+def _route(
+    arch: Architecture, route_table: dict, pair: tuple
+) -> Optional[tuple]:
+    """``(link id, link type name, port bucket, link)`` of the link
+    joining a PE pair, or None when none does.
+
+    The first three fields are everything a transfer on the link
+    reads: its timeline, and the type and port count (below two
+    ports counts as two) its transfer time depends on.
+    """
+    try:
+        link = route_table[pair]
+    except KeyError:
+        link = route_table[pair] = arch.find_link_between(*pair)
+    if link is None:
+        return None
+    ports = link.ports_used
+    return (link.id, link.link_type.name, ports if ports > 2 else 2, link)
+
+
+def _device_modes(
+    pe: PEInstance, cluster_name: str, boot_time_fn: Callable
+) -> Tuple[Dict[int, float], list]:
+    """``({mode: boot time}, sorted items)`` for the modes of a
+    programmable ``pe`` whose configuration carries the cluster."""
+    allowed = {
+        m: boot_time_fn(pe, m) for m in pe.modes_of_cluster(cluster_name)
+    }
+    return allowed, sorted(allowed.items())
+
+
+def _cluster_signatures(
+    plan, cluster_alloc: dict, pes: dict
+) -> Dict[str, Optional[tuple]]:
+    """What the scheduler reads about each of ``plan``'s clusters.
+
+    Cluster name -> ``(pe id, mode, PEInstance.id, PE type name, PE
+    kind)`` of its placement, or None while it is unplaced.  The type
+    name fixes the execution time, the kind and the context-switch
+    and preemption overheads (the library is checked separately).
+    """
+    sigs: Dict[str, Optional[tuple]] = {}
+    for name in plan.clusters:
+        placement = cluster_alloc.get(name)
+        if placement is None:
+            sigs[name] = None
+            continue
+        pe_id, mode = placement
+        pe = pes.get(pe_id)
+        if pe is None:
+            sigs[name] = (pe_id, mode, None, None, None)
+        else:
+            pe_type = pe.pe_type
+            sigs[name] = (pe_id, mode, pe.id, pe_type.name, pe_type.kind)
+    return sigs
+
+
+def _same_signature(new: Optional[tuple], old: Optional[tuple]) -> bool:
+    """Whether two :func:`_cluster_signatures` entries make the same
+    decisions.
+
+    The id strings must be the same objects, not merely equal: reused
+    decisions carry the trail's strings into the new schedule, and a
+    pickle writes one copy per string object.
+    """
+    if new is None or old is None:
+        return new is old
+    return (
+        new[0] is old[0]
+        and new[2] is old[2]
+        and new[2] is not None
+        and new[1] == old[1]
+        and new[3] == old[3]
+    )
+
+
+def _reusable_prefix(
+    trail, plan, sigs: dict, heap: list, indegree: dict,
+    priorities: Dict[str, Dict[str, float]], arch: Architecture,
+    route_table: dict, routes: dict, allowed_memo: dict, boot_memo: dict,
+    boot_time_fn: Callable,
+) -> int:
+    """How many leading decisions this build makes exactly as the
+    trail's build did; pops them off ``heap``.
+
+    The heap is replayed under this build's priorities, releasing
+    successors as the scheduling loop does.  A decision counts only
+    when its popped task is the trail's at the same step and every
+    input it reads equals the trail's:
+
+    * its cluster's :func:`_cluster_signatures` entry -- the same PE
+      instance, mode and PE type, or unplaced in both builds;
+    * on a programmable PE, the boot time of every mode carrying the
+      cluster and of the cluster's own mode;
+    * for every incoming edge routed between two PEs, the link's id,
+      type and port bucket (:func:`_route`).
+
+    Everything else a decision reads -- arrivals, execution times,
+    payloads, deadlines and best-case transfer times -- is fixed by
+    the plan and the library, which the caller checked, and the
+    timelines then match by induction.  The first decision that
+    differs goes back onto the heap, and its index is returned.  The
+    route and boot-time memos fill exactly as the loop fills them.
+    """
+    records = plan.records
+    steps = trail.steps
+    total = len(steps)
+    trail_tasks = trail.schedule.tasks
+    old_sigs = trail.sigs
+    old_routes = trail.routes
+    replaced = {
+        name for name, sig in sigs.items()
+        if not _same_signature(sig, old_sigs[name])
+    }
+    device_verdicts: Dict[tuple, bool] = {}
+    pair_verdicts: Dict[tuple, bool] = {}
+    pes = arch.pes
+    step = 0
+    while heap:
+        entry = heapq.heappop(heap)
+        key = entry[2]
+        if step == total or steps[step].key != key:
+            break
+        _, preds, succs, _, cluster_name = records[key]
+        if cluster_name in replaced:
+            break
+        sig = sigs[cluster_name]
+        if sig is not None:
+            pe_id, mode, _, _, kind = sig
+            if kind is not PEKind.PROCESSOR and kind is not PEKind.ASIC:
+                akey = (pe_id, cluster_name)
+                same = device_verdicts.get(akey)
+                if same is None:
+                    pe = pes[pe_id]
+                    entry_now = allowed_memo[akey] = _device_modes(
+                        pe, cluster_name, boot_time_fn
+                    )
+                    bkey = (pe_id, mode)
+                    boot = boot_memo.get(bkey)
+                    if boot is None:
+                        boot = boot_memo[bkey] = boot_time_fn(pe, mode)
+                    entry_then = trail.allowed.get(akey)
+                    same = device_verdicts[akey] = (
+                        entry_then is not None
+                        and entry_then[0] == entry_now[0]
+                        and trail.boots.get(bkey) == boot
+                    )
+                if not same:
+                    break
+            diverged = False
+            for pred_key, bytes_, _ in preds:
+                pred_pe_id = trail_tasks[pred_key].pe_id
+                if pred_pe_id is None or pred_pe_id == pe_id or bytes_ == 0:
+                    continue
+                pair = (pred_pe_id, pe_id)
+                same = pair_verdicts.get(pair)
+                if same is None:
+                    route = routes.get(pair)
+                    if route is None:
+                        route = routes[pair] = _route(arch, route_table, pair)
+                    old = old_routes.get(pair)
+                    same = pair_verdicts[pair] = (
+                        route is not None
+                        and old is not None
+                        and route[0] is old[0]
+                        and route[1:3] == old[1:3]
+                    )
+                if not same:
+                    diverged = True
+                    break
+            if diverged:
+                break
+        step += 1
+        if succs:
+            priority_table = priorities[key[0]]
+            for succ_key, succ_name in succs:
+                remaining = indegree[succ_key] - 1
+                indegree[succ_key] = remaining
+                if remaining == 0:
+                    heapq.heappush(
+                        heap,
+                        (
+                            -priority_table[succ_name],
+                            records[succ_key][0],
+                            succ_key,
+                        ),
+                    )
+    else:
+        return step
+    heapq.heappush(heap, entry)
+    return step
+
+
+def _restore_prefix(
+    trail, plan, step: int, sigs: dict, schedule: Schedule, demand: dict,
+    declined: list, places: dict, bound_limit, violations: int, capacity,
+    crossed: set, deadline_by_key,
+) -> Tuple[int, int]:
+    """Put the trail's first ``step`` decisions into ``schedule``.
+
+    Tasks and edges are the trail's own objects (never mutated once
+    made).  Demand, the crossed set and the violation count are
+    re-accumulated in decision order, so the floats are identical and
+    a ``bound`` the prefix exceeds raises :class:`ScheduleAbort` at
+    the same event, for the same reason, as a from-scratch build.
+    Serial timelines keep the trail intervals the restored decisions
+    own, in their stored order; mode timelines replay their first
+    ``place`` outcomes, one per restored task on the device.  Both
+    timeline dicts keep their first-use order.  Returns the number of
+    restored tasks placed on a PE, and the violation count.
+    """
+    # Deferred: repro.perf imports this module.
+    from repro.perf.fasttimeline import replay_mode_timeline, restore_timeline
+
+    if bound_limit is not None:
+        from repro.sched.finish_time import _OVERLOAD_TOLERANCE
+    records = plan.records
+    ncopies = plan.ncopies
+    tasks = schedule.tasks
+    edges = schedule.edges
+    trail_edges = trail.schedule.edges
+    #: PPE id -> restored tasks placed on it.
+    on_device: Dict[str, int] = {}
+    n_real = 0
+    for placed in trail.steps[:step]:
+        key = placed.key
+        graph_name = key[0]
+        copy0 = key[1] == 0
+        cluster_name = records[key][4]
+        for _, _, edge_key in records[key][1]:
+            edge = trail_edges[edge_key]
+            edges[edge_key] = edge
+            link_id = edge.link_id
+            if link_id is not None and copy0:
+                load = demand.get(link_id, 0.0) + (
+                    edge.finish - edge.start
+                ) * ncopies[graph_name]
+                demand[link_id] = load
+                if (
+                    bound_limit is not None
+                    and link_id not in crossed
+                    and load / capacity > _OVERLOAD_TOLERANCE
+                ):
+                    crossed.add(link_id)
+                    violations += 1
+                    if violations > bound_limit:
+                        raise ScheduleAbort("overload")
+        pe_id = placed.pe_id
+        if pe_id is not None:
+            n_real += 1
+            kind = sigs[cluster_name][4]
+            if kind is not PEKind.ASIC:
+                if kind is not PEKind.PROCESSOR:
+                    on_device[pe_id] = on_device.get(pe_id, 0) + 1
+                if copy0:
+                    load = demand.get(pe_id, 0.0) + (
+                        placed.finish - placed.start
+                    ) * ncopies[graph_name]
+                    demand[pe_id] = load
+                    if (
+                        bound_limit is not None
+                        and pe_id not in crossed
+                        and load / capacity > _OVERLOAD_TOLERANCE
+                    ):
+                        crossed.add(pe_id)
+                        violations += 1
+                        if violations > bound_limit:
+                            raise ScheduleAbort("overload")
+            if placed.preempted:
+                schedule.preemptions += 1
+        tasks[key] = placed
+        if bound_limit is not None:
+            absolute = deadline_by_key.get(key)
+            if absolute is not None and placed.finish - absolute > TIME_EPS:
+                violations += 1
+                if violations > bound_limit:
+                    raise ScheduleAbort("deadline")
+    declined.extend(trail.declined[:bisect.bisect_left(trail.declined, step)])
+
+    whole = step == len(trail.steps)
+    old = trail.schedule
+    for timelines, new_timelines, owners in (
+        (old.proc_timelines, schedule.proc_timelines, tasks),
+        (old.link_timelines, schedule.link_timelines, edges),
+    ):
+        for resource, timeline in timelines.items():
+            intervals = timeline.intervals
+            if not whole:
+                intervals = [iv for iv in intervals if iv.owner in owners]
+            if intervals:
+                new_timelines[resource] = restore_timeline(intervals)
+    for pe_id in old.ppe_timelines:
+        count = on_device.get(pe_id)
+        if count:
+            outcomes = places[pe_id] = trail.places[pe_id][:count]
+            schedule.ppe_timelines[pe_id] = replay_mode_timeline(outcomes)
+    return n_real, violations
 
 
 def _place_on_processor(
@@ -524,7 +880,8 @@ def _place_on_processor(
     wcet: float,
     preemption: bool,
     timeline_cls: type,
-    split_counts: list,
+    declined: list,
+    step: int,
 ) -> Tuple[float, float, bool]:
     """Place a task on a processor.
 
@@ -536,10 +893,9 @@ def _place_on_processor(
     (Section 5's restricted preemptive scheduling).  The split is used
     only when it strictly improves the task's finish time.
 
-    ``timeline_cls`` builds the processor's timeline on first use;
-    ``split_counts`` (a ``[declined, taken]`` pair) batches the split
-    decision counters, which the caller flushes to the tracer once
-    per run.
+    ``timeline_cls`` builds the processor's timeline on first use.  A
+    split taken counts in ``schedule.preemptions``; a split declined
+    appends the decision index ``step`` to ``declined``.
     """
     processor = pe.pe_type
     assert isinstance(processor, ProcessorType)
@@ -555,15 +911,14 @@ def _place_on_processor(
         ready, duration, processor.preemption_overhead
     )
     if segments is None or len(segments) < 2:
-        split_counts[0] += 1
+        declined.append(step)
         return timeline.occupy(start, duration, key) + (False,)
     contiguous_finish = start + duration
     split_finish = segments[-1][1]
     if split_finish >= contiguous_finish:
-        split_counts[0] += 1
+        declined.append(step)
         return timeline.occupy(start, duration, key) + (False,)
     for seg_start, seg_end in segments:
         timeline.occupy(seg_start, seg_end - seg_start, key)
     schedule.preemptions += 1
-    split_counts[1] += 1
     return segments[0][0], split_finish, True

@@ -124,6 +124,38 @@ class TestDigests:
             "42103f95f79f400c4190d96f4bdce010-"
             "d343d88a5ab5d42e957c17a2dcf6e8de"
         )
+        # No library named: the memoized default catalog digest keys
+        # the same entry.
+        assert SynthesisStore(tmp_path).result_key(
+            _spec(), None, CrusadeConfig()
+        ) == key
+
+    def test_exact_hit_builds_no_library(self, tmp_path, monkeypatch):
+        """A resubmission that names no library is answered from the
+        store without building or digesting the default catalog."""
+        from repro.core.crusade import crusade
+        from repro.core.stages import context as context_module
+        from repro.obs.trace import Tracer
+        from repro.perf.store import digests
+
+        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+        config = CrusadeConfig(cache_dir=str(tmp_path))
+        spec = _spec()
+        first = crusade(spec, config=config)
+
+        def no_library():
+            raise AssertionError("an exact hit built a library")
+
+        def no_catalog_digest(library):
+            raise AssertionError("an exact hit digested a catalog")
+
+        digests.default_catalog_digest()  # the process memo is warm
+        monkeypatch.setattr(context_module, "default_library", no_library)
+        monkeypatch.setattr(digests, "catalog_digest", no_catalog_digest)
+        tracer = Tracer()
+        hit = crusade(spec, config=config, tracer=tracer)
+        assert tracer.counters.as_dict()["perf.store.hit"] == 1
+        assert hit.cost == first.cost
 
     def test_config_digest_sees_semantic_knobs(self):
         base = config_digest(CrusadeConfig())

@@ -210,12 +210,19 @@ class RecordingPpeModeTimeline(_RecordingBase):
         boot_time: float,
         allowed: Optional[Dict[int, float]] = None,
         allowed_sorted: Optional[list] = None,
+        record: Optional[list] = None,
     ) -> Tuple[float, float]:
-        """Record, then delegate (passing the hoisted sort through
-        only when the inner timeline accepts it)."""
+        """Record, then delegate (passing the hoisted sort and the
+        outcome record through only when given: the linear reference
+        timeline accepts neither)."""
         self._recorder.record(
             self._tl_id, "place", [mode, ready, duration, boot_time, allowed]
         )
+        if record is not None:
+            return self._inner.place(
+                mode, ready, duration, boot_time, allowed, allowed_sorted,
+                record,
+            )
         if allowed_sorted is not None:
             return self._inner.place(
                 mode, ready, duration, boot_time, allowed, allowed_sorted
