@@ -1,29 +1,31 @@
 """Inner-loop benchmark: pruning + incremental engine vs. from-scratch.
 
 Times the end-to-end :func:`repro.core.crusade.crusade` run on paper
-examples in three configurations, verifies all results are
+examples in four configurations, verifies all results are
 byte-identical, and records the timings in ``BENCH_inner_loop.json``
-at the repository root:
+at the repository root.  Synthesis always runs the prune floors and
+the bound aborts; the legs that run without them turn them off with
+:func:`tests.sched.reference_scheduler.exhaustive`:
 
 * ``seconds_from_scratch`` -- pruning and bound aborts off, every
   candidate rescheduled from scratch by the reference scheduler:
-  ``crusade(spec, config=CrusadeConfig(prune=False,
-  bound_abort=False), engine=ReferenceEngine())`` with the engine
-  test double from ``tests/sched/reference_scheduler.py``;
+  ``with exhaustive(): crusade(spec, engine=ReferenceEngine())`` with
+  the engine test double from ``tests/sched/reference_scheduler.py``;
 * ``seconds_incremental`` -- the production engine, pruning and bound
-  aborts off (``CrusadeConfig(prune=False, bound_abort=False)``):
-  per-component fragment caching, planned scheduling, copy-on-write
-  application;
-* ``seconds_pruned`` -- engine on, pruning on, bound aborts *off*:
-  admissible candidate pruning layered over the engine (directly
-  comparable to records from before the bound-abort layer existed).
-  The headline ``speedup`` is from-scratch over pruned;
+  aborts off (``with exhaustive(): crusade(spec)``): per-component
+  fragment caching, planned scheduling, copy-on-write application;
+* ``seconds_pruned`` -- engine on, pruning on, bound aborts *off*
+  (``with exhaustive(keep_floors=True): crusade(spec)``): admissible
+  candidate pruning layered over the engine (directly comparable to
+  records from before the bound-abort layer existed).  The headline
+  ``speedup`` is from-scratch over pruned;
 * ``seconds_bound_abort`` -- engine + pruning + incumbent-driven
-  bound aborts: the full optimized stack.  The record carries the
-  abort counters and ``abort_rate`` (``sched.abort / sched.runs``).
+  bound aborts: the full optimized stack, a plain ``crusade(spec)``.
+  The record carries the abort counters and ``abort_rate``
+  (``sched.abort / sched.runs``).
 
 * ``seconds_warm_start`` / ``seconds_exact_hit`` -- the cross-run
-  warm-start legs (:mod:`repro.perf.store`): a bound-abort run
+  warm-start legs (:mod:`repro.perf.store`): a full-stack run
   populates a fresh store, one deadline is loosened via
   :func:`repro.perf.warmstart.tweak_deadline`, and the tweaked spec is
   synthesized cold (the denominator), then warm against the populated
@@ -47,7 +49,7 @@ committed JSON stays schema-uniform.
 Run directly (not under pytest) from any directory; the script puts
 ``src/`` and the repository root on ``sys.path`` itself::
 
-    python benchmarks/bench_inner_loop.py --example A1TR --scale 0.1
+    python benchmarks/bench_inner_loop.py --example A1TR --scale 0.05
 
 Records merge by (example, scale) so repeated runs update in place.
 ``--check-against`` compares the measured speedups to a committed
@@ -74,7 +76,10 @@ from repro.core.crusade import crusade  # noqa: E402
 from repro.io.result_json import result_to_dict  # noqa: E402
 from repro.obs.trace import Tracer  # noqa: E402
 from repro.perf.warmstart import tweak_deadline  # noqa: E402
-from tests.sched.reference_scheduler import ReferenceEngine  # noqa: E402
+from tests.sched.reference_scheduler import (  # noqa: E402
+    ReferenceEngine,
+    exhaustive,
+)
 
 DEFAULT_OUT = ROOT / "BENCH_inner_loop.json"
 
@@ -123,21 +128,23 @@ def _canonical(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _timed_run(spec, prune: bool, bound_abort: bool = False, cache_dir=None,
-               engine=None):
-    config = CrusadeConfig(
-        prune=prune, bound_abort=bound_abort, cache_dir=cache_dir,
-    )
+def _timed_run(spec, floors: bool = True, aborts: bool = True,
+               cache_dir=None, engine=None):
+    """One timed ``crusade()``; ``floors``/``aborts`` False turns that
+    search cut off."""
+    config = CrusadeConfig(cache_dir=cache_dir)
     tracer = Tracer()
-    started = time.perf_counter()
-    result = crusade(spec, config=config, tracer=tracer, engine=engine)
-    return time.perf_counter() - started, result, tracer.counters.as_dict()
+    with exhaustive(keep_floors=floors, keep_aborts=aborts):
+        started = time.perf_counter()
+        result = crusade(spec, config=config, tracer=tracer, engine=engine)
+        seconds = time.perf_counter() - started
+    return seconds, result, tracer.counters.as_dict()
 
 
 def warm_start_legs(spec, store_parent=None) -> dict:
     """The cross-run legs: populate, tweak one deadline, resubmit.
 
-    The denominator is a *cold* bound-abort run of the tweaked spec
+    The denominator is a *cold* full-stack run of the tweaked spec
     (the store-less behavior a resubmitting user would otherwise get);
     the warm run sees a store populated by the original spec and must
     be byte-identical to the cold run.  A second, unchanged
@@ -152,19 +159,18 @@ def warm_start_legs(spec, store_parent=None) -> dict:
         prefix="crusade-store-",
         dir=str(store_parent) if store_parent else None,
     ) as cache_dir:
-        _timed_run(spec, prune=True, bound_abort=True, cache_dir=cache_dir)
+        _timed_run(spec, cache_dir=cache_dir)
         tweaked = tweak_deadline(spec)
-        seconds_cold, cold, _ = _timed_run(tweaked, prune=True,
-                                           bound_abort=True)
+        seconds_cold, cold, _ = _timed_run(tweaked)
         print("  cold tweaked: %.2fs" % (seconds_cold,))
         seconds_warm, warm, counters = _timed_run(
-            tweaked, prune=True, bound_abort=True, cache_dir=cache_dir,
+            tweaked, cache_dir=cache_dir,
         )
         preloaded = counters.get("perf.store.fragments_preloaded", 0)
         print("  warm-start:   %.2fs (%d fragments preloaded)" % (
             seconds_warm, preloaded))
         seconds_hit, hit, hit_counters = _timed_run(
-            tweaked, prune=True, bound_abort=True, cache_dir=cache_dir,
+            tweaked, cache_dir=cache_dir,
         )
         print("  exact hit:    %.4fs (perf.store.hit %d)" % (
             seconds_hit, hit_counters.get("perf.store.hit", 0)))
@@ -187,14 +193,12 @@ def bench_example(name: str, scale: float, skip_scratch: bool = False,
                   skip_warm: bool = False, store_parent=None) -> dict:
     """One record: the mode timings plus the identity checks."""
     spec = build_example(name, scale=scale)
-    seconds_pruned, pruned, counters = _timed_run(spec, prune=True)
+    seconds_pruned, pruned, counters = _timed_run(spec, aborts=False)
     prune_cut = counters.get("prune.cut", 0)
     print("  pruned:       %.2fs (cost $%.0f, %s, prune.cut %d)" % (
         seconds_pruned, pruned.cost,
         "feasible" if pruned.feasible else "INFEASIBLE", prune_cut))
-    seconds_bound, bounded, bound_counters = _timed_run(
-        spec, prune=True, bound_abort=True,
-    )
+    seconds_bound, bounded, bound_counters = _timed_run(spec)
     sched_abort = bound_counters.get("sched.abort", 0)
     sched_runs = bound_counters.get("sched.runs", 0)
     abort_rate = (
@@ -232,10 +236,10 @@ def bench_example(name: str, scale: float, skip_scratch: bool = False,
         return normalize_record(record)
 
     seconds_scratch, scratch, _ = _timed_run(
-        spec, prune=False, engine=ReferenceEngine()
+        spec, floors=False, aborts=False, engine=ReferenceEngine()
     )
     print("  from-scratch: %.2fs" % (seconds_scratch,))
-    seconds_incr, incr, _ = _timed_run(spec, prune=False)
+    seconds_incr, incr, _ = _timed_run(spec, floors=False, aborts=False)
     print("  incremental:  %.2fs" % (seconds_incr,))
     canonical_scratch = _canonical(scratch)
     identical = (
@@ -324,8 +328,8 @@ def main(argv=None) -> int:
     parser.add_argument("--example", action="append", dest="examples",
                         choices=EXAMPLE_NAMES, metavar="NAME",
                         help="example to benchmark (repeatable; default A1TR)")
-    parser.add_argument("--scale", type=float, default=0.1,
-                        help="example scale factor (default 0.1)")
+    parser.add_argument("--scale", type=float, default=0.05,
+                        help="example scale factor (default 0.05)")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
                         help="output JSON (default BENCH_inner_loop.json)")
     parser.add_argument("--skip-scratch", action="store_true",

@@ -26,7 +26,7 @@ from repro.cluster.clustering import Cluster, ClusteringResult
 from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.resources.link import LinkType
+from repro.resources.link import LINK_STRATEGY_KEYS, LinkType
 from repro.perf.engine import IncrementalEngine
 from repro.sched.finish_time import DeadlineReport
 from repro.sched.scheduler import Schedule
@@ -40,12 +40,10 @@ _link_type_lock = threading.Lock()
 
 
 def choose_link_type(arch: Architecture, strategy: str = "cheapest") -> LinkType:
-    """The link type new connections use.
-
-    ``"cheapest"`` minimizes instance-plus-two-ports dollar cost;
-    ``"fastest"`` minimizes the transfer time of a representative
-    256-byte message.  The CRUSADE driver retries a failed cluster
-    with the fastest strategy before giving up.
+    """The link type new connections use, by one of
+    :data:`~repro.resources.link.LINK_STRATEGIES`.  The CRUSADE driver
+    retries a failed cluster with the fastest strategy before giving
+    up.
 
     Memoized per (library, strategy): the choice depends only on the
     link library, and the innermost loop used to re-sort it for every
@@ -60,12 +58,10 @@ def choose_link_type(arch: Architecture, strategy: str = "cheapest") -> LinkType
             return cached[1]
     if not links:
         raise AllocationError("resource library has no link types")
-    if strategy == "fastest":
-        chosen = min(links, key=lambda l: (l.comm_time(256), l.name))
-    elif strategy == "cheapest":
-        chosen = min(links, key=lambda l: (l.instance_cost(2), l.name))
-    else:
+    key = LINK_STRATEGY_KEYS.get(strategy)
+    if key is None:
         raise AllocationError("unknown link strategy %r" % (strategy,))
+    chosen = min(links, key=key)
     with _link_type_lock:
         per_library[strategy] = (len(links), chosen)
     return chosen

@@ -12,9 +12,9 @@ Variants map onto :class:`repro.core.config.CrusadeConfig` knobs and
 are checked against its fields and its own validation when built; the
 named presets in :data:`VARIANT_PRESETS` are the paper's rules and the
 alternative cluster order that the benchmark ablations sweep.  There
-is no pruning preset: pruning never changes a result, and manifests
-carry no timings, so a ``prune=False`` column could only repeat
-``default``.
+is no pruning preset: the search cuts never change a result and are
+always on, so a stored variant naming ``prune`` or ``bound_abort`` is
+refused like any other unknown field.
 """
 
 from __future__ import annotations

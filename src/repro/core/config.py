@@ -3,10 +3,12 @@
 Defaults follow the paper: ERUF 70 % / EPUF 80 %, clustering enabled,
 restricted preemption on, dynamic reconfiguration on.  The ablation
 benchmarks flip individual knobs.  The performance layer has no mode
-switches beyond ``prune`` and ``bound_abort``, both result-neutral and
-set only here (no environment variable or CLI flag reaches them): every
-run evaluates through the incremental engine (:mod:`repro.perf.engine`)
-on the one production timeline pair (:mod:`repro.perf.fasttimeline`).
+switches: every run evaluates through the incremental engine
+(:mod:`repro.perf.engine`) on the one production timeline pair
+(:mod:`repro.perf.fasttimeline`), with the admissible prune floors
+(:mod:`repro.perf.prune`) and incumbent-driven bound aborts always on.
+Both cuts are pure dominance, so the exhaustive search they skip is a
+test oracle, not a setting.
 """
 
 from __future__ import annotations
@@ -17,6 +19,23 @@ from typing import Optional, Tuple
 from repro.cluster.clustering import CLUSTER_ORDERS
 from repro.delay.model import DelayPolicy
 from repro.errors import SpecificationError
+from repro.resources.link import LINK_STRATEGIES
+
+#: Fields that must hold a ``bool`` and fields that must hold an
+#: ``int`` (a ``bool`` is not one): a JSON ``"false"`` or ``1.5`` is
+#: refused, not silently coerced.
+_BOOL_FIELDS = ("reconfiguration", "clustering", "preemption",
+                "combine_modes")
+_INT_FIELDS = ("max_explicit_copies", "max_cluster_size",
+               "max_existing_options", "fast_threshold_tasks",
+               "interface_retries")
+
+
+def _refuse(name: str, value, expected: str) -> None:
+    """Raise the error naming the field, what it needs and ``value``."""
+    raise SpecificationError(
+        "%s must be %s, got %r" % (name, expected, value)
+    )
 
 
 @dataclass(frozen=True)
@@ -49,29 +68,14 @@ class CrusadeConfig:
         Task count beyond which the fast inner loop auto-enables.
     link_strategies:
         Link-type selection strategies tried in order when a cluster
-        cannot meet deadlines with the first.
+        cannot meet deadlines with the first: a tuple (or list, stored
+        as a tuple) of names from
+        :data:`~repro.resources.link.LINK_STRATEGIES`.
     combine_modes:
         Post-merge mode combining (Section 4.2's last step).
     interface_retries:
         How many times the boot-time requirement is halved when the
         synthesized interface's boot times break the schedule.
-    prune:
-        Admissible candidate pruning (:mod:`repro.perf.prune`):
-        candidates whose finish-time/demand lower bounds provably miss
-        a deadline or overload a resource are cut without scheduling.
-        Pure dominance pruning -- the chosen candidate and final
-        architecture are byte-identical either way; ``False`` restores
-        exhaustive evaluation (the identity suites' reference).
-    bound_abort:
-        Incumbent-driven bounded search: candidate evaluations carry
-        the incumbent's badness tuple into the scheduler, which aborts
-        the moment the partial schedule's proven violation count
-        exceeds it (:class:`~repro.sched.scheduler.ScheduleAbort`).
-        Pure dominance -- aborted candidates provably lose to the
-        incumbent, so the chosen candidate and final architecture are
-        byte-identical either way; ``False`` evaluates every candidate
-        to completion.  Aborts are reported as
-        ``sched.abort`` / ``sched.abort.<reason>`` counters.
     policy:
         Cluster allocation order, one of the names in
         :data:`~repro.cluster.clustering.CLUSTER_ORDERS`:
@@ -104,15 +108,35 @@ class CrusadeConfig:
     max_existing_options: int = 12
     fast_inner_loop: Optional[bool] = None
     fast_threshold_tasks: int = 300
-    link_strategies: Tuple[str, ...] = ("cheapest", "fastest")
+    link_strategies: Tuple[str, ...] = LINK_STRATEGIES
     combine_modes: bool = True
     interface_retries: int = 6
-    prune: bool = True
-    bound_abort: bool = True
     policy: str = "default"
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        """Refuse a value of the wrong type or out of range, naming
+        the field, so a campaign variant or service request that sets
+        one fails when it is admitted."""
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                _refuse(name, value, "a bool")
+        if not isinstance(self.fast_inner_loop, (bool, type(None))):
+            _refuse("fast_inner_loop", self.fast_inner_loop, "a bool or None")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                _refuse(name, value, "an int")
+        if not isinstance(self.delay_policy, DelayPolicy):
+            _refuse("delay_policy", self.delay_policy, "a DelayPolicy")
+        strategies = self.link_strategies
+        if not isinstance(strategies, (tuple, list)) or any(
+            name not in LINK_STRATEGIES for name in strategies
+        ):
+            _refuse("link_strategies", strategies,
+                    "a list of names from %s" % ", ".join(LINK_STRATEGIES))
+        object.__setattr__(self, "link_strategies", tuple(strategies))
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise SpecificationError("cache_dir must be a string path or None")
         if self.max_explicit_copies < 1:
@@ -125,7 +149,9 @@ class CrusadeConfig:
             raise SpecificationError("need at least one link strategy")
         if self.interface_retries < 0:
             raise SpecificationError("interface_retries must be >= 0")
-        if self.policy not in CLUSTER_ORDERS:
+        if not isinstance(self.policy, str) or (
+            self.policy not in CLUSTER_ORDERS
+        ):
             raise SpecificationError(
                 "unknown policy %r (choose from %s)"
                 % (self.policy, ", ".join(sorted(CLUSTER_ORDERS)))

@@ -123,11 +123,7 @@ def _allocate_cluster(
 ) -> CandidateSelection:
     """Score candidates strategy by strategy until one is chosen."""
     selection = CandidateSelection()
-    pruner = (
-        CandidatePruner(ctx.spec, ctx.assoc, ctx.clustering, cluster)
-        if ctx.config.prune
-        else None
-    )
+    pruner = CandidatePruner(ctx.spec, ctx.assoc, ctx.clustering, cluster)
     for strategy in ctx.config.link_strategies:
         # The cluster's allocation array, cheapest first.
         options = build_allocation_array(
@@ -150,18 +146,16 @@ def _allocate_cluster(
     return selection
 
 
-def _incumbent_bound(
-    ctx: SynthesisContext, selection: CandidateSelection
-) -> Optional[tuple]:
+def _incumbent_bound(selection: CandidateSelection) -> Optional[tuple]:
     """The badness tuple in-flight evaluations may abort against.
 
     The current least-infeasible incumbent: an aborted candidate
     provably exceeds its violation count, so it can neither be
     feasible nor win the ``(badness, seq)`` argmin -- dropping it
     changes nothing (see :class:`~repro.sched.scheduler.ScheduleAbort`).
-    None disables aborting.
+    None (no incumbent yet) evaluates to completion.
     """
-    if ctx.config.bound_abort and selection.fallback_key is not None:
+    if selection.fallback_key is not None:
         return selection.fallback_key[0]
     return None
 
@@ -199,7 +193,7 @@ def _score_cow(
     options: List,
     strategy: str,
     selection: CandidateSelection,
-    pruner: Optional[CandidatePruner],
+    pruner: CandidatePruner,
     fast: bool,
 ) -> None:
     """Score options as copy-on-write overlays on the working
@@ -223,14 +217,13 @@ def _score_cow(
                 if fast
                 else None
             )
-            if pruner is not None:
-                cut = pruner.bound(ctx.arch, option, graphs, ctx.tracer)
-                if cut is not None:
-                    ctx.tracer.incr("prune.cut")
-                    ctx.tracer.incr("prune.cut." + cut.reason)
-                    selection.defer_pruned(cut.floor, option, strategy)
-                    continue
-                ctx.tracer.incr("prune.kept")
+            cut = pruner.bound(ctx.arch, option, graphs, ctx.tracer)
+            if cut is not None:
+                ctx.tracer.incr("prune.cut")
+                ctx.tracer.incr("prune.cut." + cut.reason)
+                selection.defer_pruned(cut.floor, option, strategy)
+                continue
+            ctx.tracer.incr("prune.kept")
             try:
                 verdict = evaluate_architecture(
                     ctx.spec,
@@ -242,7 +235,7 @@ def _score_cow(
                     graphs=graphs,
                     tracer=ctx.tracer,
                     engine=ctx.engine,
-                    bound=_incumbent_bound(ctx, selection),
+                    bound=_incumbent_bound(selection),
                 )
             except ScheduleAbort as abort:
                 # The finally block reverts the overlay (keep is still

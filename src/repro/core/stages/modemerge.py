@@ -156,8 +156,6 @@ def _interface_evaluator(
     book it as ``interface`` rather than ``deadline``; the decision is
     identical).
     """
-    bound = (0, 0.0, 0.0) if ctx.config.bound_abort else None
-
     def evaluate_with_interface(candidate: Architecture):
         """Score a merge trial, boot times from a fresh interface."""
         try:
@@ -177,7 +175,7 @@ def _interface_evaluator(
                 preemption=ctx.config.preemption,
                 tracer=ctx.tracer,
                 engine=ctx.engine,
-                bound=bound,
+                bound=(0, 0.0, 0.0),
             )
         except ScheduleAbort as abort:
             ctx.tracer.incr("sched.abort")

@@ -60,7 +60,7 @@ def repair_pass(
     fragments -- repair moves one cluster at a time, so almost every
     component is a cache hit.
 
-    With pruning active, each re-homing's full-scope badness floor
+    Each re-homing's full-scope badness floor
     (:class:`~repro.perf.prune.RepairBound`) is checked first: a
     candidate whose floor is already >= the incumbent's badness can
     neither be feasible (its floor then has >= 1 miss/overload) nor
@@ -68,18 +68,14 @@ def repair_pass(
     """
     if engine is None:
         engine = IncrementalEngine()
-    repair_bound = (
-        RepairBound(spec, assoc, clustering) if config.prune else None
-    )
+    repair_bound = RepairBound(spec, assoc, clustering)
 
-    def abort_bound(round_best: Optional[EvalResult]) -> Optional[tuple]:
+    def abort_bound(round_best: Optional[EvalResult]) -> tuple:
         """Badness an evaluation may abort against: the tightest
         incumbent the keep rule compares with.  A kept re-homing must
         beat *both* ``current`` and ``round_best`` (or meet every
         deadline, impossible with > bound[0] >= 1 violations), so an
         abort against their minimum is pure dominance."""
-        if not config.bound_abort:
-            return None
         tightest = current.badness()
         if round_best is not None:
             challenger = round_best.badness()
@@ -180,14 +176,13 @@ def repair_pass(
                     continue
                 tracer.incr("perf.cow.applies")
                 try:
-                    if repair_bound is not None:
-                        floor = repair_bound.badness_floor(stripped)
-                        if floor >= current.badness():
-                            tracer.incr("prune.cut")
-                            tracer.incr("prune.cut.repair")
-                            continue
-                        tracer.incr("prune.kept")
-                        tracer.incr("prune.kept.repair")
+                    floor = repair_bound.badness_floor(stripped)
+                    if floor >= current.badness():
+                        tracer.incr("prune.cut")
+                        tracer.incr("prune.cut.repair")
+                        continue
+                    tracer.incr("prune.kept")
+                    tracer.incr("prune.kept.repair")
                     try:
                         verdict = evaluate_architecture(
                             spec,

@@ -12,10 +12,9 @@ shapes exist:
     of whitelisted :class:`~repro.core.config.CrusadeConfig` overrides
     (:data:`SERVICE_CONFIG_FIELDS`), and an optional ``catalog`` name
     (only ``"default"`` exists today).  Every other key -- the
-    store-plumbing ``cache_dir`` and the result-neutral search knobs
-    ``prune``/``bound_abort`` included -- is *rejected*, not ignored:
-    the server owns its store and its search, and silently dropping a
-    key a client believed in would be worse than a 400.
+    store-plumbing ``cache_dir`` included -- is *rejected*, not
+    ignored: the server owns its store, and silently dropping a key a
+    client believed in would be worse than a 400.
 
 ``crusade-response``
     What the server returns for an admitted request: ``status``
@@ -66,11 +65,9 @@ KNOWN_CATALOGS = ("default",)
 
 #: ``CrusadeConfig`` fields a request's ``config`` map may override:
 #: every JSON-scalar knob of the synthesis semantics.  Deliberately
-#: absent: ``cache_dir`` (the server owns its store), ``prune`` and
-#: ``bound_abort`` (result-neutral, so a request could only change how
-#: long its answer takes), ``delay_policy``/``link_strategies``
-#: (structured values with no JSON contract yet).  Maps field name to
-#: the accepted JSON types.
+#: absent: ``cache_dir`` (the server owns its store) and
+#: ``delay_policy``/``link_strategies`` (structured values with no
+#: JSON contract yet).  Maps field name to the accepted JSON types.
 SERVICE_CONFIG_FIELDS: Dict[str, tuple] = {
     "reconfiguration": (bool,),
     "clustering": (bool,),

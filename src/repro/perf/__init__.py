@@ -15,8 +15,8 @@ tracer counters:
   options (undo journals instead of architecture clones);
 * :mod:`repro.perf.prune` -- admissible candidate pruning: per-
   candidate finish-time/demand lower bounds cut provably infeasible
-  candidates before the scheduler runs (pure dominance pruning;
-  ``CrusadeConfig.prune=False`` switches it off);
+  candidates before the scheduler runs (pure dominance pruning, always
+  on; the exhaustive search it must equal is a test oracle);
 * :mod:`repro.perf.store` / :mod:`repro.perf.warmstart` -- the
   persistent content-addressed synthesis store (full-result tier +
   cross-run fragment tier under ``CrusadeConfig.cache_dir``) and the

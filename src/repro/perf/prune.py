@@ -26,12 +26,14 @@ Two bounds cut allocation candidates:
 Repair re-homings are checked against :class:`RepairBound`, the
 demand floor over every PE of the full-scope architecture.
 
-``CrusadeConfig(prune=False)`` restores exhaustive evaluation, the
-reference the identity suites and the inner-loop benchmark compare
-against.  Counter traffic: ``prune.cut`` / ``prune.kept`` plus per-reason
-``prune.cut.deadline`` / ``prune.cut.overload`` / ``prune.cut.repair``,
-and ``prune.fallback_evals`` / ``prune.fallback_skipped`` for the
-deferred least-infeasible reconstruction.
+Pruning is always on.  The exhaustive evaluation the identity suites,
+CI and the inner-loop benchmark compare against is the test oracle
+``tests.sched.reference_scheduler.exhaustive``, which makes both
+bounds cut nothing.  Counter traffic: ``prune.cut`` / ``prune.kept``
+plus per-reason ``prune.cut.deadline`` / ``prune.cut.overload`` /
+``prune.cut.repair``, and ``prune.fallback_evals`` /
+``prune.fallback_skipped`` for the deferred least-infeasible
+reconstruction.
 """
 
 from __future__ import annotations

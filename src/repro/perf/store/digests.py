@@ -11,11 +11,10 @@ keys are stable across processes and machines:
   fields, name-sorted; :func:`default_catalog_digest` is the default
   catalog's, computed once per process;
 * :func:`config_digest` -- over the *semantic* ``CrusadeConfig``
-  fields only: knobs that are proven byte-identity-preserving
-  (``prune``, ``bound_abort``) and the store's own plumbing
-  (``cache_dir``) are excluded, so a pruned run can serve an exact hit
-  to an unpruned resubmission of the same problem; removing an
-  excluded field leaves every digest unchanged;
+  fields only: the store's own plumbing (``cache_dir``) is excluded,
+  so the same problem keys the same entry from any store directory;
+  removing an excluded field leaves every digest unchanged (the
+  removed ``prune`` and ``bound_abort`` switches were excluded too);
 * :func:`fingerprint_digest` -- over a component value fingerprint
   (:func:`repro.perf.fingerprint.component_fingerprint`), turning the
   in-memory cache key into a file name.
@@ -49,16 +48,10 @@ from repro.resources.library import ResourceLibrary
 #: part of every validity digest and the store FORMAT stamp.
 STORE_SCHEMA_VERSION = 1
 
-#: ``CrusadeConfig`` fields excluded from :func:`config_digest`: each
-#: is either proven byte-identity-preserving (results are identical
-#: with the knob on or off -- the contract the perf test suites
-#: enforce) or pure store plumbing, so including them would only
-#: fracture the key space without ever distinguishing results.
-IDENTITY_NEUTRAL_CONFIG_FIELDS = frozenset({
-    "prune",
-    "bound_abort",
-    "cache_dir",
-})
+#: ``CrusadeConfig`` fields excluded from :func:`config_digest`: pure
+#: store plumbing, so including them would only fracture the key
+#: space without ever distinguishing results.
+IDENTITY_NEUTRAL_CONFIG_FIELDS = frozenset({"cache_dir"})
 
 
 def _portable(value):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.errors import ResourceLibraryError
 
@@ -139,3 +139,18 @@ class LinkType:
     def bandwidth_bytes_per_s(self) -> float:
         """Steady-state payload bandwidth, for reporting."""
         return self.bytes_per_packet / self.packet_tx_time
+
+
+#: Link-type selection strategies by name, each the sort key the chosen
+#: type minimizes: ``"cheapest"`` the instance-plus-two-ports dollar
+#: cost, ``"fastest"`` the transfer time of a representative 256-byte
+#: message, ties broken by name
+#: (:func:`repro.alloc.evaluate.choose_link_type` dispatches on it).
+LINK_STRATEGY_KEYS: Dict[str, Callable[[LinkType], tuple]] = {
+    "cheapest": lambda link: (link.instance_cost(2), link.name),
+    "fastest": lambda link: (link.comm_time(256), link.name),
+}
+
+#: The strategy names, in ``CrusadeConfig.link_strategies``' default
+#: order; the only names that field may list.
+LINK_STRATEGIES: Tuple[str, ...] = tuple(LINK_STRATEGY_KEYS)

@@ -93,7 +93,8 @@ class ScheduleAbort(Exception):
     proceeds, so an aborted candidate's final badness would necessarily
     compare greater than the bound: aborting is pure dominance, and
     the caller may drop the candidate without changing the synthesized
-    result (see :mod:`repro.perf.prune` for the switch plumbing).
+    result.  Allocation, repair and the merge evaluator always pass
+    their incumbent's bound.
 
     ``reason`` is ``"deadline"`` or ``"overload"`` for in-schedule
     triggers, ``"carried"`` when the incremental engine's cross-

@@ -138,7 +138,7 @@ class TestBaselineConfig:
 
     CONFIG = CrusadeConfig(
         combine_modes=False, fast_threshold_tasks=100, interface_retries=2,
-        bound_abort=False, policy="largest-first", max_explicit_copies=2,
+        max_existing_options=6, policy="largest-first", max_explicit_copies=2,
     )
 
     @staticmethod

@@ -22,7 +22,8 @@ def _spec(**overrides):
         kind="selftest",
         examples=("a", "b"),
         scales=(0.05, 0.1),
-        variants=(Variant("default"), Variant("no-prune", {"prune": False})),
+        variants=(Variant("default"), Variant("no-reconfig",
+                                              {"reconfiguration": False})),
     )
     defaults.update(overrides)
     return CampaignSpec(**defaults)
@@ -34,9 +35,9 @@ def test_expansion_is_the_full_grid_in_axis_order():
     # examples outermost, then scales, then variants
     assert [j.id for j in jobs[:4]] == [
         "selftest:a@0.05:default",
-        "selftest:a@0.05:no-prune",
+        "selftest:a@0.05:no-reconfig",
         "selftest:a@0.1:default",
-        "selftest:a@0.1:no-prune",
+        "selftest:a@0.1:no-reconfig",
     ]
     assert len({j.id for j in jobs}) == len(jobs)
 
@@ -44,12 +45,15 @@ def test_expansion_is_the_full_grid_in_axis_order():
 def test_variant_config_reaches_jobs():
     jobs = expand_jobs(_spec())
     by_id = {j.id: j for j in jobs}
-    assert by_id["selftest:a@0.05:no-prune"].config == {"prune": False}
+    assert by_id["selftest:a@0.05:no-reconfig"].config == {
+        "reconfiguration": False
+    }
     assert by_id["selftest:a@0.05:default"].config == {}
 
 
 def test_duplicate_variant_names_are_rejected():
-    spec = _spec(variants=(Variant("v"), Variant("v", {"prune": False})))
+    spec = _spec(variants=(Variant("v"),
+                           Variant("v", {"reconfiguration": False})))
     with pytest.raises(SpecificationError, match="duplicate job id"):
         expand_jobs(spec)
 
@@ -101,13 +105,6 @@ def test_variant_presets_cover_the_kill_switch_matrix():
             Variant.preset(name)
 
 
-def test_stored_prune_variants_still_load():
-    """Campaigns stored from the removed pruning presets name a field
-    that stays, so they still load."""
-    v = Variant.from_dict({"name": "no-prune", "config": {"prune": False}})
-    assert v.config == {"prune": False}
-
-
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: Variant(name="typo", config={"prunee": False}),
                  id="constructed"),
@@ -140,6 +137,72 @@ def test_removed_preset_keys_are_rejected_at_load():
     with pytest.raises(SpecificationError, match="incremental"):
         Variant.from_dict({"name": "from-scratch",
                            "config": {"prune": False, "incremental": False}})
+
+
+def test_stored_prune_variants_are_rejected_at_load():
+    """Campaigns stored with the removed pruning presets, or naming
+    the removed bound-abort switch, fail at load with the key named:
+    both search cuts are always on."""
+    for key in ("prune", "bound_abort"):
+        with pytest.raises(SpecificationError,
+                           match=r"unknown config field\(s\) %s$" % key):
+            Variant.from_dict({"name": "no-prune", "config": {key: False}})
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param({"link_strategies": ["fastes"]},
+                 "link_strategies must be a list of names from cheapest, "
+                 "fastest, got ['fastes']", id="misspelled-strategy"),
+    pytest.param({"link_strategies": "fastest"},
+                 "link_strategies must be a list of names from cheapest, "
+                 "fastest, got 'fastest'", id="bare-strategy-string"),
+    pytest.param({"reconfiguration": "false"},
+                 "reconfiguration must be a bool, got 'false'",
+                 id="string-bool"),
+    pytest.param({"fast_inner_loop": 0},
+                 "fast_inner_loop must be a bool or None, got 0",
+                 id="int-bool"),
+    pytest.param({"interface_retries": 1.5},
+                 "interface_retries must be an int, got 1.5",
+                 id="float-int"),
+    pytest.param({"max_explicit_copies": True},
+                 "max_explicit_copies must be an int, got True",
+                 id="bool-int"),
+    pytest.param({"delay_policy": {"eruf": 0.5}},
+                 "delay_policy must be a DelayPolicy, got {'eruf': 0.5}",
+                 id="dict-policy"),
+    pytest.param({"policy": ["default"]},
+                 "unknown policy ['default'] (choose from default, "
+                 "largest-first)", id="list-policy"),
+])
+def test_variant_rejects_values_of_the_wrong_type(config, message):
+    """``CrusadeConfig`` checks its field types when it is built, so a
+    stored variant with a wrong-typed value fails at load, naming the
+    field and the value, instead of running with the value
+    misread (``"false"`` is truthy) or failing every allocation (an
+    unknown link strategy)."""
+    with pytest.raises(SpecificationError) as info:
+        Variant.from_dict({"name": "v", "config": config})
+    assert str(info.value) == "variant 'v': " + message
+
+
+def test_json_shaped_values_load_and_digest_as_before():
+    """A stored variant's JSON lists and nulls are valid values; the
+    list is kept as a tuple and digests as the tuple does."""
+    from repro.core.config import CrusadeConfig
+    from repro.perf.store.digests import config_digest
+
+    v = Variant.from_dict({"name": "v", "config": {
+        "link_strategies": ["fastest"], "fast_inner_loop": None,
+    }})
+    config = CrusadeConfig(**v.config)
+    assert config.link_strategies == ("fastest",)
+    assert config_digest(config) == config_digest(
+        CrusadeConfig(link_strategies=("fastest",))
+    )
+    assert config_digest(
+        CrusadeConfig(link_strategies=["cheapest", "fastest"])
+    ) == "d343d88a5ab5d42e957c17a2dcf6e8de"
 
 
 def test_spec_from_flags_uses_presets():

@@ -30,6 +30,7 @@ import pytest
 from repro import CrusadeConfig, crusade
 from repro.bench.examples import build_example
 from repro.io.result_json import canonical_result_json
+from tests.sched.reference_scheduler import exhaustive
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -53,11 +54,13 @@ def test_crusade_output_is_byte_identical_to_golden(example):
 @pytest.mark.parametrize("bound_abort", [True, False])
 @pytest.mark.parametrize("example", ["A1TR", "VDRTX"])
 def test_bound_abort_reproduces_golden(example, bound_abort):
-    """Incumbent-driven bound aborts are pure dominance: the paper
-    examples synthesize to the exact golden bytes with the abort layer
-    on or off (the fixtures predate the layer entirely)."""
+    """Incumbent-driven bound aborts and the prune floors are pure
+    dominance: the paper examples synthesize to the exact golden bytes
+    with both cuts on, and with both off (``bound_abort=False`` runs
+    the exhaustive search; the fixtures predate both layers)."""
     spec = build_example(example, scale=0.1)
-    result = crusade(spec, config=CrusadeConfig(bound_abort=bound_abort))
+    with exhaustive(keep_floors=bound_abort, keep_aborts=bound_abort):
+        result = crusade(spec, config=CrusadeConfig())
     want = (GOLDEN_DIR / ("%s@0.1.json" % example)).read_text()
     assert canonical_result_json(result) == want, (
         "bound_abort=%s diverged from the golden fixture for %s"

@@ -223,7 +223,7 @@ class TestModeMergeBaseline:
         config = CrusadeConfig(
             fast_threshold_tasks=100, combine_modes=False,
             interface_retries=2, max_explicit_copies=2,
-            policy="largest-first", bound_abort=False,
+            policy="largest-first", max_existing_options=6,
         )
         ctx = SynthesisContext.begin(tiny_spec, config=config)
         ensure_baseline(ctx)

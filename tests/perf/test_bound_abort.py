@@ -1,7 +1,8 @@
 """Incumbent-driven bound aborts are pure dominance, not a heuristic.
 
 Property suite fuzzing generated workloads: the synthesized result
-must be byte-identical with bound aborts on and off -- an aborted
+must be byte-identical with bound aborts on and off (off inside
+:func:`tests.sched.reference_scheduler.exhaustive`) -- an aborted
 candidate provably loses to the incumbent that bounded it, so
 dropping it can never change the selection.  Unit
 tests pin the trigger itself: the scheduler raises
@@ -32,7 +33,7 @@ from repro.core.stages.support import compute_priorities
 from repro.graph.association import AssociationArray
 from repro.graph.task import MemoryRequirement
 from repro.io.result_json import result_to_dict
-from tests.sched.reference_scheduler import ReferenceEngine
+from tests.sched.reference_scheduler import ReferenceEngine, exhaustive
 from repro.sched.scheduler import (
     ScheduleAbort,
     ScheduleRequest,
@@ -67,8 +68,9 @@ def canonical(spec, tracer=None, **config_kw):
 @given(seed=st.integers(min_value=0, max_value=40), reconfig=st.booleans())
 def test_bound_abort_equals_exhaustive(seed, reconfig):
     spec = make_spec(seed)
-    bounded = canonical(spec, reconfiguration=reconfig, bound_abort=True)
-    full = canonical(spec, reconfiguration=reconfig, bound_abort=False)
+    bounded = canonical(spec, reconfiguration=reconfig)
+    with exhaustive(keep_floors=True):
+        full = canonical(spec, reconfiguration=reconfig)
     assert bounded == full
 
 
@@ -81,42 +83,46 @@ def test_bound_abort_equals_exhaustive_under_pressure(seed):
         seed=seed, n_graphs=3, tasks_per_graph=7, compat_group_size=2,
         utilization=1.0, hw_only_fraction=0.1, mixed_fraction=0.1,
     ))
-    assert canonical(spec, bound_abort=True) == \
-        canonical(spec, bound_abort=False)
+    bounded = canonical(spec)
+    with exhaustive(keep_floors=True):
+        assert canonical(spec) == bounded
 
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=20))
 def test_bound_abort_composes_with_prune_off(seed):
-    """The two dominance layers are independent knobs."""
+    """The two dominance layers switch off independently."""
     spec = make_spec(seed)
-    assert canonical(spec, bound_abort=True, prune=False) == \
-        canonical(spec, bound_abort=False, prune=False)
+    with exhaustive(keep_aborts=True):
+        bounded = canonical(spec)
+    with exhaustive():
+        assert canonical(spec) == bounded
 
 
-def _pressure_counters(engine=None, **config_kw):
+def _pressure_counters(engine=None, aborts=True):
     spec = generate_spec(GeneratorConfig(
         seed=12, n_graphs=3, tasks_per_graph=7, compat_group_size=2,
         utilization=1.0, hw_only_fraction=0.1, mixed_fraction=0.1,
     ))
     tracer = Tracer()
-    crusade(
-        spec,
-        config=CrusadeConfig(max_explicit_copies=2, **config_kw),
-        tracer=tracer,
-        engine=engine,
-    )
+    with exhaustive(keep_floors=True, keep_aborts=aborts):
+        crusade(
+            spec,
+            config=CrusadeConfig(max_explicit_copies=2),
+            tracer=tracer,
+            engine=engine,
+        )
     return tracer.counters.as_dict()
 
 
 def test_abort_counters_under_pressure():
     """The pinned high-pressure workload actually aborts, the reason
-    counters partition the total, and disabling the knob zeroes it."""
-    c = _pressure_counters(bound_abort=True)
+    counters partition the total, and switching aborts off zeroes it."""
+    c = _pressure_counters()
     assert c.get("sched.abort", 0) > 0
     reasons = sum(v for k, v in c.items() if k.startswith("sched.abort."))
     assert reasons == c["sched.abort"]
-    off = _pressure_counters(bound_abort=False)
+    off = _pressure_counters(aborts=False)
     assert off.get("sched.abort", 0) == 0
 
 
@@ -130,8 +136,8 @@ def test_abort_counters_match_across_engine_paths():
     in-run."""
     names = ("sched.abort", "alloc.options.considered",
              "alloc.options.infeasible", "prune.cut", "prune.kept")
-    engine = _pressure_counters(bound_abort=True)
-    scratch = _pressure_counters(engine=ReferenceEngine(), bound_abort=True)
+    engine = _pressure_counters()
+    scratch = _pressure_counters(engine=ReferenceEngine())
     assert engine.get("sched.abort", 0) > 0
     for name in names:
         assert engine.get(name, 0) == scratch.get(name, 0), name

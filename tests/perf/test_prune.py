@@ -1,7 +1,8 @@
 """Candidate pruning is dominance pruning, not a heuristic.
 
 Property suite fuzzing generated workloads: the synthesized result
-must be byte-identical with pruning on and off -- including workloads
+must be byte-identical with pruning on and off (off inside
+:func:`tests.sched.reference_scheduler.exhaustive`) -- including workloads
 that drive the deferred least-infeasible fallback reconstruction.
 Pinned counts hold the cuts the two floors make on benchmark inputs.
 Unit tests pin the bound primitives: a deliberately deadline-infeasible
@@ -40,6 +41,7 @@ from repro.resources import (
 )
 from repro.sched.bounds import demand_floor, finish_time_floor
 from repro.units import MB
+from tests.sched.reference_scheduler import exhaustive
 
 PROPERTY_SETTINGS = settings(
     max_examples=8,
@@ -69,9 +71,10 @@ def canonical(spec, tracer=None, **config_kw):
 @given(seed=st.integers(min_value=0, max_value=40), reconfig=st.booleans())
 def test_pruned_equals_exhaustive(seed, reconfig):
     spec = make_spec(seed)
-    pruned = canonical(spec, reconfiguration=reconfig, prune=True)
-    exhaustive = canonical(spec, reconfiguration=reconfig, prune=False)
-    assert pruned == exhaustive
+    pruned = canonical(spec, reconfiguration=reconfig)
+    with exhaustive(keep_aborts=True):
+        unpruned = canonical(spec, reconfiguration=reconfig)
+    assert pruned == unpruned
 
 
 @PROPERTY_SETTINGS
@@ -84,7 +87,9 @@ def test_pruned_equals_exhaustive_under_pressure(seed):
         seed=seed, n_graphs=3, tasks_per_graph=7, compat_group_size=2,
         utilization=1.0, hw_only_fraction=0.1, mixed_fraction=0.1,
     ))
-    assert canonical(spec, prune=True) == canonical(spec, prune=False)
+    pruned = canonical(spec)
+    with exhaustive(keep_aborts=True):
+        assert canonical(spec) == pruned
 
 
 def test_prune_cuts_and_counters_balance():

@@ -101,12 +101,9 @@ class TestDigests:
 
     def test_config_digest_ignores_identity_neutral_knobs(self):
         base = CrusadeConfig()
-        for variant in (
-            CrusadeConfig(prune=False),
-            CrusadeConfig(bound_abort=False),
-            CrusadeConfig(cache_dir="/tmp/x"),
-        ):
-            assert config_digest(variant) == config_digest(base)
+        assert config_digest(CrusadeConfig(cache_dir="/tmp/x")) == (
+            config_digest(base)
+        )
 
     def test_store_keys_are_pinned(self, tmp_path):
         """Existing stores stay addressable: config fields that were

@@ -107,20 +107,6 @@ class TestExactHit:
         assert tracer.counters.get("perf.store.hit") == 0
         assert tracer.counters.get("perf.store.miss") == 1
 
-    def test_identity_neutral_config_change_still_hits(self, tmp_path):
-        spec = _spec()
-        crusade(spec, config=CrusadeConfig(cache_dir=str(tmp_path)))
-        tracer = Tracer()
-        hit = crusade(
-            spec,
-            config=CrusadeConfig(
-                cache_dir=str(tmp_path), prune=False, bound_abort=False
-            ),
-            tracer=tracer,
-        )
-        assert tracer.counters.get("perf.store.hit") == 1
-        assert canonical_result_json(hit) == canonical_result_json(_cold(spec))
-
     def test_donated_inputs_bypass_result_tier(self, tmp_path):
         spec = _spec()
         config = CrusadeConfig(cache_dir=str(tmp_path))

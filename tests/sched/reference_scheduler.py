@@ -24,6 +24,13 @@ byte-identical to ``crusade(spec)``; the equivalence suites in
 ``tests/perf`` check exactly that, and
 ``benchmarks/bench_inner_loop.py`` times it as its from-scratch leg.
 
+:func:`exhaustive` lifts it once more, to the search: production
+synthesis always runs two pure-dominance cuts, the admissible prune
+floors and incumbent-driven bound aborts, and inside an
+``exhaustive()`` block either or both are off, so every candidate is
+scheduled to completion.  The identity suites, CI's dominance-identity
+job and the benchmark compare the default search against it.
+
 This module imports only the standard library and ``repro``: the
 benchmark imports it in an environment without the test
 dependencies.
@@ -31,11 +38,16 @@ dependencies.
 
 from __future__ import annotations
 
+import functools
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from unittest import mock
 
 from repro.errors import AllocationError, SchedulingError
 from repro.arch.pe_instance import PEInstance
+from repro.perf.engine import IncrementalEngine
+from repro.perf.prune import CandidatePruner, RepairBound
 from repro.reconfig.reboot import default_boot_time
 from repro.resources.pe import PEKind, ProcessorType
 from repro.sched.finish_time import (
@@ -374,3 +386,62 @@ class ReferenceEngine:
     def cache_info(self) -> Dict[str, int]:
         """No caches, so no gauges."""
         return {}
+
+
+def _cuts_nothing(self, arch, option, graphs, tracer=None):
+    """``CandidatePruner.bound`` with the floors off: evaluate all."""
+    return None
+
+
+def _zero_floor(self, arch):
+    """``RepairBound.badness_floor`` with the floors off.  Repair only
+    runs against an incumbent with at least one violation, so a zero
+    floor never reaches its badness and cuts nothing."""
+    return (0, 0.0, 0.0)
+
+
+def _unbounded(evaluate):
+    """An engine ``evaluate`` that drops its abort ``bound``."""
+    @functools.wraps(evaluate)
+    def evaluate_to_completion(self, *args, bound=None, **kwargs):
+        return evaluate(self, *args, **kwargs)
+    return evaluate_to_completion
+
+
+@contextmanager
+def exhaustive(keep_floors: bool = False,
+               keep_aborts: bool = False) -> Iterator[None]:
+    """Run the ``crusade()`` calls in the block without the search cuts.
+
+    * Unless ``keep_floors``, the prune floors cut nothing:
+      :meth:`CandidatePruner.bound <repro.perf.prune.CandidatePruner.
+      bound>` answers None and :meth:`RepairBound.badness_floor
+      <repro.perf.prune.RepairBound.badness_floor>` answers
+      ``(0, 0.0, 0.0)``.
+    * Unless ``keep_aborts``, no evaluation aborts: the ``evaluate`` of
+      :class:`~repro.perf.engine.IncrementalEngine` and of
+      :class:`ReferenceEngine` drops its ``bound``.  Allocation, repair
+      and the merge evaluator all send their bound through
+      :func:`~repro.alloc.evaluate.evaluate_architecture` to
+      ``engine.evaluate``, so no abort bypasses this.
+
+    The two switches combine freely, with either engine.  They patch
+    the classes for the block's duration, so a call that donates no
+    engine keeps its store and tracer behaviour; the patch is
+    process-wide, so run nothing concurrently.
+    """
+    with ExitStack() as stack:
+        if not keep_floors:
+            stack.enter_context(
+                mock.patch.object(CandidatePruner, "bound", _cuts_nothing)
+            )
+            stack.enter_context(
+                mock.patch.object(RepairBound, "badness_floor", _zero_floor)
+            )
+        if not keep_aborts:
+            for engine_class in (IncrementalEngine, ReferenceEngine):
+                stack.enter_context(mock.patch.object(
+                    engine_class, "evaluate",
+                    _unbounded(engine_class.evaluate),
+                ))
+        yield

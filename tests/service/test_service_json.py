@@ -65,8 +65,8 @@ def test_unknown_config_field_is_rejected_not_ignored():
     # removed scorer-pool knobs, which once set how many processes a
     # shard forked; incremental and timeline are the removed
     # evaluation-path and timeline-implementation switches; prune and
-    # bound_abort are result-neutral search knobs the server keeps on;
-    # warm_start is the removed store-read switch.
+    # bound_abort are the removed search-cut switches; warm_start is
+    # the removed store-read switch.
     for field, value in (("cache_dir", "/tmp/x"), ("parallel_eval", 64),
                          ("pool_batch", 1), ("incremental", False),
                          ("timeline", "tree"), ("prune", False),
