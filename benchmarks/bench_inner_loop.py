@@ -55,6 +55,13 @@ Records merge by (example, scale) so repeated runs update in place.
 ``--check-against`` compares the measured speedups to a committed
 baseline file and exits non-zero on a regression beyond
 ``--max-regression`` (CI's guard).
+
+One run's speedup is noisy (single A1TR@0.05 runs ranged from 2.59x
+to 3.92x on one host), so ``--repeats N`` (default 1) measures each
+example N times and keeps the median run (:func:`median_run`): its
+record is the one written and judged, its ``runs`` key lists every
+run's timings, and ``identical`` holds only if every run was
+identical.  CI judges the median of three.
 """
 
 from __future__ import annotations
@@ -109,7 +116,14 @@ RECORD_SCHEMA = {
     "cost": None,
     "feasible": None,
     "identical": None,
+    "runs": None,
 }
+
+#: The per-run timings a ``--repeats`` record lists under ``runs``.
+RUN_KEYS = (
+    "speedup", "seconds_from_scratch", "seconds_incremental",
+    "seconds_pruned", "seconds_bound_abort",
+)
 
 
 def normalize_record(record: dict) -> dict:
@@ -262,6 +276,26 @@ def bench_example(name: str, scale: float, skip_scratch: bool = False,
     return normalize_record(record)
 
 
+def median_run(runs: list) -> dict:
+    """The median of repeated records of one example, as one record.
+
+    Runs are ranked by ``speedup`` (by ``seconds_pruned`` when the
+    from-scratch leg was skipped, as :func:`check_regression` judges
+    them) and the middle one is kept; it gains ``runs``, every run's
+    :data:`RUN_KEYS` in run order, and is ``identical`` only if all
+    runs were.
+    """
+    def rank(record):
+        if record["speedup"] is not None:
+            return record["speedup"]
+        return record["seconds_pruned"]
+
+    median = dict(sorted(runs, key=rank)[len(runs) // 2])
+    median["runs"] = [{k: run[k] for k in RUN_KEYS} for run in runs]
+    median["identical"] = all(run["identical"] for run in runs)
+    return median
+
+
 def merge_records(path: pathlib.Path, fresh: list) -> list:
     """Update ``path``'s records in place, keyed by (example, scale).
 
@@ -342,15 +376,29 @@ def main(argv=None) -> int:
                         help="fail when speedup regresses vs this file")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="tolerated fractional speedup loss (default .25)")
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="runs per example; the median run is recorded "
+                             "and judged (default 1)")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
 
     fresh = []
     for name in args.examples or ["A1TR"]:
-        print("%s @ scale %g" % (name, args.scale))
-        record = bench_example(name, args.scale,
-                               skip_scratch=args.skip_scratch,
-                               skip_warm=args.skip_warm,
-                               store_parent=args.out.resolve().parent)
+        runs = []
+        for repeat in range(args.repeats):
+            print("%s @ scale %g (run %d of %d)" % (
+                name, args.scale, repeat + 1, args.repeats))
+            runs.append(bench_example(name, args.scale,
+                                      skip_scratch=args.skip_scratch,
+                                      skip_warm=args.skip_warm,
+                                      store_parent=args.out.resolve().parent))
+        record = median_run(runs)
+        if len(runs) > 1:
+            print("  median of %d runs, speedups %s" % (
+                len(runs), ", ".join(
+                    "n/a" if run["speedup"] is None
+                    else "%.2fx" % run["speedup"] for run in record["runs"])))
         if record["speedup"] is not None:
             print("  speedup: %.2fx (engine only %.2fx), identical: %s" % (
                 record["speedup"], record["speedup_incremental"],

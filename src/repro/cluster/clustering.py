@@ -242,7 +242,8 @@ def cluster_graph(
         return base_comm(g, edge)
 
     working_context = PriorityContext(
-        exec_time=context.exec_time, comm_time=comm_time
+        exec_time=context.exec_time, comm_time=comm_time,
+        tables=context.tables,
     )
 
     while len(clustered) < len(graph):

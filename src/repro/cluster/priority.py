@@ -10,17 +10,26 @@ actual times of allocated resources and zeroed intra-cluster
 communication.
 
 A larger priority level means the task is more urgent (less slack).
+
+A synthesis runs thousands of passes over inputs that never change
+during it: each graph's topological order, successor edges and
+effective deadlines, each task's library maximum and each payload's
+slowest transfer time.  A pass reads the graph's rows from its
+context's :class:`~repro.graph.taskgraph.GraphTableCache`, and the
+pessimistic estimators memoize their maxima, so every pass computes the
+same floats from stored inputs.  Contexts derived from a run's
+pessimistic context share its table cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import SpecificationError
 from repro.graph.edge import Edge
 from repro.graph.task import Task
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import GraphTableCache, TaskGraph
 from repro.resources.library import ResourceLibrary
 
 #: Priority assigned to tasks from which no deadline is reachable.
@@ -39,19 +48,37 @@ class PriorityContext:
     maximum communication time over library link types (with assumed
     port counts).  CRUSADE swaps in allocation-aware estimators as the
     architecture takes shape.
+
+    ``tables`` supplies each graph's static rows; a context derived
+    from another passes the other's cache on.
     """
 
     exec_time: Callable[[TaskGraph, Task], float]
     comm_time: Callable[[TaskGraph, Edge], float]
+    tables: GraphTableCache = field(default_factory=GraphTableCache)
 
     @classmethod
     def pessimistic(cls, library: ResourceLibrary) -> "PriorityContext":
-        """Pre-allocation estimators using library maxima."""
+        """Pre-allocation estimators using library maxima.
+
+        Each task's maximum and each payload's slowest transfer time is
+        computed once, by the same expression, and then read back: the
+        library and the tasks' execution vectors never change.  Tasks
+        are keyed by identity (their vectors are dicts, so they do not
+        hash), and each entry holds its task so the id stays unique.
+        """
         link_types = library.links_by_cost()
         if not link_types:
             raise SpecificationError("library has no link types")
+        #: id(task) -> (task, largest usable WCET).
+        maxima: Dict[int, Tuple[Task, float]] = {}
+        #: payload bytes -> slowest library transfer time.
+        slowest: Dict[int, float] = {}
 
         def exec_time(graph: TaskGraph, task: Task) -> float:
+            entry = maxima.get(id(task))
+            if entry is not None:
+                return entry[1]
             usable = [
                 wcet
                 for pe_name, wcet in task.exec_times.items()
@@ -63,12 +90,20 @@ class PriorityContext:
                 raise SpecificationError(
                     "task %r has no usable PE type in library" % (task.name,)
                 )
-            return max(usable)
+            value = max(usable)
+            maxima[id(task)] = (task, value)
+            return value
 
         def comm_time(graph: TaskGraph, edge: Edge) -> float:
-            if edge.bytes_ == 0:
+            bytes_ = edge.bytes_
+            if bytes_ == 0:
                 return 0.0
-            return max(l.comm_time(edge.bytes_) for l in link_types)
+            value = slowest.get(bytes_)
+            if value is None:
+                value = slowest[bytes_] = max(
+                    l.comm_time(bytes_) for l in link_types
+                )
+            return value
 
         return cls(exec_time=exec_time, comm_time=comm_time)
 
@@ -85,20 +120,20 @@ def compute_task_priorities(
     evaluated in reverse topological order.  Tasks from which no
     deadline is reachable get :data:`NO_DEADLINE_PRIORITY`.
     """
+    exec_of = context.exec_time
+    comm_of = context.comm_time
+    rows = context.tables(graph).priority_rows
     priorities: Dict[str, float] = {}
-    for task_name in reversed(graph.topological_order()):
-        task = graph.task(task_name)
-        exec_time = context.exec_time(graph, task)
+    for task_name, task, deadline, succ_edges in rows:
+        exec_time = exec_of(graph, task)
         best = NO_DEADLINE_PRIORITY
-        deadline = graph.effective_deadline(task_name)
         if deadline is not None:
             best = exec_time - deadline
-        for succ_name in graph.successors(task_name):
+        for succ_name, edge in succ_edges:
             succ_priority = priorities[succ_name]
             if succ_priority == NO_DEADLINE_PRIORITY:
                 continue
-            edge = graph.edge(task_name, succ_name)
-            candidate = exec_time + context.comm_time(graph, edge) + succ_priority
+            candidate = exec_time + comm_of(graph, edge) + succ_priority
             if candidate > best:
                 best = candidate
         priorities[task_name] = best

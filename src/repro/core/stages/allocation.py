@@ -123,7 +123,10 @@ def _allocate_cluster(
 ) -> CandidateSelection:
     """Score candidates strategy by strategy until one is chosen."""
     selection = CandidateSelection()
-    pruner = CandidatePruner(ctx.spec, ctx.assoc, ctx.clustering, cluster)
+    pruner = CandidatePruner(
+        ctx.spec, ctx.assoc, ctx.clustering, cluster,
+        tables=ctx.pessimistic.tables,
+    )
     for strategy in ctx.config.link_strategies:
         # The cluster's allocation array, cheapest first.
         options = build_allocation_array(
@@ -342,7 +345,9 @@ def _commit(
         placement[0],
         placement[1],
     )
-    context = allocation_aware_context(ctx.library, ctx.arch, ctx.clustering)
+    context = allocation_aware_context(
+        ctx.pessimistic, ctx.arch, ctx.clustering
+    )
     if allocation_aware and selection.chosen_touched is not None:
         dirty = {cluster.graph}
         for name, (pe_id, _) in ctx.arch.cluster_alloc.items():

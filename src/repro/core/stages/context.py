@@ -79,6 +79,9 @@ class SynthesisContext:
     # -- preprocess step -----------------------------------------------
     warnings: List[str] = field(default_factory=list)
     assoc: Optional[AssociationArray] = None
+    #: The run's pre-allocation estimators.  Its ``tables`` are the
+    #: run's graph tables, which clustering, the candidate pruner and
+    #: every allocation-aware context the later steps build share.
     pessimistic: Optional[PriorityContext] = None
     compat: Optional[CompatibilityAnalysis] = None
 

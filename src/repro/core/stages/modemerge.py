@@ -115,7 +115,7 @@ def _merged_candidate(
     reflect the one it is verifying.
     """
     route_context = allocation_aware_context(
-        ctx.library, start_arch, ctx.clustering
+        ctx.pessimistic, start_arch, ctx.clustering
     )
     route_priorities = compute_priorities(ctx.spec, route_context)
     evaluator = _interface_evaluator(ctx, route_priorities)

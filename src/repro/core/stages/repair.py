@@ -246,5 +246,7 @@ def repair_deadlines(ctx: SynthesisContext) -> None:
     )
     ctx.best = ctx.full
     ctx.arch = ctx.full.arch
-    context = allocation_aware_context(ctx.library, ctx.arch, ctx.clustering)
+    context = allocation_aware_context(
+        ctx.pessimistic, ctx.arch, ctx.clustering
+    )
     ctx.priorities = compute_priorities(ctx.spec, context)

@@ -7,17 +7,16 @@ are imported by the allocation, repair and merge stages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import ClusteringResult
 from repro.cluster.priority import PriorityContext, compute_task_priorities
 from repro.graph.spec import SystemSpec
-from repro.resources.library import ResourceLibrary
 
 
 def allocation_aware_context(
-    library: ResourceLibrary,
+    pessimistic: PriorityContext,
     arch: Architecture,
     clustering: ClusteringResult,
 ) -> PriorityContext:
@@ -25,42 +24,67 @@ def allocation_aware_context(
 
     Allocated tasks use their placement's actual execution time;
     intra-cluster and same-PE edges cost zero; other edges fall back
-    to the pessimistic library maximum (Section 5: priority levels are
-    recomputed after each allocation and clustering step).
+    to ``pessimistic``, the run's pre-allocation estimators (Section 5:
+    priority levels are recomputed after each allocation and
+    clustering step).  The context shares ``pessimistic``'s graph
+    tables.
+
+    ``arch`` must not change while the context is in use: each
+    cluster's PE type and each PE pair's link are looked up once and
+    then read back.
     """
-    pessimistic = PriorityContext.pessimistic(library)
+    pessimistic_exec = pessimistic.exec_time
+    pessimistic_comm = pessimistic.comm_time
+    task_to_cluster = clustering.task_to_cluster
+    cluster_alloc = arch.cluster_alloc
+    pes = arch.pes
+    #: cluster name -> PE type name of its host (None: unallocated).
+    hosts: Dict[str, Optional[str]] = {}
+    #: (pe id, pe id) -> the link ``find_link_between`` returns.
+    links: Dict[tuple, object] = {}
 
     def exec_time(graph, task):
         """Placement-aware execution time for one task."""
-        key = (graph.name, task.name)
-        cluster_name = clustering.task_to_cluster.get(key)
-        if cluster_name is not None and arch.is_allocated(cluster_name):
-            pe_id, _ = arch.placement_of(cluster_name)
-            return task.wcet_on(arch.pe(pe_id).pe_type.name)
-        return pessimistic.exec_time(graph, task)
+        cluster_name = task_to_cluster.get((graph.name, task.name))
+        if cluster_name is not None:
+            try:
+                pe_type_name = hosts[cluster_name]
+            except KeyError:
+                placement = cluster_alloc.get(cluster_name)
+                pe_type_name = hosts[cluster_name] = (
+                    None if placement is None
+                    else pes[placement[0]].pe_type.name
+                )
+            if pe_type_name is not None:
+                return task.wcet_on(pe_type_name)
+        return pessimistic_exec(graph, task)
 
     def comm_time(graph, edge):
         """Placement-aware communication time for one edge."""
-        src_cluster = clustering.task_to_cluster.get((graph.name, edge.src))
-        dst_cluster = clustering.task_to_cluster.get((graph.name, edge.dst))
+        src_cluster = task_to_cluster.get((graph.name, edge.src))
+        dst_cluster = task_to_cluster.get((graph.name, edge.dst))
         if src_cluster is not None and src_cluster == dst_cluster:
             return 0.0
-        if (
-            src_cluster is not None
-            and dst_cluster is not None
-            and arch.is_allocated(src_cluster)
-            and arch.is_allocated(dst_cluster)
-        ):
-            src_pe, _ = arch.placement_of(src_cluster)
-            dst_pe, _ = arch.placement_of(dst_cluster)
-            if src_pe == dst_pe or edge.bytes_ == 0:
-                return 0.0
-            link = arch.find_link_between(src_pe, dst_pe)
-            if link is not None:
-                return link.comm_time(edge.bytes_)
-        return pessimistic.comm_time(graph, edge)
+        if src_cluster is not None and dst_cluster is not None:
+            src = cluster_alloc.get(src_cluster)
+            dst = cluster_alloc.get(dst_cluster)
+            if src is not None and dst is not None:
+                src_pe = src[0]
+                dst_pe = dst[0]
+                if src_pe == dst_pe or edge.bytes_ == 0:
+                    return 0.0
+                pair = (src_pe, dst_pe)
+                try:
+                    link = links[pair]
+                except KeyError:
+                    link = links[pair] = arch.find_link_between(src_pe, dst_pe)
+                if link is not None:
+                    return link.comm_time(edge.bytes_)
+        return pessimistic_comm(graph, edge)
 
-    return PriorityContext(exec_time=exec_time, comm_time=comm_time)
+    return PriorityContext(
+        exec_time=exec_time, comm_time=comm_time, tables=pessimistic.tables
+    )
 
 
 def compute_priorities(

@@ -11,9 +11,11 @@ stored here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import SpecificationError
+from repro.units import require_finite
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,10 @@ class Edge:
             raise SpecificationError(
                 "self-loop edge on task %r (task graphs are acyclic)" % (self.src,)
             )
-        if self.bytes_ < 0:
+        if not 0 <= self.bytes_ < math.inf:
+            require_finite(
+                self.bytes_, "edge %s->%s byte count", self.src, self.dst
+            )
             raise SpecificationError(
                 "edge %s->%s byte count must be non-negative" % (self.src, self.dst)
             )

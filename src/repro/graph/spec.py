@@ -9,10 +9,12 @@ availability requirements per task graph for CRUSADE-FT (Section 6).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import SpecificationError
 from repro.graph.taskgraph import TaskGraph
+from repro.units import require_finite
 
 
 class SystemSpec:
@@ -58,7 +60,8 @@ class SystemSpec:
             self._graphs[graph.name] = graph
         if not self._graphs:
             raise SpecificationError("system %r has no task graphs" % (name,))
-        if boot_time_requirement <= 0:
+        if not 0 < boot_time_requirement < math.inf:
+            require_finite(boot_time_requirement, "boot-time requirement")
             raise SpecificationError(
                 "boot-time requirement must be positive, got %r"
                 % (boot_time_requirement,)
@@ -86,7 +89,10 @@ class SystemSpec:
                     raise SpecificationError(
                         "unavailability names unknown graph %r" % (graph_name,)
                     )
-                if minutes < 0:
+                if not 0 <= minutes < math.inf:
+                    require_finite(
+                        minutes, "unavailability for %r", graph_name
+                    )
                     raise SpecificationError(
                         "unavailability for %r must be non-negative" % (graph_name,)
                     )

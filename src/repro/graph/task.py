@@ -10,10 +10,12 @@ checks and its error-transparency flag (Section 6).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 from repro.errors import SpecificationError
+from repro.units import require_finite
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,9 @@ class MemoryRequirement:
 
     def __post_init__(self) -> None:
         for label in ("program", "data", "stack"):
-            if getattr(self, label) < 0:
+            value = getattr(self, label)
+            if not 0 <= value < math.inf:
+                require_finite(value, "memory requirement %s", label)
                 raise SpecificationError(
                     "memory requirement %s must be non-negative" % label
                 )
@@ -65,12 +69,23 @@ class AssertionSpec:
     comm_bytes: int = 64
 
     def __post_init__(self) -> None:
+        for pe_type, wcet in self.exec_times.items():
+            if wcet is not None and not 0 < wcet < math.inf:
+                require_finite(
+                    wcet, "assertion %r execution time on PE type %r",
+                    self.name, pe_type,
+                )
+                raise SpecificationError(
+                    "assertion %r has non-positive execution time %r on "
+                    "PE type %r" % (self.name, wcet, pe_type)
+                )
         if not 0.0 < self.coverage <= 1.0:
             raise SpecificationError(
                 "assertion %r coverage must be in (0, 1], got %r"
                 % (self.name, self.coverage)
             )
-        if self.comm_bytes < 0:
+        if not 0 <= self.comm_bytes < math.inf:
+            require_finite(self.comm_bytes, "assertion %r comm_bytes", self.name)
             raise SpecificationError(
                 "assertion %r comm_bytes must be non-negative" % (self.name,)
             )
@@ -135,7 +150,10 @@ class Task:
                 "task %r has an empty execution-time vector" % (self.name,)
             )
         for pe_type, wcet in self.exec_times.items():
-            if wcet is not None and wcet <= 0:
+            if wcet is not None and not 0 < wcet < math.inf:
+                require_finite(
+                    wcet, "task %r WCET on PE type %r", self.name, pe_type
+                )
                 raise SpecificationError(
                     "task %r has non-positive WCET %r on PE type %r"
                     % (self.name, wcet, pe_type)
@@ -146,13 +164,16 @@ class Task:
                     "task %r preference for %r must be in [0, 1], got %r"
                     % (self.name, pe_type, weight)
                 )
-        if self.area_gates < 0:
+        if not 0 <= self.area_gates < math.inf:
+            require_finite(self.area_gates, "task %r area_gates", self.name)
             raise SpecificationError(
                 "task %r area_gates must be non-negative" % (self.name,)
             )
-        if self.pins < 0:
+        if not 0 <= self.pins < math.inf:
+            require_finite(self.pins, "task %r pins", self.name)
             raise SpecificationError("task %r pins must be non-negative" % (self.name,))
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            require_finite(self.deadline, "task %r deadline", self.name)
             raise SpecificationError(
                 "task %r deadline must be positive, got %r" % (self.name, self.deadline)
             )

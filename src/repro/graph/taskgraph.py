@@ -6,16 +6,25 @@ constraints of the paper's execution model: an earliest start time
 (EST), a period, and a deadline.  The edge table is the only stored
 structure; sorted predecessor and successor lists and the deterministic
 topological order are derived from it on first use.
+
+:class:`GraphTables` holds the rows the estimators read on every pass
+-- the priority pass, the finish-time floor and its deadline check --
+derived once from that cache, and :class:`GraphTableCache` keeps one
+per graph for as long as its owner (a synthesis run's priority
+context) lives.  Neither is stored on the graph, so specifications and
+results pickle exactly as before.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SpecificationError
 from repro.graph.edge import Edge
 from repro.graph.task import Task
+from repro.units import require_finite
 
 #: ``(predecessors, successors, topological order)`` of a graph.
 _Derived = Tuple[Dict[str, List[str]], Dict[str, List[str]], List[str]]
@@ -53,17 +62,20 @@ class TaskGraph:
     ) -> None:
         if not name:
             raise SpecificationError("task graph name must be non-empty")
-        if period <= 0:
+        if not 0 < period < math.inf:
+            require_finite(period, "task graph %r period", name)
             raise SpecificationError(
                 "task graph %r period must be positive, got %r" % (name, period)
             )
         if deadline is None:
             deadline = period
-        if deadline <= 0:
+        if not 0 < deadline < math.inf:
+            require_finite(deadline, "task graph %r deadline", name)
             raise SpecificationError(
                 "task graph %r deadline must be positive, got %r" % (name, deadline)
             )
-        if est < 0:
+        if not 0 <= est < math.inf:
+            require_finite(est, "task graph %r EST", name)
             raise SpecificationError(
                 "task graph %r EST must be non-negative, got %r" % (name, est)
             )
@@ -244,3 +256,83 @@ class TaskGraph:
             len(self._edges),
             self.period,
         )
+
+
+class GraphTables:
+    """One graph's static estimator inputs, derived once.
+
+    Every row is built from the graph's derived adjacency cache with the
+    same lookups the per-call queries make, so each stored value is the
+    one those queries return.  The tables are stale once the graph
+    changes: ``add_task`` and ``add_edge`` drop the adjacency cache, so
+    ``derived`` is no longer the graph's.
+    """
+
+    __slots__ = (
+        "graph", "derived", "priority_rows", "topo_rows", "deadline_rows",
+        "_min_wcet",
+    )
+
+    def __init__(self, graph: TaskGraph) -> None:
+        """Derive ``graph``'s rows (a cyclic graph raises as
+        :meth:`TaskGraph.topological_order` does)."""
+        order = graph.topological_order()
+        derived = graph._adjacency()
+        preds, succs = derived[0], derived[1]
+        tasks, edges = graph._tasks, graph._edges
+        self.graph = graph
+        self.derived = derived
+        #: ``(name, task, effective deadline, ((successor, edge), ...))``
+        #: in reverse topological order: the priority pass.
+        self.priority_rows = tuple(
+            (
+                name,
+                tasks[name],
+                graph.effective_deadline(name),
+                tuple((succ, edges[(name, succ)]) for succ in succs[name]),
+            )
+            for name in reversed(order)
+        )
+        #: ``(name, task, predecessor names)`` in topological order: the
+        #: finish-time floor.
+        self.topo_rows = tuple(
+            (name, tasks[name], tuple(preds[name])) for name in order
+        )
+        #: ``(name, effective deadline)`` of every deadline-carrying
+        #: task, sorted by name.
+        self.deadline_rows = tuple(
+            (name, graph.effective_deadline(name))
+            for name in graph.deadline_tasks()
+        )
+        self._min_wcet: Dict[str, float] = {}
+
+    def min_wcet(self, task: Task) -> float:
+        """``task.min_exec_time``, computed on first use (a task no PE
+        type can run raises then, as the property does)."""
+        try:
+            return self._min_wcet[task.name]
+        except KeyError:
+            value = self._min_wcet[task.name] = task.min_exec_time
+            return value
+
+
+class GraphTableCache:
+    """:class:`GraphTables` per graph, rebuilt when a graph changes.
+
+    Keyed by graph identity; each entry holds its graph, so an id is
+    never reused while the cache lives.  Give it the lifetime of one
+    synthesis run: it holds every graph it has seen.
+    """
+
+    __slots__ = ("_tables",)
+
+    def __init__(self) -> None:
+        """Start empty."""
+        self._tables: Dict[int, GraphTables] = {}
+
+    def __call__(self, graph: TaskGraph) -> GraphTables:
+        """The current tables of ``graph``."""
+        tables = self._tables.get(id(graph))
+        if tables is None or tables.derived is not graph._adjacency():
+            tables = self._tables[id(graph)] = GraphTables(graph)
+        return tables

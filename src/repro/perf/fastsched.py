@@ -15,7 +15,10 @@ topology and of (link type, payload).
 above across runs:
 
 * a **plan** per (spec, association, clustering, graph filter): the
-  instance records, seed order, and in-degree template;
+  instance records, seed order, and in-degree template, plus each
+  task's execution times as first read: on each PE type it is placed
+  on, and its smallest one, which a virtual (not yet allocated)
+  placement runs for;
 * a **route table** per architecture, invalidated exactly by
   ``Architecture.topo_version`` (bumped on every link attach/detach/
   create/delete, including copy-on-write reverts);
@@ -75,7 +78,8 @@ class _Plan:
 
     __slots__ = (
         "records", "roots", "indegree", "total", "keepalive", "wcet",
-        "deadline_rows", "ncopies", "clusters", "_deadline_by_key",
+        "min_wcet", "deadline_rows", "ncopies", "clusters",
+        "_deadline_by_key",
     )
 
     def __init__(
@@ -101,6 +105,9 @@ class _Plan:
         #: ``keepalive`` pins the spec's task objects), and most
         #: placements are stable across the runs sharing a plan.
         self.wcet: Dict[tuple, float] = {}
+        #: task object id -> ``task.min_exec_time``, the duration of a
+        #: virtual (not yet allocated) placement; static the same way.
+        self.min_wcet: Dict[int, float] = {}
         #: graph name -> ((instance key, absolute deadline), ...) in
         #: the exact insertion order of
         #: :func:`repro.sched.finish_time.deadline_lateness`

@@ -44,6 +44,7 @@ from repro.arch.architecture import Architecture
 from repro.cluster.clustering import Cluster, ClusteringResult
 from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
+from repro.graph.taskgraph import GraphTableCache, GraphTables
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resources.pe import PEKind
 from repro.sched.bounds import deadline_floor_stats, demand_floor
@@ -97,13 +98,21 @@ class CandidatePruner:
         assoc: AssociationArray,
         clustering: ClusteringResult,
         cluster: Cluster,
+        tables: Optional[GraphTableCache] = None,
     ) -> None:
-        """Precompute this cluster iteration's bound inputs."""
+        """Precompute this cluster iteration's bound inputs.
+
+        ``tables`` is the run's graph table cache; without one the
+        cluster's graph gets tables of its own.
+        """
         self.spec = spec
         self.assoc = assoc
         self.clustering = clustering
         self.cluster = cluster
         self.graph = spec.graph(cluster.graph)
+        self.tables = (
+            GraphTables(self.graph) if tables is None else tables(self.graph)
+        )
         self._memo: Dict[tuple, Optional[PruneVerdict]] = {}
 
     @staticmethod
@@ -168,7 +177,7 @@ class CandidatePruner:
                 excess = (demand / capacity - 1.0) * _SUM_DEFLATE
 
         misses, lateness = deadline_floor_stats(
-            self.graph, arch, self.clustering
+            self.graph, arch, self.clustering, self.tables
         )
         if not misses and not overloads:
             return None

@@ -31,6 +31,13 @@ floor is dominated by the real schedule *bit-for-bit*, not merely up
 to an epsilon.  Demand floors are summed in a different order than
 :func:`repro.sched.finish_time.resource_demand`, so their consumers
 apply a small relative margin (see :mod:`repro.perf.prune`).
+
+Static inputs: the floor walks a graph's
+:class:`~repro.graph.taskgraph.GraphTables` -- topological rows with
+predecessor tuples, the deadline tasks with their effective deadlines,
+each task's smallest WCET -- instead of re-deriving them on every
+call.  The candidate pruner passes the run's tables; a caller that
+passes none gets tables derived for the call.
 """
 
 from __future__ import annotations
@@ -44,19 +51,16 @@ from repro.arch.pe_instance import PEInstance
 from repro.cluster.clustering import ClusteringResult
 from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import GraphTables, TaskGraph
 from repro.resources.pe import PEKind
 from repro.units import TIME_EPS
 
 
-def best_case_exec_time(task, pe: Optional[PEInstance]) -> float:
-    """The exact duration floor the scheduler charges for ``task``.
-
-    ``pe`` is the instance hosting the task's cluster, or None for a
-    virtual (not-yet-allocated) placement.
+def best_case_exec_time(task, pe: PEInstance) -> float:
+    """The exact duration floor the scheduler charges for ``task`` on
+    ``pe``, the instance hosting the task's cluster.  A virtual
+    (not-yet-allocated) placement runs for the task's smallest WCET.
     """
-    if pe is None:
-        return task.min_exec_time
     wcet = task.wcet_on(pe.pe_type.name)
     if pe.pe_type.kind is PEKind.PROCESSOR:
         return wcet + pe.pe_type.context_switch_time
@@ -64,7 +68,10 @@ def best_case_exec_time(task, pe: Optional[PEInstance]) -> float:
 
 
 def finish_time_floor(
-    graph: TaskGraph, arch: Architecture, clustering: ClusteringResult
+    graph: TaskGraph,
+    arch: Architecture,
+    clustering: ClusteringResult,
+    tables: Optional[GraphTables] = None,
 ) -> Dict[str, float]:
     """Copy-0 absolute finish-time floors for every task of ``graph``.
 
@@ -73,38 +80,54 @@ def finish_time_floor(
     duration of its placement.  The value for each task is a true
     lower bound on the finish time of its copy-0 instance in any
     schedule the scheduler can emit for ``arch`` (see the module
-    docstring for the argument).
+    docstring for the argument).  ``tables`` are ``graph``'s current
+    tables, derived here when not given.
     """
+    if tables is None:
+        tables = GraphTables(graph)
     est = graph.est
+    graph_name = graph.name
+    task_to_cluster = clustering.task_to_cluster
+    cluster_alloc = arch.cluster_alloc
     floor: Dict[str, float] = {}
-    for name in graph.topological_order():
-        cluster_name = clustering.task_to_cluster.get((graph.name, name))
-        pe = None
-        if cluster_name is not None and arch.is_allocated(cluster_name):
-            pe = arch.pe(arch.placement_of(cluster_name)[0])
+    for name, task, preds in tables.topo_rows:
+        cluster_name = task_to_cluster.get((graph_name, name))
+        placement = (
+            None if cluster_name is None else cluster_alloc.get(cluster_name)
+        )
+        if placement is None:
+            duration = tables.min_wcet(task)
+        else:
+            duration = best_case_exec_time(task, arch.pe(placement[0]))
         base = est
-        for pred in graph.predecessors(name):
+        for pred in preds:
             if floor[pred] > base:
                 base = floor[pred]
-        floor[name] = base + best_case_exec_time(graph.task(name), pe)
+        floor[name] = base + duration
     return floor
 
 
 def deadline_floor_stats(
-    graph: TaskGraph, arch: Architecture, clustering: ClusteringResult
+    graph: TaskGraph,
+    arch: Architecture,
+    clustering: ClusteringResult,
+    tables: Optional[GraphTables] = None,
 ) -> Tuple[int, float]:
     """(missed deadline count, total lateness) of the copy-0 floor.
 
     The admissible deadline statistic the candidate pruner consumes:
     for each deadline-carrying task, ``finish_time_floor - (est +
-    deadline)``, counted/summed when above ``TIME_EPS``.
+    deadline)``, counted/summed when above ``TIME_EPS``.  ``tables``
+    as for :func:`finish_time_floor`.
     """
-    floor = finish_time_floor(graph, arch, clustering)
+    if tables is None:
+        tables = GraphTables(graph)
+    floor = finish_time_floor(graph, arch, clustering, tables)
     est = graph.est
     misses = 0
     lateness = 0.0
-    for task_name in graph.deadline_tasks():
-        late = floor[task_name] - (est + graph.effective_deadline(task_name))
+    for task_name, deadline in tables.deadline_rows:
+        late = floor[task_name] - (est + deadline)
         if late > TIME_EPS:
             misses += 1
             lateness += late

@@ -293,6 +293,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     plan = context.plan_for(request)
     records = plan.records
     wcet_memo = plan.wcet
+    min_wcet_memo = plan.min_wcet
     ncopies = plan.ncopies
     # Bounded-search bookkeeping: the inline demand map below is
     # already bit-identical to the post-pass recomputation, so the
@@ -445,7 +446,11 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         if pe is None:
             # Virtual placement: best-case execution, no contention.
             n_virtual += 1
-            start, finish = ready, ready + task.min_exec_time
+            tkey = id(task)
+            best = min_wcet_memo.get(tkey)
+            if best is None:
+                best = min_wcet_memo[tkey] = task.min_exec_time
+            start, finish = ready, ready + best
         else:
             n_real += 1
             pe_type = pe.pe_type

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from repro.errors import SpecificationError
+
 #: Seconds in common engineering sub-units, for readable literals.
 US = 1e-6
 MS = 1e-3
@@ -38,6 +40,24 @@ FIT_HOURS = 1e9
 
 #: Minutes per year, used for unavailability requirements (min/year).
 MINUTES_PER_YEAR = 365.25 * 24 * 60
+
+
+def require_finite(value, what: str, *args) -> None:
+    """Raise :class:`SpecificationError` naming the field and ``value``
+    unless ``value`` is a finite number; the field is ``what % args``,
+    formatted only then.
+
+    Range checks written as ``x <= 0`` or ``x < 0`` let NaN through
+    (every comparison with NaN is false), and Python's ``json`` reads
+    the ``NaN`` and ``Infinity`` tokens.  So every numeric field of a
+    specification is range-checked as ``lo <= x < math.inf`` or
+    ``lo < x < math.inf``, which NaN and the infinities fail too, and
+    the failure path calls this before reporting the range.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecificationError(
+            "%s must be finite, got %r" % (what % args, value)
+        )
 
 
 def time_leq(a: float, b: float) -> bool:

@@ -29,7 +29,9 @@ class TestAllocationAwareContext:
     ):
         spec, clustering, g = chain_setup
         arch = Architecture(small_library)
-        context = allocation_aware_context(small_library, arch, clustering)
+        context = allocation_aware_context(
+            PriorityContext.pessimistic(small_library), arch, clustering
+        )
         pessimistic = PriorityContext.pessimistic(small_library)
         assert compute_task_priorities(g, context) == compute_task_priorities(
             g, pessimistic
@@ -41,7 +43,9 @@ class TestAllocationAwareContext:
         fpga = arch.new_pe(small_library.pe_type("FPGA"))
         b_cluster = clustering.cluster_of("g", "b")
         arch.allocate_cluster(b_cluster.name, fpga.id, 0, gates=100, pins=4)
-        context = allocation_aware_context(small_library, arch, clustering)
+        context = allocation_aware_context(
+            PriorityContext.pessimistic(small_library), arch, clustering
+        )
         # b now costs its FPGA time (1e-4), not the pessimistic 2e-3.
         assert context.exec_time(g, g.task("b")) == pytest.approx(1e-4)
         assert context.exec_time(g, g.task("a")) == pytest.approx(1e-3)
@@ -53,7 +57,9 @@ class TestAllocationAwareContext:
         for name in ("a", "b"):
             cluster = clustering.cluster_of("g", name)
             arch.allocate_cluster(cluster.name, cpu.id, 0, memory=cluster.memory)
-        context = allocation_aware_context(small_library, arch, clustering)
+        context = allocation_aware_context(
+            PriorityContext.pessimistic(small_library), arch, clustering
+        )
         assert context.comm_time(g, g.edge("a", "b")) == 0.0
 
     def test_cross_pe_edge_uses_link_time(self, small_library, chain_setup):
@@ -67,7 +73,9 @@ class TestAllocationAwareContext:
         arch.allocate_cluster(b_cluster.name, fpga.id, 0, gates=100, pins=4)
         bus = small_library.link_type("bus")
         link = arch.connect(cpu.id, fpga.id, bus)
-        context = allocation_aware_context(small_library, arch, clustering)
+        context = allocation_aware_context(
+            PriorityContext.pessimistic(small_library), arch, clustering
+        )
         expected = link.comm_time(256)
         assert context.comm_time(g, g.edge("a", "b")) == pytest.approx(expected)
 
@@ -86,6 +94,9 @@ class TestAllocationAwareContext:
         b_cluster = clustering.cluster_of("g", "b")
         arch.allocate_cluster(b_cluster.name, fpga.id, 0, gates=100, pins=4)
         aware = compute_task_priorities(
-            g, allocation_aware_context(small_library, arch, clustering)
+            g,
+            allocation_aware_context(
+                PriorityContext.pessimistic(small_library), arch, clustering
+            ),
         )
         assert aware["a"] < pessimistic["a"]

@@ -12,6 +12,7 @@ import pytest
 from repro import CrusadeConfig, SystemSpec, Task, TaskGraph, Tracer, crusade
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import trivial_clustering
+from repro.cluster.priority import PriorityContext
 from repro.core.stages.repair import repair_pass
 from repro.core.stages.support import (
     allocation_aware_context,
@@ -37,7 +38,9 @@ def _place(arch, clustering, cluster_name, pe_id, mode=0):
 
 def _evaluate(spec, library, clustering, arch, tracer):
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    context = allocation_aware_context(library, arch, clustering)
+    context = allocation_aware_context(
+        PriorityContext.pessimistic(library), arch, clustering
+    )
     priorities = compute_priorities(spec, context)
     verdict = evaluate_architecture(
         spec, assoc, clustering, arch, priorities,

@@ -4,7 +4,9 @@ The gate (``tests/perf/test_work_counts.py``) asserts that a cold
 synthesis of each input does exactly the committed amount of work:
 every tracer counter under the prefixes in :data:`PREFIXES` (schedule
 builds, aborts and task decisions, prune cuts, allocation options,
-merge and repair steps, fragment and plan cache traffic).  These
+merge and repair steps, fragment, plan and scope cache traffic,
+copy-on-write applications, and priority passes recomputed or
+reused).  These
 counts are deterministic across runs, hosts and Python versions, so
 any change is a change in what the synthesis does -- and an
 optimization that claims to do the same work faster must leave them
@@ -33,7 +35,8 @@ import sys
 #: Counter-name prefixes the gate covers.
 PREFIXES = (
     "sched.", "prune.", "alloc.", "merge.", "repair.",
-    "perf.schedule.", "perf.plan.",
+    "perf.schedule.", "perf.plan.", "perf.priorities.", "perf.cow.",
+    "scope.",
 )
 
 #: (example, scale) inputs the gate synthesizes.

@@ -10,6 +10,7 @@ import pytest
 
 from repro import CrusadeConfig, GeneratorConfig, Tracer, crusade, generate_spec
 from repro.cluster.clustering import cluster_spec
+from repro.cluster.priority import PriorityContext
 from repro.core.stages.support import allocation_aware_context, compute_priorities
 from repro.graph.association import AssociationArray
 from repro.obs.trace import NULL_TRACER
@@ -30,7 +31,9 @@ def workload():
                      config=CrusadeConfig(max_explicit_copies=2))
     clustering = result.clustering
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    context = allocation_aware_context(library, result.arch, clustering)
+    context = allocation_aware_context(
+        PriorityContext.pessimistic(library), result.arch, clustering
+    )
     priorities = compute_priorities(spec, context)
     return spec, assoc, clustering, result.arch, priorities
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CrusadeConfig, GeneratorConfig, Tracer, crusade, generate_spec
 from repro.cluster.clustering import cluster_spec
+from repro.cluster.priority import PriorityContext
 from repro.core.stages.support import allocation_aware_context, compute_priorities
 from repro.errors import SchedulingError
 from repro.graph.association import AssociationArray
@@ -164,7 +165,9 @@ def _workload(seed):
     result = crusade(spec, library=library,
                      config=CrusadeConfig(max_explicit_copies=2))
     assoc = AssociationArray(spec, max_explicit_copies=2)
-    context = allocation_aware_context(library, result.arch, result.clustering)
+    context = allocation_aware_context(
+        PriorityContext.pessimistic(library), result.arch, result.clustering
+    )
     priorities = compute_priorities(spec, context)
     return spec, assoc, result.clustering, result.arch, priorities
 

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro import CrusadeConfig, GeneratorConfig, Tracer, crusade, generate_spec
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import cluster_spec
+from repro.cluster.priority import PriorityContext
 from repro.core.stages.support import allocation_aware_context, compute_priorities
 from repro.graph.association import AssociationArray
 from repro.perf import engine as engine_module
@@ -208,7 +209,9 @@ def _one_processor_workload():
         arch.allocate_cluster(name, pe.id, 0)
     assoc = AssociationArray(spec, max_explicit_copies=2)
     priorities = compute_priorities(
-        spec, allocation_aware_context(library, arch, clustering)
+        spec, allocation_aware_context(
+            PriorityContext.pessimistic(library), arch, clustering
+        )
     )
     return dict(
         spec=spec, assoc=assoc, clustering=clustering, arch=arch,

@@ -168,6 +168,26 @@ def test_specs_crusade_refuses_are_a_400_before_dispatch(
     assert not [name for name in counters if name.startswith("service.jobs.")]
 
 
+def test_non_finite_spec_value_is_a_400_before_dispatch(harness_factory):
+    """A NaN WCET (``json`` reads the ``NaN`` token) is refused at
+    admission, naming the field, and never reaches the shard pool."""
+    harness = harness_factory(workers=1, retries=1)
+    request = build_request(service_spec())
+    request["spec"]["graphs"][0]["tasks"][0]["exec_times"]["MC68040"] = (
+        float("nan")
+    )
+    status, body = submit("127.0.0.1", harness.port, request)
+    assert status == 400, body
+    assert body["error"]["kind"] == "bad-request"
+    (error,) = body["error"]["errors"]
+    assert error == (
+        "spec: task 'a' WCET on PE type 'MC68040' must be finite, got nan"
+    )
+    counters = stats("127.0.0.1", harness.port)["counters"]
+    assert counters["service.rejected.invalid"] == 1
+    assert not [name for name in counters if name.startswith("service.jobs.")]
+
+
 def test_oversized_declared_body_is_a_413(harness_factory):
     harness = harness_factory(pool=FakePool())
     raw = (b"POST /synthesize HTTP/1.1\r\n"
