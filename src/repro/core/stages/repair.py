@@ -22,6 +22,7 @@ from repro.core.stages.support import (
 )
 from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
+from repro.graph.taskgraph import GraphTableCache
 from repro.obs.trace import Tracer
 from repro.perf.engine import IncrementalEngine
 from repro.perf.prune import RepairBound
@@ -46,6 +47,7 @@ def repair_pass(
     max_rounds: int = 8,
     candidates_per_round: int = 5,
     engine: Optional[IncrementalEngine] = None,
+    tables: Optional[GraphTableCache] = None,
 ) -> EvalResult:
     """Re-home clusters of deadline-missing tasks until feasible or
     out of rounds.
@@ -64,11 +66,13 @@ def repair_pass(
     (:class:`~repro.perf.prune.RepairBound`) is checked first: a
     candidate whose floor is already >= the incumbent's badness can
     neither be feasible (its floor then has >= 1 miss/overload) nor
-    strictly improve, so it is skipped without scheduling.
+    strictly improve, so it is skipped without scheduling.  ``tables``
+    is the run's graph table cache, whose demand-floor totals the
+    floor shares.
     """
     if engine is None:
         engine = IncrementalEngine()
-    repair_bound = RepairBound(spec, assoc, clustering)
+    repair_bound = RepairBound(spec, assoc, clustering, tables)
 
     def abort_bound(round_best: Optional[EvalResult]) -> tuple:
         """Badness an evaluation may abort against: the tightest
@@ -243,6 +247,7 @@ def repair_deadlines(ctx: SynthesisContext) -> None:
     ctx.full = repair_pass(
         ctx.spec, ctx.assoc, ctx.clustering, ctx.full, ctx.priorities,
         ctx.compat, ctx.config, ctx.tracer, engine=ctx.engine,
+        tables=ctx.pessimistic.tables,
     )
     ctx.best = ctx.full
     ctx.arch = ctx.full.arch

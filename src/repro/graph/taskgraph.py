@@ -11,8 +11,9 @@ topological order are derived from it on first use.
 -- the priority pass, the finish-time floor and its deadline check --
 derived once from that cache, and :class:`GraphTableCache` keeps one
 per graph for as long as its owner (a synthesis run's priority
-context) lives.  Neither is stored on the graph, so specifications and
-results pickle exactly as before.
+context) lives, next to the run's demand-floor totals.  Neither is
+stored on the graph, so specifications and results pickle exactly as
+before.
 """
 
 from __future__ import annotations
@@ -317,18 +318,30 @@ class GraphTables:
 
 
 class GraphTableCache:
-    """:class:`GraphTables` per graph, rebuilt when a graph changes.
+    """:class:`GraphTables` per graph, rebuilt when a graph changes,
+    and the demand floor's per-cluster totals per clustering.
 
-    Keyed by graph identity; each entry holds its graph, so an id is
-    never reused while the cache lives.  Give it the lifetime of one
-    synthesis run: it holds every graph it has seen.
+    Keyed by graph (clustering) identity; each entry holds its graph
+    (clustering), so an id is never reused while the cache lives.  Give
+    it the lifetime of one synthesis run: it holds every graph and
+    clustering it has seen, and frees them with the run.
     """
 
-    __slots__ = ("_tables",)
+    __slots__ = ("_tables", "_demand")
 
     def __init__(self) -> None:
         """Start empty."""
         self._tables: Dict[int, GraphTables] = {}
+        self._demand: Dict[int, tuple] = {}
+
+    def demand_totals(self, clustering) -> dict:
+        """The busy-time totals memo of ``clustering``'s clusters that
+        :func:`repro.sched.bounds.demand_floor` fills, kept for as long
+        as this cache lives."""
+        entry = self._demand.get(id(clustering))
+        if entry is None:
+            entry = self._demand[id(clustering)] = (clustering, {})
+        return entry[1]
 
     def __call__(self, graph: TaskGraph) -> GraphTables:
         """The current tables of ``graph``."""

@@ -30,28 +30,36 @@ above across runs:
   for programmable devices;
 * a **trail** of the last finished build of each of the
   :data:`TRAIL_CACHE_MAX_ENTRIES` most recently built plans: the
-  schedule itself, the inputs its decisions read (each cluster's
-  placement and PE type, each routed PE pair's link signature, the
-  programmable devices' mode and boot-time maps) and what the
+  schedule itself; its decision order with the priority values it
+  was computed from; the inputs its decisions read, each at the
+  decision that first read it (each cluster's placement and PE type,
+  each routed PE pair's link signature, the programmable devices'
+  mode and boot-time maps); and, indexed by decision, what the
   schedule alone cannot tell (the outcomes of every mode-timeline
-  ``place`` and the decisions that declined a preemptive split).
+  ``place``, the decisions that declined or took a preemptive split
+  or placed a task virtually, the running copy-0 demand and the
+  violations a bound counts).
 
 Consecutive builds of one plan usually differ by one cluster's
-placement, so the scheduler resumes each build from its plan's trail:
-it replays the heap under its own priorities, reuses every leading
-decision whose inputs all equal the trail's, and schedules on from the
-first that differs (:func:`repro.sched.scheduler.build_schedule`).
+placement, so the scheduler resumes each build from its plan's trail
+(:func:`repro.sched.scheduler.build_schedule`).  The decision order
+depends only on the plan and its priorities, so a build under the
+trail's priority values reuses the trail's order.  The first decision
+that differs is the earliest of: where the two orders part, the first
+decision of a re-placed cluster, and the first read of a changed
+device or PE pair.  Everything before it is restored by slicing the
+trail's dicts and logs, and the build schedules on from there.
 Trails are kept only while the context builds onto the production
 timeline pair, and never from a build whose timelines degraded.  A
-trail copies every value it compares when its build ends (the
+trail copies every value it compares as its build reads it (the
 allocation loop reverts the live architecture afterwards) and pins its
 plan, whose cache key is made of ``id()`` values.
 
-The scheduler makes every decision -- heap keys, iteration orders,
-epsilon comparisons, tie-breaks -- exactly as the reference loop in
-``tests/sched/reference_scheduler.py`` does over the linear reference
-timelines; the equivalence suites pin the two to byte-identical
-schedules and results.
+The scheduler makes every decision -- decision order, iteration
+orders, epsilon comparisons, tie-breaks -- exactly as the reference
+loop in ``tests/sched/reference_scheduler.py`` does over the linear
+reference timelines; the equivalence suites pin the two to
+byte-identical schedules and results.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ class _Plan:
 
     __slots__ = (
         "records", "roots", "indegree", "total", "keepalive", "wcet",
-        "min_wcet", "deadline_rows", "ncopies", "clusters",
+        "min_wcet", "deadline_rows", "ncopies", "clusters", "graphs",
         "_deadline_by_key",
     )
 
@@ -95,7 +103,7 @@ class _Plan:
         #: zero-in-degree keys in heap-seeding order (explicit copy
         #: major, topological order minor).
         self.roots = roots
-        #: in-degree template, copied at the start of every run.
+        #: in-degree template, copied for every decision order.
         self.indegree = indegree
         self.total = total
         #: strong refs pinning the id()-keyed cache inputs alive.
@@ -118,6 +126,8 @@ class _Plan:
         self.ncopies = ncopies
         #: every cluster the plan's tasks belong to, first-seen order.
         self.clusters = tuple(dict.fromkeys(r[4] for r in records.values()))
+        #: every graph the plan's tasks belong to, first-seen order.
+        self.graphs = tuple(dict.fromkeys(key[0] for key in records))
         #: lazy flat view of ``deadline_rows`` for the bound-abort
         #: deadline check (key -> absolute deadline).
         self._deadline_by_key = None
@@ -198,45 +208,62 @@ def _build_plan(request) -> _Plan:
 
 
 class Trail:
-    """One finished build of a plan, kept to resume the next one.
+    """One build of a plan, kept to resume the next one.
 
-    Built by :func:`repro.sched.scheduler.build_schedule` when a build
-    ends; never mutated afterwards.  The schedule's task, edge and
-    interval objects are immutable once made, so resumed schedules
-    share them.
+    :func:`repro.sched.scheduler.build_schedule` makes one when a build
+    starts, appends to its logs as the build decides, and keeps it when
+    the build ends; it is never mutated afterwards.  The schedule's
+    task, edge and interval objects are immutable once made, so
+    resumed schedules share them.  Every log entry starts with the
+    index of the decision that made it, and the step lists are sorted,
+    so the state as of any decision is a bisection away.
     """
 
     __slots__ = (
-        "plan", "library", "preemption", "schedule", "steps", "sigs",
-        "routes", "allowed", "boots", "places", "declined",
+        "plan", "library", "preemption", "order", "priorities", "sigs",
+        "schedule", "reads", "places", "declined", "splits", "virtual",
+        "demand_log", "events",
     )
 
     def __init__(
-        self, plan, library, preemption, schedule, sigs, routes,
-        allowed, boots, places, declined,
+        self, plan, library, preemption, order, priorities, sigs, places,
     ) -> None:
-        """Freeze one build's record (see the attribute comments)."""
+        """Start one build's record (see the attribute comments)."""
         #: the plan built (pinned: plan keys are made of ``id()``s).
         self.plan = plan
         self.library = library
         self.preemption = preemption
-        self.schedule = schedule
-        #: the scheduled tasks in decision order.
-        self.steps = list(schedule.tasks.values())
+        #: ``(keys, first_step, cum_edges)`` of
+        #: :func:`repro.sched.scheduler._decision_order`.
+        self.order = order
+        #: graph name -> {task name: priority}: copies of the values
+        #: ``order`` was computed from.
+        self.priorities = priorities
         #: cluster name -> placement signature (see
         #: :func:`repro.sched.scheduler._cluster_signatures`).
         self.sigs = sigs
-        #: (pe id, pe id) -> (link id, link type name, port bucket).
-        self.routes = routes
-        #: (pe id, cluster) -> ({mode: boot time}, sorted items) and
-        #: (pe id, mode) -> boot time, as the build's memos held them.
-        self.allowed = allowed
-        self.boots = boots
-        #: programmable PE id -> the ``record`` outcomes of its
-        #: mode timeline's ``place`` calls, in call order.
+        #: the finished schedule.
+        self.schedule = None
+        #: the device and PE-pair inputs the decisions read, each at
+        #: its first read: ``(step, True, (pe id, cluster, mode),
+        #: ({mode: boot time}, own mode's boot time))`` or ``(step,
+        #: False, (pe id, pe id), (link id, link type name, port
+        #: bucket))``.
+        self.reads: List[tuple] = []
+        #: programmable PE id -> (decision indices, ``record``
+        #: outcomes) of its mode timeline's ``place`` calls.
         self.places = places
-        #: decision indices that declined a preemptive split.
-        self.declined = declined
+        #: decision indices that declined / took a preemptive split,
+        #: and of virtual placements.
+        self.declined: List[int] = []
+        self.splits: List[int] = []
+        self.virtual: List[int] = []
+        #: ``(step, resource, running load)`` per copy-0 demand update.
+        self.demand_log: List[tuple] = []
+        #: ``(step, "overload", resource)`` per overload crossing and
+        #: ``(step, "deadline", None)`` per deadline miss, in the order
+        #: a bound counts them.
+        self.events: List[tuple] = []
 
 
 class SchedulerContext:

@@ -102,17 +102,21 @@ class CandidatePruner:
     ) -> None:
         """Precompute this cluster iteration's bound inputs.
 
-        ``tables`` is the run's graph table cache; without one the
-        cluster's graph gets tables of its own.
+        ``tables`` is the run's graph table cache, which also keeps the
+        run's demand-floor totals; without one the cluster's graph gets
+        tables, and the pruner totals, of its own.
         """
         self.spec = spec
         self.assoc = assoc
         self.clustering = clustering
         self.cluster = cluster
         self.graph = spec.graph(cluster.graph)
-        self.tables = (
-            GraphTables(self.graph) if tables is None else tables(self.graph)
-        )
+        if tables is None:
+            self.tables = GraphTables(self.graph)
+            self.demand_totals: dict = {}
+        else:
+            self.tables = tables(self.graph)
+            self.demand_totals = tables.demand_totals(clustering)
         self._memo: Dict[tuple, Optional[PruneVerdict]] = {}
 
     @staticmethod
@@ -169,6 +173,7 @@ class CandidatePruner:
                 scoped_spec,
                 scoped_assoc,
                 graph_names=scoped_spec.graph_names(),
+                totals=self.demand_totals,
             ).get(pe_id, 0.0)
             capacity = scoped_assoc.hyperperiod
             threshold = capacity * _OVERLOAD_TOLERANCE * (1.0 + DEMAND_MARGIN)
@@ -216,11 +221,19 @@ class RepairBound:
         spec: SystemSpec,
         assoc: AssociationArray,
         clustering: ClusteringResult,
+        tables: Optional[GraphTableCache] = None,
     ) -> None:
-        """Hold the synthesis inputs and reset the demand memo."""
+        """Hold the synthesis inputs and reset the demand memo.
+
+        ``tables`` is the run's graph table cache, whose demand-floor
+        totals the bound shares; without one it keeps its own.
+        """
         self.spec = spec
         self.assoc = assoc
         self.clustering = clustering
+        self._totals = (
+            {} if tables is None else tables.demand_totals(clustering)
+        )
         self._memo: Dict[tuple, Tuple[int, float]] = {}
 
     def badness_floor(self, arch: Architecture) -> Tuple[float, float, float]:
@@ -234,7 +247,10 @@ class RepairBound:
         if stats is None:
             overloads = 0
             excess = 0.0
-            demand = demand_floor(arch, self.clustering, self.spec, self.assoc)
+            demand = demand_floor(
+                arch, self.clustering, self.spec, self.assoc,
+                totals=self._totals,
+            )
             capacity = self.assoc.hyperperiod
             threshold = capacity * _OVERLOAD_TOLERANCE * (1.0 + DEMAND_MARGIN)
             for pe_id in sorted(demand):

@@ -42,8 +42,6 @@ passes none gets tables derived for the call.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.arch.architecture import Architecture
@@ -134,23 +132,13 @@ def deadline_floor_stats(
     return misses, lateness
 
 
-#: id(ClusteringResult) -> (clustering, {(cluster, PE type, copies) ->
-#: busy-time total}).  Cluster contents, WCETs and copy counts are
-#: fixed for a synthesis, so each cluster's per-type total is computed
-#: once -- by the exact sequential loop below, so memoized and fresh
-#: values are the same floats.  ClusteringResult is unhashable, hence
-#: the identity key with the held-object double-check.
-_DEMAND_CACHE_MAX = 16
-_demand_totals: "OrderedDict[int, tuple]" = OrderedDict()
-_demand_lock = threading.Lock()
-
-
 def demand_floor(
     arch: Architecture,
     clustering: ClusteringResult,
     spec: SystemSpec,
     assoc: AssociationArray,
     graph_names: Optional[Iterable[str]] = None,
+    totals: Optional[dict] = None,
 ) -> Dict[str, float]:
     """Per-serial-resource busy-time floors over the hyperperiod.
 
@@ -163,24 +151,20 @@ def demand_floor(
     insertion order :func:`~repro.sched.finish_time.resource_demand`
     uses -- consumers must leave a small relative margin.
 
-    Per-cluster totals are memoized per clustering keyed by (cluster,
-    PE type, copy count): the inner loop's inputs never change during
-    a synthesis, only which clusters are allocated where.  ``copies``
-    is part of the key because scoped associations multiply each term
-    before summing, so totals differ per copy count bit-for-bit.
+    ``totals`` memoizes each cluster's total keyed by (cluster, PE
+    type, copy count): the inner loop's inputs never change during a
+    synthesis, only which clusters are allocated where.  Callers pass
+    one dict per clustering for the whole run
+    (:meth:`~repro.graph.taskgraph.GraphTableCache.demand_totals`);
+    None memoizes for this call only.  Totals are computed by the
+    same sequential loop either way, so memoized and fresh values are
+    the same floats.  ``copies`` is part of the key because scoped
+    associations multiply each term before summing, so totals differ
+    per copy count bit-for-bit.
     """
     wanted = None if graph_names is None else set(graph_names)
-    ckey = id(clustering)
-    with _demand_lock:
-        entry = _demand_totals.get(ckey)
-        if entry is None or entry[0] is not clustering:
-            entry = (clustering, {})
-            _demand_totals[ckey] = entry
-            while len(_demand_totals) > _DEMAND_CACHE_MAX:
-                _demand_totals.popitem(last=False)
-        else:
-            _demand_totals.move_to_end(ckey)
-        totals = entry[1]
+    if totals is None:
+        totals = {}
     demand: Dict[str, float] = {}
     for cluster_name in sorted(arch.cluster_alloc):
         pe_id, _ = arch.cluster_alloc[cluster_name]

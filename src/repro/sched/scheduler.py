@@ -35,18 +35,26 @@ route and transfer-time memos, and the production timeline pair
 (:mod:`repro.perf.fasttimeline`).  Requests without a context get a
 fresh one.
 
+The heap that orders the decisions -- highest priority, then earliest
+arrival, then smallest key, among the tasks whose predecessors are
+decided -- reads no placement, time or resource.  So the decision
+order is a function of the plan and its graphs' priorities
+(:func:`_decision_order`), computed once per priority table, and the
+loop walks it without a heap.
+
 A context also keeps a *trail* of each plan's last finished build,
 and consecutive builds of one plan -- candidate after candidate in
-the allocation loop -- mostly differ by one cluster's placement.  So
-a build first replays its heap under its own priorities against the
-trail (:func:`_reusable_prefix`): a decision is reused only when its
-task, its placement and every value it reads equal the trail's.  At
-the first decision that differs, the schedule state as of that
-decision is restored from the trail (:func:`_restore_prefix`) and the
-loop schedules on from there.  Nothing is guessed, so the schedule,
-its by-products, a bound's abort and the tracer counters are the ones
-a from-scratch build gives; only the timeline operations of the
-reused decisions are skipped.  Its oracle is the reference loop in
+the allocation loop -- mostly differ by one cluster's placement.  A
+decision is reused only when its task, its placement and every value
+it reads equal the trail's, and the trail indexes where each input
+was first read, so the first decision that differs is found without
+walking the prefix (:func:`_resume_point`).  The schedule state as of
+that decision is restored from the trail in bulk -- slices of its
+dicts and logs (:func:`_restore_prefix`) -- and the loop schedules on
+from there.  Nothing is guessed, so the schedule, its by-products, a
+bound's abort and the tracer counters are the ones a from-scratch
+build gives; only the timeline operations of the reused decisions
+are skipped.  Its oracle is the reference loop in
 ``tests/sched/reference_scheduler.py``, which re-derives every
 decision input from the specification on every run and schedules onto
 the linear timelines of :mod:`repro.sched.timeline`; the test suites
@@ -57,7 +65,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AllocationError, SchedulingError
@@ -244,14 +255,15 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     Scheduling runs over the request's
     :class:`~repro.perf.fastsched.SchedulerContext` -- its cached
     plan, route and transfer-time memos and timeline factory pair --
-    or over a fresh context when the request carries none.  When the
-    context holds a trail of an earlier build of the same plan, the
-    build resumes from it: the leading decisions whose every input
-    equals the trail's are copied rather than recomputed
-    (:func:`_reusable_prefix`, :func:`_restore_prefix`), and
-    scheduling goes on from the first decision that differs.  The
-    schedule, its by-products and the tracer counters are the ones a
-    from-scratch build produces.
+    or over a fresh context when the request carries none.  The
+    decisions follow the plan's decision order under the request's
+    priorities (:func:`_decision_order`).  When the context holds a
+    trail of an earlier build of the same plan, the build resumes
+    from it: the leading decisions whose every input equals the
+    trail's are copied rather than recomputed (:func:`_resume_point`,
+    :func:`_restore_prefix`), and scheduling goes on from the first
+    decision that differs.  The schedule, its by-products and the
+    tracer counters are the ones a from-scratch build produces.
 
     Raises :class:`SchedulingError` on internal inconsistencies (e.g.
     an unallocated task) and :class:`AllocationError` when two
@@ -259,11 +271,13 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     *not* raise; they are reported by finish-time evaluation (and
     pre-computed in :attr:`Schedule.lateness` / :attr:`Schedule.demand`).
     """
+    # Deferred: repro.perf imports this module, and finish_time
+    # imports it.
+    from repro.perf.fastsched import SchedulerContext, Trail
+    from repro.sched.finish_time import _OVERLOAD_TOLERANCE
+
     context = request.context
     if context is None:
-        # Deferred: repro.perf imports this module.
-        from repro.perf.fastsched import SchedulerContext
-
         context = SchedulerContext()
     schedule = Schedule()
     arch = request.arch
@@ -284,8 +298,8 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     # fingerprint layer already relies on boot_time_fn purity).
     route_table = context.route_table(arch)
     comm_cache = context._comm
-    #: (pe id, pe id) -> route signature (see :func:`_route`).
-    routes: Dict[tuple, Optional[tuple]] = {}
+    #: (pe id, pe id) -> route (see :func:`_route`).
+    routes: Dict[tuple, tuple] = {}
     #: (pe id, cluster) -> ({mode: boot}, sorted items) for PPE hosts.
     allowed_memo: Dict[tuple, tuple] = {}
     boot_memo: Dict[tuple, float] = {}
@@ -295,40 +309,22 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     wcet_memo = plan.wcet
     min_wcet_memo = plan.min_wcet
     ncopies = plan.ncopies
-    # Bounded-search bookkeeping: the inline demand map below is
-    # already bit-identical to the post-pass recomputation, so the
-    # abort trigger (violations > bound[0]) only needs the crossing
-    # checks and the plan's absolute deadlines (see
-    # :class:`ScheduleAbort`).
+    # Violations -- deadline instances placed late, and serial
+    # resources whose copy-0 demand crossed the overload tolerance --
+    # are logged by every build, bounded or not, so a trail can
+    # restore them under any bound.  A bound aborts the build once
+    # they exceed what ``bound[0]`` leaves after ``bound_base`` (see
+    # :class:`ScheduleAbort`); the inline demand map below is already
+    # bit-identical to the post-pass recomputation.
     bound = request.bound
-    violations = request.bound_base
+    limit = math.inf if bound is None else bound[0] - request.bound_base
+    capacity = request.assoc.hyperperiod
+    deadline_by_key = plan.deadline_map()
     crossed: set = set()
-    bound_limit = capacity = deadline_by_key = None
-    if bound is not None:
-        from repro.sched.finish_time import _OVERLOAD_TOLERANCE
-
-        bound_limit = bound[0]
-        capacity = request.assoc.hyperperiod
-        deadline_by_key = plan.deadline_map()
-    indegree = dict(plan.indegree)
-    heap: List[Tuple[float, float, tuple]] = []
-    for key in plan.roots:
-        record = records[key]
-        heapq.heappush(heap, (-priorities[key[0]][key[2]], record[0], key))
 
     cluster_alloc = arch.cluster_alloc
     pes = arch.pes
     library = arch.library
-    tasks = schedule.tasks
-    edges = schedule.edges
-    scheduled_count = 0
-    # Per-run decision counters, flushed in one batch after the loop
-    # (identical totals, a fraction of the Tracer.incr call volume);
-    # splits taken are ``schedule.preemptions``.
-    n_virtual = 0
-    n_real = 0
-    #: Decision indices that declined a preemptive split.
-    declined: List[int] = []
     # Copy-0 hyperperiod demand, accumulated inline.  Per-resource
     # accumulation order equals the post-pass
     # :func:`repro.sched.finish_time.resource_demand` order (schedule
@@ -339,34 +335,60 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
 
     # Resume from the plan's trail, over the production timelines only:
     # a recording factory must see every operation, so a build over one
-    # neither resumes nor keeps a trail (``places`` stays None).
-    #: PPE id -> the outcomes its timeline's ``place`` calls recorded.
-    places: Optional[Dict[str, list]] = None
+    # neither resumes nor keeps a trail.
+    sigs = prior = None
     if context.resumable:
-        places = {}
         sigs = _cluster_signatures(plan, cluster_alloc, pes)
-        trail = context.trail_for(plan)
-        if (
-            trail is not None
-            and trail.library is library
-            and trail.preemption == preemption
+        prior = context.trail_for(plan)
+        if prior is not None and (
+            prior.library is not library or prior.preemption != preemption
         ):
-            scheduled_count = _reusable_prefix(
-                trail, plan, sigs, heap, indegree, priorities, arch,
-                route_table, routes, allowed_memo, boot_memo, boot_time_fn,
+            prior = None
+    # The trail's order serves while the priority *values* equal the
+    # copy it was computed from (a table edited in place must not keep
+    # a stale order).
+    if prior is not None and all(
+        priorities.get(name) == table
+        for name, table in prior.priorities.items()
+    ):
+        order, snapshot = prior.order, prior.priorities
+    else:
+        order = _decision_order(plan, priorities)
+        snapshot = {name: dict(priorities[name]) for name in plan.graphs}
+        tracer.incr("perf.resume.orders")
+    # This build's record, kept as the plan's trail when the build
+    # ends (only a resumable build records ``place`` outcomes).
+    trail = Trail(
+        plan, library, preemption, order, snapshot, sigs,
+        None if sigs is None else {},
+    )
+    reused = 0
+    if prior is not None:
+        reused = _resume_point(
+            prior, order, sigs, arch, route_table, routes, allowed_memo,
+            boot_memo, boot_time_fn, trail.reads,
+        )
+        if reused:
+            tracer.incr("perf.resume.decisions", reused)
+            _restore_prefix(
+                prior, trail, reused, schedule, demand, crossed, limit
             )
-            if scheduled_count:
-                n_real, violations = _restore_prefix(
-                    trail, plan, scheduled_count, sigs, schedule, demand,
-                    declined, places, bound_limit, violations, capacity,
-                    crossed, deadline_by_key,
-                )
-                n_virtual = scheduled_count - n_real
 
-    while heap:
-        _, _, key = heapq.heappop(heap)
+    # The trail's logs (see :class:`~repro.perf.fastsched.Trail`).
+    tasks = schedule.tasks
+    edges = schedule.edges
+    reads = trail.reads
+    places = trail.places
+    declined = trail.declined
+    splits = trail.splits
+    virtual = trail.virtual
+    demand_log = trail.demand_log
+    events = trail.events
+    keys = order[0]
+    for step in range(reused, plan.total):
+        key = keys[step]
         graph_name, _, task_name = key
-        arrival, preds, succs, task, cluster_name = records[key]
+        arrival, preds, _, task, cluster_name = records[key]
         placement = cluster_alloc.get(cluster_name)
         if placement is None:
             pe, mode, pe_id = None, -1, None
@@ -401,12 +423,14 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
             pair = (pred_pe_id, pe_id)
             route = routes.get(pair)
             if route is None:
-                route = routes[pair] = _route(arch, route_table, pair)
+                route = _route(arch, route_table, pair)
                 if route is None:
                     raise AllocationError(
                         "no link connects %r and %r for edge %s->%s"
                         % (pred_pe_id, pe_id, pred_key[2], task_name)
                     )
+                routes[pair] = route
+                reads.append((step, False, pair, route[:3]))
             link_id, link_type_name, ports, link = route
             timeline = schedule.link_timelines.get(link_id)
             if timeline is None:
@@ -429,14 +453,14 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                     finish - start
                 ) * ncopies[graph_name]
                 demand[link_id] = load
+                demand_log.append((step, link_id, load))
                 if (
-                    bound is not None
-                    and link_id not in crossed
+                    link_id not in crossed
                     and load / capacity > _OVERLOAD_TOLERANCE
                 ):
                     crossed.add(link_id)
-                    violations += 1
-                    if violations > bound_limit:
+                    events.append((step, "overload", link_id))
+                    if len(events) > limit:
                         raise ScheduleAbort("overload")
             if finish > ready:
                 ready = finish
@@ -445,14 +469,13 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         was_split = False
         if pe is None:
             # Virtual placement: best-case execution, no contention.
-            n_virtual += 1
+            virtual.append(step)
             tkey = id(task)
             best = min_wcet_memo.get(tkey)
             if best is None:
                 best = min_wcet_memo[tkey] = task.min_exec_time
             start, finish = ready, ready + best
         else:
-            n_real += 1
             pe_type = pe.pe_type
             wkey = (id(task), pe_type.name)
             wcet = wcet_memo.get(wkey)
@@ -466,7 +489,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                 if kind is PEKind.PROCESSOR:
                     start, finish, was_split = _place_on_processor(
                         schedule, pe, key, ready, wcet, preemption,
-                        timeline_cls, declined, scheduled_count,
+                        timeline_cls, declined, splits, step,
                     )
                 else:
                     timeline = schedule.ppe_timelines.get(pe_id)
@@ -475,10 +498,11 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                             ppe_timeline_cls()
                         )
                         if places is not None:
-                            places[pe_id] = []
+                            places[pe_id] = ([], [])
                     akey = (pe_id, cluster_name)
                     entry = allowed_memo.get(akey)
-                    if entry is None:
+                    first_read = entry is None
+                    if first_read:
                         entry = allowed_memo[akey] = _device_modes(
                             pe, cluster_name, boot_time_fn
                         )
@@ -487,10 +511,19 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                     boot = boot_memo.get(bkey)
                     if boot is None:
                         boot = boot_memo[bkey] = boot_time_fn(pe, mode)
+                    if first_read:
+                        reads.append(
+                            (step, True, (pe_id, cluster_name, mode),
+                             (allowed, boot))
+                        )
+                    if places is None:
+                        record = None
+                    else:
+                        on_device, record = places[pe_id]
+                        on_device.append(step)
                     start, finish = timeline.place(
                         mode, ready, wcet, boot, allowed=allowed,
-                        allowed_sorted=allowed_sorted,
-                        record=None if places is None else places[pe_id],
+                        allowed_sorted=allowed_sorted, record=record,
                     )
                 if key[1] == 0:
                     # Serial resource (processor or PPE): the per-PE
@@ -499,14 +532,14 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                         finish - start
                     ) * ncopies[graph_name]
                     demand[pe_id] = load
+                    demand_log.append((step, pe_id, load))
                     if (
-                        bound is not None
-                        and pe_id not in crossed
+                        pe_id not in crossed
                         and load / capacity > _OVERLOAD_TOLERANCE
                     ):
                         crossed.add(pe_id)
-                        violations += 1
-                        if violations > bound_limit:
+                        events.append((step, "overload", pe_id))
+                        if len(events) > limit:
                             raise ScheduleAbort("overload")
         tasks[key] = ScheduledTask(
             key=key,
@@ -516,43 +549,25 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
             finish=finish,
             preempted=was_split,
         )
-        scheduled_count += 1
-        if bound is not None:
-            absolute = deadline_by_key.get(key)
-            if absolute is not None and finish - absolute > TIME_EPS:
-                violations += 1
-                if violations > bound_limit:
-                    raise ScheduleAbort("deadline")
+        absolute = deadline_by_key.get(key)
+        if absolute is not None and finish - absolute > TIME_EPS:
+            events.append((step, "deadline", None))
+            if len(events) > limit:
+                raise ScheduleAbort("deadline")
 
-        # 3. Release successors.
-        if succs:
-            priority_table = priorities[graph_name]
-            for succ_key, succ_name in succs:
-                remaining = indegree[succ_key] - 1
-                indegree[succ_key] = remaining
-                if remaining == 0:
-                    heapq.heappush(
-                        heap,
-                        (
-                            -priority_table[succ_name],
-                            records[succ_key][0],
-                            succ_key,
-                        ),
-                    )
-
-    if scheduled_count != plan.total:
-        raise SchedulingError(
-            "scheduled %d of %d task instances; precedence graph is inconsistent"
-            % (scheduled_count, plan.total)
-        )
+    # Per-run decision counters, booked in one batch after the loop
+    # (identical totals, a fraction of the Tracer.incr call volume).
+    schedule.preemptions = len(splits)
+    n_virtual = len(virtual)
+    n_real = plan.total - n_virtual
     if n_real:
         tracer.incr("sched.tasks.real", n_real)
     if n_virtual:
         tracer.incr("sched.tasks.virtual", n_virtual)
     if declined:
         tracer.incr("sched.preemption.splits_declined", len(declined))
-    if schedule.preemptions:
-        tracer.incr("sched.preemption.splits_taken", schedule.preemptions)
+    if splits:
+        tracer.incr("sched.preemption.splits_taken", len(splits))
 
     # Verdict by-products: per-graph lateness in the contract
     # insertion order (the plan's rows) and the inline demand map --
@@ -568,15 +583,65 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     schedule.lateness = lateness
     schedule.demand = demand
     if places is not None:
-        from repro.perf.fastsched import Trail
-
-        context.keep_trail(Trail(
-            plan, library, preemption, schedule, sigs,
-            {pair: route[:3] for pair, route in routes.items()
-             if route is not None},
-            allowed_memo, boot_memo, places, declined,
-        ))
+        trail.schedule = schedule
+        context.keep_trail(trail)
     return schedule
+
+
+def _decision_order(plan, priorities: Dict[str, Dict[str, float]]) -> tuple:
+    """The order in which a build of ``plan`` decides its tasks.
+
+    The list scheduler pops the ready task of highest priority, then
+    earliest arrival, then smallest key, and a task is ready once all
+    its predecessors are decided.  None of this reads a placement, a
+    time or a resource, so the order is fixed by the plan and the
+    priorities of its graphs; this runs that heap once.  Returns
+    ``(keys, first_step, cum_edges)``: the task keys in decision
+    order, cluster name -> index of the first decision of its tasks,
+    and the number of incoming edges of the first *i* decisions at
+    index *i* (``total + 1`` entries).
+    """
+    records = plan.records
+    indegree = dict(plan.indegree)
+    heap: List[Tuple[float, float, tuple]] = []
+    for key in plan.roots:
+        heapq.heappush(
+            heap, (-priorities[key[0]][key[2]], records[key][0], key)
+        )
+    keys: List[tuple] = []
+    while heap:
+        key = heapq.heappop(heap)[2]
+        keys.append(key)
+        succs = records[key][2]
+        if succs:
+            priority_table = priorities[key[0]]
+            for succ_key, succ_name in succs:
+                remaining = indegree[succ_key] - 1
+                indegree[succ_key] = remaining
+                if remaining == 0:
+                    heapq.heappush(
+                        heap,
+                        (
+                            -priority_table[succ_name],
+                            records[succ_key][0],
+                            succ_key,
+                        ),
+                    )
+    total = len(keys)
+    if total != plan.total:
+        raise SchedulingError(
+            "ordered %d of %d task instances; precedence graph is inconsistent"
+            % (total, plan.total)
+        )
+    rows = list(map(records.__getitem__, keys))
+    # Built back to front, so each cluster keeps its smallest index.
+    first_step = dict(zip(
+        map(itemgetter(4), reversed(rows)), range(total - 1, -1, -1)
+    ))
+    cum_edges = list(
+        accumulate(map(len, map(itemgetter(1), rows)), initial=0)
+    )
+    return keys, first_step, cum_edges
 
 
 def _route(
@@ -655,211 +720,133 @@ def _same_signature(new: Optional[tuple], old: Optional[tuple]) -> bool:
     )
 
 
-def _reusable_prefix(
-    trail, plan, sigs: dict, heap: list, indegree: dict,
-    priorities: Dict[str, Dict[str, float]], arch: Architecture,
-    route_table: dict, routes: dict, allowed_memo: dict, boot_memo: dict,
-    boot_time_fn: Callable,
+def _resume_point(
+    prior, order: tuple, sigs: dict, arch: Architecture, route_table: dict,
+    routes: dict, allowed_memo: dict, boot_memo: dict,
+    boot_time_fn: Callable, reads: list,
 ) -> int:
     """How many leading decisions this build makes exactly as the
-    trail's build did; pops them off ``heap``.
+    ``prior`` trail's build did.
 
-    The heap is replayed under this build's priorities, releasing
-    successors as the scheduling loop does.  A decision counts only
-    when its popped task is the trail's at the same step and every
-    input it reads equals the trail's:
+    Decision *i* is reused only when it decides the trail's task *i*
+    and every input it reads equals the trail's, so the answer is the
+    smallest of:
 
-    * its cluster's :func:`_cluster_signatures` entry -- the same PE
-      instance, mode and PE type, or unplaced in both builds;
-    * on a programmable PE, the boot time of every mode carrying the
-      cluster and of the cluster's own mode;
-    * for every incoming edge routed between two PEs, the link's id,
-      type and port bucket (:func:`_route`).
+    * the length of the common prefix of the two decision orders;
+    * the first decision of every cluster whose
+      :func:`_cluster_signatures` entry changed -- another PE
+      instance, mode or PE type, or placed in one build only;
+    * the first decision of every programmable-device cluster whose
+      mode -> boot-time map, or own mode's boot time, changed;
+    * the first decision that read each PE pair whose link id, type
+      or port bucket (:func:`_route`) changed.
 
     Everything else a decision reads -- arrivals, execution times,
     payloads, deadlines and best-case transfer times -- is fixed by
     the plan and the library, which the caller checked, and the
-    timelines then match by induction.  The first decision that
-    differs goes back onto the heap, and its index is returned.  The
-    route and boot-time memos fill exactly as the loop fills them.
+    timelines then match by induction.  The trail's device and pair
+    reads are checked in decision order up to the first change, so
+    the route and boot-time memos fill, and ``reads`` logs, exactly
+    what the reused decisions read.
     """
-    records = plan.records
-    steps = trail.steps
-    total = len(steps)
-    trail_tasks = trail.schedule.tasks
-    old_sigs = trail.sigs
-    old_routes = trail.routes
-    replaced = {
-        name for name, sig in sigs.items()
-        if not _same_signature(sig, old_sigs[name])
-    }
-    device_verdicts: Dict[tuple, bool] = {}
-    pair_verdicts: Dict[tuple, bool] = {}
-    pes = arch.pes
-    step = 0
-    while heap:
-        entry = heapq.heappop(heap)
-        key = entry[2]
-        if step == total or steps[step].key != key:
-            break
-        _, preds, succs, _, cluster_name = records[key]
-        if cluster_name in replaced:
-            break
-        sig = sigs[cluster_name]
-        if sig is not None:
-            pe_id, mode, _, _, kind = sig
-            if kind is not PEKind.PROCESSOR and kind is not PEKind.ASIC:
-                akey = (pe_id, cluster_name)
-                same = device_verdicts.get(akey)
-                if same is None:
-                    pe = pes[pe_id]
-                    entry_now = allowed_memo[akey] = _device_modes(
-                        pe, cluster_name, boot_time_fn
-                    )
-                    bkey = (pe_id, mode)
-                    boot = boot_memo.get(bkey)
-                    if boot is None:
-                        boot = boot_memo[bkey] = boot_time_fn(pe, mode)
-                    entry_then = trail.allowed.get(akey)
-                    same = device_verdicts[akey] = (
-                        entry_then is not None
-                        and entry_then[0] == entry_now[0]
-                        and trail.boots.get(bkey) == boot
-                    )
-                if not same:
-                    break
-            diverged = False
-            for pred_key, bytes_, _ in preds:
-                pred_pe_id = trail_tasks[pred_key].pe_id
-                if pred_pe_id is None or pred_pe_id == pe_id or bytes_ == 0:
-                    continue
-                pair = (pred_pe_id, pe_id)
-                same = pair_verdicts.get(pair)
-                if same is None:
-                    route = routes.get(pair)
-                    if route is None:
-                        route = routes[pair] = _route(arch, route_table, pair)
-                    old = old_routes.get(pair)
-                    same = pair_verdicts[pair] = (
-                        route is not None
-                        and old is not None
-                        and route[0] is old[0]
-                        and route[1:3] == old[1:3]
-                    )
-                if not same:
-                    diverged = True
-                    break
-            if diverged:
+    keys = order[0]
+    reused = len(keys)
+    if order is not prior.order:
+        for index, (key, old) in enumerate(zip(keys, prior.order[0])):
+            if key != old:
+                reused = index
                 break
-        step += 1
-        if succs:
-            priority_table = priorities[key[0]]
-            for succ_key, succ_name in succs:
-                remaining = indegree[succ_key] - 1
-                indegree[succ_key] = remaining
-                if remaining == 0:
-                    heapq.heappush(
-                        heap,
-                        (
-                            -priority_table[succ_name],
-                            records[succ_key][0],
-                            succ_key,
-                        ),
-                    )
-    else:
-        return step
-    heapq.heappush(heap, entry)
-    return step
+    first_step = prior.order[1]
+    old_sigs = prior.sigs
+    for name, sig in sigs.items():
+        if not _same_signature(sig, old_sigs[name]):
+            step = first_step[name]
+            if step < reused:
+                reused = step
+    pes = arch.pes
+    for step, device, key, then in prior.reads:
+        if step >= reused:
+            break
+        if device:
+            pe_id, cluster_name, mode = key
+            pe = pes[pe_id]
+            entry = allowed_memo[(pe_id, cluster_name)] = _device_modes(
+                pe, cluster_name, boot_time_fn
+            )
+            bkey = (pe_id, mode)
+            boot = boot_memo.get(bkey)
+            if boot is None:
+                boot = boot_memo[bkey] = boot_time_fn(pe, mode)
+            now = (entry[0], boot)
+            same = now == then
+        else:
+            route = _route(arch, route_table, key)
+            if route is None:
+                return step
+            routes[key] = route
+            now = route[:3]
+            # The link id must be the trail's string object (see
+            # :func:`_same_signature`).
+            same = now[0] is then[0] and now == then
+        reads.append((step, device, key, now))
+        if not same:
+            return step
+    return reused
+
+
+def _head(steps: list, step: int) -> list:
+    """The entries of a sorted list of decision indices below ``step``."""
+    return steps[:bisect.bisect_left(steps, step)]
 
 
 def _restore_prefix(
-    trail, plan, step: int, sigs: dict, schedule: Schedule, demand: dict,
-    declined: list, places: dict, bound_limit, violations: int, capacity,
-    crossed: set, deadline_by_key,
-) -> Tuple[int, int]:
-    """Put the trail's first ``step`` decisions into ``schedule``.
+    prior, trail, step: int, schedule: Schedule, demand: dict,
+    crossed: set, limit,
+) -> None:
+    """Put the ``prior`` trail's first ``step`` decisions into
+    ``schedule`` and this build's ``trail``.
 
-    Tasks and edges are the trail's own objects (never mutated once
-    made).  Demand, the crossed set and the violation count are
-    re-accumulated in decision order, so the floats are identical and
-    a ``bound`` the prefix exceeds raises :class:`ScheduleAbort` at
-    the same event, for the same reason, as a from-scratch build.
-    Serial timelines keep the trail intervals the restored decisions
-    own, in their stored order; mode timelines replay their first
-    ``place`` outcomes, one per restored task on the device.  Both
-    timeline dicts keep their first-use order.  Returns the number of
-    restored tasks placed on a PE, and the violation count.
+    Tasks and edges are the prior trail's own objects (never mutated
+    once made), the first ``step`` tasks and the edges into them of
+    its insertion-ordered dicts.  Demand is rebuilt from the demand
+    log's running loads, so the floats and the first-touch order are
+    identical; the violation log gives the crossed set, and raises
+    :class:`ScheduleAbort` when the restored violations exceed
+    ``limit``, at the same event and for the same reason as a
+    from-scratch build.  Split, virtual-placement and ``place`` step
+    lists are cut by bisection.  Serial timelines keep the trail
+    intervals the restored decisions own, in their stored order; mode
+    timelines replay their first ``place`` outcomes, one per restored
+    task on the device.  Both timeline dicts keep their first-use
+    order.
     """
     # Deferred: repro.perf imports this module.
     from repro.perf.fasttimeline import replay_mode_timeline, restore_timeline
 
-    if bound_limit is not None:
-        from repro.sched.finish_time import _OVERLOAD_TOLERANCE
-    records = plan.records
-    ncopies = plan.ncopies
+    cut = (step,)
+    events = prior.events[:bisect.bisect_left(prior.events, cut)]
+    if len(events) > limit:
+        for count, event in enumerate(events, 1):
+            if count > limit:
+                raise ScheduleAbort(event[1])
+    trail.events = events
+    crossed.update(event[2] for event in events if event[1] == "overload")
+    log = trail.demand_log = prior.demand_log[
+        :bisect.bisect_left(prior.demand_log, cut)
+    ]
+    if log:
+        _, resources, loads = zip(*log)
+        demand.update(zip(resources, loads))
+    trail.declined = _head(prior.declined, step)
+    trail.splits = _head(prior.splits, step)
+    trail.virtual = _head(prior.virtual, step)
+
+    old = prior.schedule
     tasks = schedule.tasks
     edges = schedule.edges
-    trail_edges = trail.schedule.edges
-    #: PPE id -> restored tasks placed on it.
-    on_device: Dict[str, int] = {}
-    n_real = 0
-    for placed in trail.steps[:step]:
-        key = placed.key
-        graph_name = key[0]
-        copy0 = key[1] == 0
-        cluster_name = records[key][4]
-        for _, _, edge_key in records[key][1]:
-            edge = trail_edges[edge_key]
-            edges[edge_key] = edge
-            link_id = edge.link_id
-            if link_id is not None and copy0:
-                load = demand.get(link_id, 0.0) + (
-                    edge.finish - edge.start
-                ) * ncopies[graph_name]
-                demand[link_id] = load
-                if (
-                    bound_limit is not None
-                    and link_id not in crossed
-                    and load / capacity > _OVERLOAD_TOLERANCE
-                ):
-                    crossed.add(link_id)
-                    violations += 1
-                    if violations > bound_limit:
-                        raise ScheduleAbort("overload")
-        pe_id = placed.pe_id
-        if pe_id is not None:
-            n_real += 1
-            kind = sigs[cluster_name][4]
-            if kind is not PEKind.ASIC:
-                if kind is not PEKind.PROCESSOR:
-                    on_device[pe_id] = on_device.get(pe_id, 0) + 1
-                if copy0:
-                    load = demand.get(pe_id, 0.0) + (
-                        placed.finish - placed.start
-                    ) * ncopies[graph_name]
-                    demand[pe_id] = load
-                    if (
-                        bound_limit is not None
-                        and pe_id not in crossed
-                        and load / capacity > _OVERLOAD_TOLERANCE
-                    ):
-                        crossed.add(pe_id)
-                        violations += 1
-                        if violations > bound_limit:
-                            raise ScheduleAbort("overload")
-            if placed.preempted:
-                schedule.preemptions += 1
-        tasks[key] = placed
-        if bound_limit is not None:
-            absolute = deadline_by_key.get(key)
-            if absolute is not None and placed.finish - absolute > TIME_EPS:
-                violations += 1
-                if violations > bound_limit:
-                    raise ScheduleAbort("deadline")
-    declined.extend(trail.declined[:bisect.bisect_left(trail.declined, step)])
-
-    whole = step == len(trail.steps)
-    old = trail.schedule
+    tasks.update(islice(old.tasks.items(), step))
+    edges.update(islice(old.edges.items(), prior.order[2][step]))
+    whole = step == len(old.tasks)
     for timelines, new_timelines, owners in (
         (old.proc_timelines, schedule.proc_timelines, tasks),
         (old.link_timelines, schedule.link_timelines, edges),
@@ -870,12 +857,13 @@ def _restore_prefix(
                 intervals = [iv for iv in intervals if iv.owner in owners]
             if intervals:
                 new_timelines[resource] = restore_timeline(intervals)
-    for pe_id in old.ppe_timelines:
-        count = on_device.get(pe_id)
+    places = trail.places
+    for pe_id, (on_device, outcomes) in prior.places.items():
+        count = bisect.bisect_left(on_device, step)
         if count:
-            outcomes = places[pe_id] = trail.places[pe_id][:count]
+            outcomes = outcomes[:count]
+            places[pe_id] = (on_device[:count], outcomes)
             schedule.ppe_timelines[pe_id] = replay_mode_timeline(outcomes)
-    return n_real, violations
 
 
 def _place_on_processor(
@@ -887,6 +875,7 @@ def _place_on_processor(
     preemption: bool,
     timeline_cls: type,
     declined: list,
+    splits: list,
     step: int,
 ) -> Tuple[float, float, bool]:
     """Place a task on a processor.
@@ -900,8 +889,8 @@ def _place_on_processor(
     only when it strictly improves the task's finish time.
 
     ``timeline_cls`` builds the processor's timeline on first use.  A
-    split taken counts in ``schedule.preemptions``; a split declined
-    appends the decision index ``step`` to ``declined``.
+    split taken appends the decision index ``step`` to ``splits``, a
+    split declined appends it to ``declined``.
     """
     processor = pe.pe_type
     assert isinstance(processor, ProcessorType)
@@ -926,5 +915,5 @@ def _place_on_processor(
         return timeline.occupy(start, duration, key) + (False,)
     for seg_start, seg_end in segments:
         timeline.occupy(seg_start, seg_end - seg_start, key)
-    schedule.preemptions += 1
+    splits.append(step)
     return segments[0][0], split_finish, True

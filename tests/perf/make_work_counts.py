@@ -5,8 +5,9 @@ synthesis of each input does exactly the committed amount of work:
 every tracer counter under the prefixes in :data:`PREFIXES` (schedule
 builds, aborts and task decisions, prune cuts, allocation options,
 merge and repair steps, fragment, plan and scope cache traffic,
-copy-on-write applications, and priority passes recomputed or
-reused).  These
+copy-on-write applications, priority passes recomputed or reused, and
+schedule decisions resumed from a trail and decision orders
+computed).  These
 counts are deterministic across runs, hosts and Python versions, so
 any change is a change in what the synthesis does -- and an
 optimization that claims to do the same work faster must leave them
@@ -36,7 +37,7 @@ import sys
 PREFIXES = (
     "sched.", "prune.", "alloc.", "merge.", "repair.",
     "perf.schedule.", "perf.plan.", "perf.priorities.", "perf.cow.",
-    "scope.",
+    "perf.resume.", "scope.",
 )
 
 #: (example, scale) inputs the gate synthesizes.

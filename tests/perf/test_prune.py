@@ -8,11 +8,14 @@ Pinned counts hold the cuts the two floors make on benchmark inputs.
 Unit tests pin the bound primitives: a deliberately deadline-infeasible
 candidate is cut without any scheduler call, the finish-time floor
 never exceeds the real schedule, the repair floor never exceeds a
-full evaluation, and a pruner's memo answers as a fresh pruner does.
+full evaluation, a pruner's memo answers as a fresh pruner does, and
+the demand floor's memo ends with its run.
 """
 
+import gc
 import json
 import types
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -352,6 +355,26 @@ def test_demand_floor_cuts_pinned_on_a1tr():
     cuts, kept = _prune_counters(build_example("A1TR", 0.05))
     assert cuts == {"prune.cut": 7, "prune.cut.overload": 7}
     assert kept == 314
+
+
+def test_a_finished_synthesis_is_freed(monkeypatch):
+    """The demand floor's per-cluster totals live with their run: once
+    a synthesis's spec and result are dropped, the spec, clustering
+    and architecture are freed, with no module state cleared."""
+    from repro.bench.examples import build_example
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    spec = build_example("A1TR", 0.05)
+    tracer = Tracer()
+    result = crusade(spec, tracer=tracer)
+    assert tracer.counters.get("prune.cut.overload") > 0
+    alive = [
+        weakref.ref(spec), weakref.ref(result.clustering),
+        weakref.ref(result.arch),
+    ]
+    del spec, result
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None, None]
 
 
 def test_finish_time_floor_cuts_pinned_on_a_service_pool_spec():

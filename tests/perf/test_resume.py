@@ -11,9 +11,14 @@ request:
 * during real syntheses, where allocation places, evaluates, reverts
   and commits candidates over one context, every build is compared
   field by field, pickle byte for byte, and by its ``sched.*``
-  counters (Hypothesis drives the generated specs);
+  counters (Hypothesis drives the generated specs), and every resume
+  point found from the trail's indexes equals the prefix the heap
+  replay of ``tests/perf/replay_oracle.py`` finds;
 * under a bound the reused prefix already exceeds, the resumed build
-  aborts for the same reason;
+  aborts for the same reason, and bounded and unbounded builds resume
+  each other's trails;
+* the decision order reads no placement, and a priority table edited
+  in place never keeps a stale order;
 * nothing resumes from a build whose timelines degraded, or while
   the context's timeline factories are recording proxies;
 * the fast timelines pickle exactly the attributes they always had.
@@ -28,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CrusadeConfig, GeneratorConfig, Tracer, crusade, generate_spec
 from repro.arch.architecture import Architecture
+from repro.bench.examples import build_example
 from repro.cluster.clustering import cluster_spec
 from repro.cluster.priority import PriorityContext
 from repro.core.stages.support import allocation_aware_context, compute_priorities
@@ -47,6 +53,8 @@ from repro.sched import scheduler
 from repro.sched.finish_time import _OVERLOAD_TOLERANCE
 from repro.sched.scheduler import ScheduleAbort, ScheduleRequest, build_schedule
 from repro.units import TIME_EPS
+from tests.perf.replay_oracle import checked_resume_points
+from tests.sched.reference_scheduler import build_reference_schedule
 from tests.sched.tlrecord import record_timelines
 
 
@@ -65,9 +73,11 @@ def _snapshot(schedule):
     )
 
 
-def _outcome(request):
-    """(schedule, abort reason, sched.* counters) of one build."""
-    tracer = Tracer()
+def _outcome(request, tracer=None):
+    """(schedule, abort reason, sched.* counters) of one build, booked
+    on ``tracer`` (a fresh one when None)."""
+    if tracer is None:
+        tracer = Tracer()
     try:
         schedule = scheduler.build_schedule(
             dataclasses.replace(request, tracer=tracer)
@@ -172,10 +182,11 @@ def test_every_build_of_a_synthesis_equals_a_fresh_build(
 ):
     """Place, evaluate, revert, commit: every build the allocation,
     merge and repair steps make over one resuming context equals the
-    same request built over a fresh context."""
+    same request built over a fresh context, and resumes where the
+    heap replay says it may."""
     spec = _generated(seed, n_graphs, tasks_per_graph, utilization, hw_only)
     config = CrusadeConfig(max_explicit_copies=2, preemption=preemption)
-    with pytest.MonkeyPatch.context() as patch:
+    with checked_resume_points(), pytest.MonkeyPatch.context() as patch:
         _checked_synthesis(patch, spec, config)
 
 
@@ -184,10 +195,22 @@ def test_a_synthesis_resumes_most_decisions(monkeypatch):
     resuming builds make well under the fresh builds' timeline
     operations, and not none."""
     spec = _generated(11, 3, 8, 0.6, 0.35)
-    checked = _checked_synthesis(
-        monkeypatch, spec, CrusadeConfig(max_explicit_copies=2)
-    )
+    with checked_resume_points() as points:
+        checked = _checked_synthesis(
+            monkeypatch, spec, CrusadeConfig(max_explicit_copies=2)
+        )
+    assert points[0] > 0
     assert 0 < checked.resumed_ops < 0.7 * checked.fresh_ops
+
+
+def test_resume_points_equal_the_replay_on_a1tr(monkeypatch):
+    """A1TR@0.05: every resumed build of a cold synthesis resumes at
+    the decision the heap replay finds, and most builds resume."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    tracer = Tracer()
+    with checked_resume_points() as points:
+        crusade(build_example("A1TR", scale=0.05), tracer=tracer)
+    assert points[0] > tracer.counters.get("sched.runs") // 2
 
 
 # -- bounded builds ----------------------------------------------------
@@ -282,6 +305,105 @@ def test_resumed_build_aborts_inside_the_prefix_like_a_fresh_build(
         bound=(total,), context=context, **base
     ))
     assert _snapshot(again) == _snapshot(full)
+
+
+def _resumed_outcome(request):
+    """:func:`_outcome` of ``request``, and the decisions it resumed."""
+    tracer = Tracer()
+    outcome = _outcome(request, tracer)
+    return outcome, tracer.counters.get("perf.resume.decisions")
+
+
+def _assert_same_outcome(resumed, fresh):
+    schedule, reason, counters = resumed
+    fresh_schedule, fresh_reason, fresh_counters = fresh
+    assert reason == fresh_reason
+    assert counters == fresh_counters
+    if reason is None:
+        assert _snapshot(schedule) == _snapshot(fresh_schedule)
+        assert pickle.dumps(schedule) == pickle.dumps(fresh_schedule)
+
+
+def test_bounded_and_unbounded_builds_resume_each_others_trails():
+    """Every build logs its violations, bounded or not: an unbounded
+    build resuming a bounded build's trail, and a bounded build
+    resuming an unbounded one, each equal a fresh build -- the same
+    schedule, abort reason and ``sched.*`` counters -- whether the
+    whole trail is reused or only the decisions before a cluster that
+    lost its placement."""
+    base = _one_processor_workload()
+    full = build_schedule(ScheduleRequest(**base))
+    total = _violations(full, base["assoc"].hyperperiod)
+    assert total >= 2
+    graph_name, _, task_name = list(full.tasks)[-1]
+    last = base["clustering"].cluster_of(graph_name, task_name).name
+
+    def unplace_last():
+        arch = base["arch"].clone()
+        arch.deallocate_cluster(last)
+        return dict(base, arch=arch)
+
+    pairs = [(None, (limit,)) for limit in range(total + 1)]
+    pairs.append(((total,), None))
+    reasons = set()
+    for kept_bound, bound in pairs:
+        for second in (base, unplace_last()):
+            context = SchedulerContext()
+            build_schedule(ScheduleRequest(
+                bound=kept_bound, context=context, **base
+            ))
+            resumed, reused = _resumed_outcome(ScheduleRequest(
+                bound=bound, context=context, **second
+            ))
+            if second is base:
+                assert reused == len(full.tasks)
+            else:
+                assert 0 < reused < len(full.tasks)
+            _assert_same_outcome(
+                resumed, _outcome(ScheduleRequest(bound=bound, **second))
+            )
+            reasons.add(resumed[1])
+    assert reasons >= {None, "deadline", "overload"}
+
+
+def test_decision_order_reads_no_placement():
+    """Fresh builds of one plan over two architectures, under the same
+    priorities, decide the tasks in the same order -- the reference
+    scheduler's -- though they place and time them differently."""
+    base = _one_processor_workload()
+    library = base["arch"].library
+    cpu = next(
+        t for t in library.pe_types.values() if t.kind is PEKind.PROCESSOR
+    )
+    spread = Architecture(library)
+    pe = spread.new_pe(cpu)
+    for index, name in enumerate(base["clustering"].clusters):
+        if index % 2:
+            spread.allocate_cluster(name, pe.id, 0)
+    one = build_schedule(ScheduleRequest(**base))
+    other = build_schedule(ScheduleRequest(**dict(base, arch=spread)))
+    reference = build_reference_schedule(ScheduleRequest(**base))
+    assert list(one.tasks) == list(other.tasks) == list(reference.tasks)
+    assert [(t.pe_id, t.finish) for t in one.tasks.values()] != [
+        (t.pe_id, t.finish) for t in other.tasks.values()
+    ]
+
+
+def test_priorities_edited_in_place_get_a_new_order():
+    """A priority table edited in place between two builds on one
+    context changes the decision order: the second build equals a
+    fresh build under the edited values, not one in the stale order."""
+    base = _one_processor_workload()
+    context = SchedulerContext()
+    first = build_schedule(ScheduleRequest(context=context, **base))
+    for table in base["priorities"].values():
+        values = list(table.values())
+        for name, value in zip(list(table), reversed(values)):
+            table[name] = value
+    resumed, _ = _resumed_outcome(ScheduleRequest(context=context, **base))
+    fresh = _outcome(ScheduleRequest(**base))
+    assert list(fresh[0].tasks) != list(first.tasks)
+    _assert_same_outcome(resumed, fresh)
 
 
 def test_an_equal_but_new_pe_id_string_is_not_resumed():

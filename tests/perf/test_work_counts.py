@@ -3,8 +3,9 @@
 ``tests/perf/work_counts.json`` holds, per input, every tracer counter
 under the gated prefixes (schedule builds, aborts and task decisions,
 prune cuts, allocation options, merge and repair steps, fragment, plan
-and scope cache traffic, copy-on-write applications, and priority
-passes recomputed or reused).  They are deterministic, so they are
+and scope cache traffic, copy-on-write applications, priority passes
+recomputed or reused, and decisions resumed and decision orders
+computed).  They are deterministic, so they are
 compared exactly: a speed change that claims to leave the search alone
 must leave every one of them where it was.  ``make_work_counts.py`` in
 this directory regenerates the file, with a stated reason.
