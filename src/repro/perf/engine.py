@@ -15,7 +15,11 @@ ordered, and timelines are per-resource).
 A candidate placement typically dirties one component's fingerprint
 and leaves the rest untouched, so repair rounds, merge trials, full
 checks and the nested baseline synthesis (which shares the engine)
-mostly replay cached fragments.
+mostly replay cached fragments.  On a miss the fingerprint is not
+thrown away: it travels with the build's request
+(:attr:`~repro.sched.scheduler.ScheduleRequest.fingerprint`), and its
+PE and link signatures are the build's view of the devices and links,
+so each boot time is computed once per evaluation, in the fingerprint.
 
 The merged verdict reproduces a monolithic schedule plus
 :func:`~repro.sched.finish_time.evaluate_deadlines` exactly:
@@ -232,7 +236,7 @@ class IncrementalEngine:
                     self._misses += 1
                 fragment = self._build_fragment(
                     component, spec, assoc, clustering, arch, priorities,
-                    boot_time_fn, preemption, tracer,
+                    boot_time_fn, preemption, tracer, key,
                     bound=bound, bound_base=base,
                 )
                 self._insert(key, fragment, tracer)
@@ -271,6 +275,7 @@ class IncrementalEngine:
         boot_time_fn,
         preemption: bool,
         tracer: Tracer,
+        fingerprint: tuple,
         bound: Optional[tuple] = None,
         bound_base: int = 0,
     ) -> Fragment:
@@ -287,6 +292,7 @@ class IncrementalEngine:
             context=self.context,
             bound=bound,
             bound_base=bound_base,
+            fingerprint=fingerprint,
         )
         schedule = build_schedule(request)
         # The scheduler emits both verdict by-products inline (same

@@ -18,7 +18,10 @@ above across runs:
   instance records, seed order, and in-degree template, plus each
   task's execution times as first read: on each PE type it is placed
   on, and its smallest one, which a virtual (not yet allocated)
-  placement runs for;
+  placement runs for.  Plans are stamped out of **per-graph rows**
+  (each task's predecessors with edge bytes, successors, task object
+  and cluster), derived once per (graph, clustering) and again only
+  when the graph changes;
 * a **route table** per architecture, invalidated exactly by
   ``Architecture.topo_version`` (bumped on every link attach/detach/
   create/delete, including copy-on-write reverts);
@@ -31,14 +34,16 @@ above across runs:
 * a **trail** of the last finished build of each of the
   :data:`TRAIL_CACHE_MAX_ENTRIES` most recently built plans: the
   schedule itself; its decision order with the priority values it
-  was computed from; the inputs its decisions read, each at the
-  decision that first read it (each cluster's placement and PE type,
-  each routed PE pair's link signature, the programmable devices'
-  mode and boot-time maps); and, indexed by decision, what the
-  schedule alone cannot tell (the outcomes of every mode-timeline
-  ``place``, the decisions that declined or took a preemptive split
-  or placed a task virtually, the running copy-0 demand and the
-  violations a bound counts).
+  was computed from; its view of the devices and links (the PE and
+  link signatures of the component fingerprint,
+  :func:`repro.perf.fingerprint.footprint_view`); the inputs its
+  decisions read, each at the decision that first read it (each
+  cluster's placement and PE type, each routed PE pair's link
+  signature, the programmable devices' mode and boot-time maps); and,
+  indexed by decision, what the schedule alone cannot tell (the
+  outcomes of every mode-timeline ``place``, the decisions that
+  declined or took a preemptive split or placed a task virtually, the
+  running copy-0 demand and the violations a bound counts).
 
 Consecutive builds of one plan usually differ by one cluster's
 placement, so the scheduler resumes each build from its plan's trail
@@ -47,7 +52,9 @@ depends only on the plan and its priorities, so a build under the
 trail's priority values reuses the trail's order.  The first decision
 that differs is the earliest of: where the two orders part, the first
 decision of a re-placed cluster, and the first read of a changed
-device or PE pair.  Everything before it is restored by slicing the
+device or PE pair -- found by comparing each device's signature and
+the link signatures with the trail's view once, and the single reads
+only of what changed.  Everything before it is restored by slicing the
 trail's dicts and logs, and the build schedules on from there.
 Trails are kept only while the context builds onto the production
 timeline pair, and never from a build whose timelines degraded.  A
@@ -74,6 +81,11 @@ from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
 #: Plans are tiny next to schedule fragments, but the scoped sub-spec
 #: cache they key off is itself LRU-bounded -- keep a little headroom.
 PLAN_CACHE_MAX_ENTRIES = 128
+
+#: Per-graph plan rows kept per context, least recently used evicted
+#: first: one entry per (graph, clustering), so one per graph of a
+#: synthesis.
+GRAPH_ROWS_MAX_ENTRIES = 1024
 
 #: Trails kept per context, least recently built plan evicted first.
 #: On NGXM@0.05 eight reuse as many decisions as an unbounded cache
@@ -146,37 +158,72 @@ class _Plan:
         return flat
 
 
-def _build_plan(request) -> _Plan:
+def _graph_rows(graph, clustering) -> tuple:
+    """``(task rows, deadline rows)`` of one graph under one clustering.
+
+    A task row is ``(name, ((predecessor, edge bytes), ...),
+    (successor, ...), task, cluster name)`` in topological order; a
+    deadline row is ``(name, effective deadline)`` of each deadline
+    task, sorted by name.  Every name is the string object the graph's
+    own queries return, so plans built from the rows hold the same
+    key strings as the queries would give them.
+    """
+    order = graph.topological_order()  # a cyclic graph raises here
+    preds, succs, _ = graph._adjacency()
+    tasks, edges = graph._tasks, graph._edges
+    graph_name = graph.name
+    task_rows = tuple(
+        (
+            name,
+            tuple(
+                (pred, edges[(pred, name)].bytes_) for pred in preds[name]
+            ),
+            tuple(succs[name]),
+            tasks[name],
+            clustering.cluster_of(graph_name, name).name,
+        )
+        for name in order
+    )
+    deadline_rows = tuple(
+        (name, graph.effective_deadline(name))
+        for name in graph.deadline_tasks()
+    )
+    return task_rows, deadline_rows
+
+
+def _build_plan(request, graph_rows) -> _Plan:
+    """The plan of ``request``, from ``graph_rows(graph, clustering)``
+    (:meth:`SchedulerContext.graph_rows`)."""
     spec = request.spec
     clustering = request.clustering
+    graphs = request.graphs
     records: Dict[tuple, tuple] = {}
     roots: List[tuple] = []
     indegree: Dict[tuple, int] = {}
     for instance in request.assoc.iter_explicit():
-        if request.graphs is not None and instance.graph not in request.graphs:
+        name = instance.graph
+        if graphs is not None and name not in graphs:
             continue
-        graph = spec.graph(instance.graph)
-        for task_name in graph.topological_order():
-            key = (instance.graph, instance.copy, task_name)
-            preds = []
-            for pred_name in graph.predecessors(task_name):
-                edge = graph.edge(pred_name, task_name)
-                preds.append((
-                    (instance.graph, instance.copy, pred_name),
-                    edge.bytes_,
-                    (instance.graph, instance.copy, pred_name, task_name),
-                ))
-            succs = tuple(
-                ((instance.graph, instance.copy, succ_name), succ_name)
-                for succ_name in graph.successors(task_name)
-            )
-            cluster = clustering.cluster_of(instance.graph, task_name)
+        copy = instance.copy
+        arrival = instance.arrival
+        task_rows = graph_rows(spec.graph(name), clustering)[0]
+        for task_name, preds, succs, task, cluster_name in task_rows:
+            key = (name, copy, task_name)
             records[key] = (
-                instance.arrival,
-                tuple(preds),
-                succs,
-                graph.task(task_name),
-                cluster.name,
+                arrival,
+                tuple(
+                    (
+                        (name, copy, pred_name),
+                        bytes_,
+                        (name, copy, pred_name, task_name),
+                    )
+                    for pred_name, bytes_ in preds
+                ),
+                tuple(
+                    ((name, copy, succ_name), succ_name) for succ_name in succs
+                ),
+                task,
+                cluster_name,
             )
             indegree[key] = len(preds)
             if not preds:
@@ -184,12 +231,9 @@ def _build_plan(request) -> _Plan:
     deadline_rows: Dict[str, tuple] = {}
     ncopies: Dict[str, int] = {}
     for name in spec.graph_names():
-        if request.graphs is not None and name not in request.graphs:
+        if graphs is not None and name not in graphs:
             continue
-        graph = spec.graph(name)
-        deadline_tasks = [
-            (t, graph.effective_deadline(t)) for t in graph.deadline_tasks()
-        ]
+        deadline_tasks = graph_rows(spec.graph(name), clustering)[1]
         rows = []
         for instance in request.assoc.explicit_copies(name):
             arrival = instance.arrival
@@ -221,12 +265,13 @@ class Trail:
 
     __slots__ = (
         "plan", "library", "preemption", "order", "priorities", "sigs",
-        "schedule", "reads", "places", "declined", "splits", "virtual",
-        "demand_log", "events",
+        "view", "schedule", "reads", "places", "declined", "splits",
+        "virtual", "demand_log", "events",
     )
 
     def __init__(
-        self, plan, library, preemption, order, priorities, sigs, places,
+        self, plan, library, preemption, order, priorities, sigs, view,
+        places,
     ) -> None:
         """Start one build's record (see the attribute comments)."""
         #: the plan built (pinned: plan keys are made of ``id()``s).
@@ -242,13 +287,18 @@ class Trail:
         #: cluster name -> placement signature (see
         #: :func:`repro.sched.scheduler._cluster_signatures`).
         self.sigs = sigs
+        #: ``(pe id -> PE signature, link signatures)``: the build's
+        #: view of its footprint's devices and links, taken from the
+        #: component fingerprint (see
+        #: :func:`repro.perf.fingerprint.footprint_view`).
+        self.view = view
         #: the finished schedule.
         self.schedule = None
         #: the device and PE-pair inputs the decisions read, each at
         #: its first read: ``(step, True, (pe id, cluster, mode),
-        #: ({mode: boot time}, own mode's boot time))`` or ``(step,
-        #: False, (pe id, pe id), (link id, link type name, port
-        #: bucket))``.
+        #: ({mode: boot time}, its sorted items, own mode's boot
+        #: time))`` or ``(step, False, (pe id, pe id), (link id, link
+        #: type name, port bucket))``.
         self.reads: List[tuple] = []
         #: programmable PE id -> (decision indices, ``record``
         #: outcomes) of its mode timeline's ``place`` calls.
@@ -283,6 +333,10 @@ class SchedulerContext:
     def __init__(self) -> None:
         """Create empty plan/route/transfer-time/trail caches."""
         self._plans: "OrderedDict[tuple, _Plan]" = OrderedDict()
+        #: (id(graph), id(clustering)) -> (the graph's adjacency cache
+        #: the rows were derived from, graph, clustering, rows); the
+        #: entry pins its graph and clustering, so the ids stay unique.
+        self._rows: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._lock = threading.Lock()
         #: Architecture -> [topo_version, {(pe_a, pe_b): link | None}].
         self._routes: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -346,12 +400,32 @@ class SchedulerContext:
             request.tracer.incr("perf.plan.hits")
             return plan
         request.tracer.incr("perf.plan.misses")
-        plan = _build_plan(request)
+        plan = _build_plan(request, self.graph_rows)
         with self._lock:
             self._plans[key] = plan
             while len(self._plans) > PLAN_CACHE_MAX_ENTRIES:
                 self._plans.popitem(last=False)
         return plan
+
+    def graph_rows(self, graph, clustering) -> tuple:
+        """:func:`_graph_rows` of ``graph`` under ``clustering``, derived
+        once and again only after the graph changed (``add_task`` and
+        ``add_edge`` drop its adjacency cache, the staleness test
+        :class:`repro.graph.taskgraph.GraphTableCache` uses too)."""
+        key = (id(graph), id(clustering))
+        derived = graph._adjacency()
+        with self._lock:
+            entry = self._rows.get(key)
+            if entry is not None:
+                self._rows.move_to_end(key)
+        if entry is None or entry[0] is not derived:
+            rows = _graph_rows(graph, clustering)
+            entry = (derived, graph, clustering, rows)
+            with self._lock:
+                self._rows[key] = entry
+                while len(self._rows) > GRAPH_ROWS_MAX_ENTRIES:
+                    self._rows.popitem(last=False)
+        return entry[3]
 
     # ------------------------------------------------------------------
     def route_table(self, arch) -> dict:

@@ -148,7 +148,7 @@ class FastTimeline(IntervalTimeline):
             index < len(ends) and end > ends[index]
         ):
             self._degraded = True
-        intervals.insert(index, BusyInterval(start=start, end=end, owner=owner))
+        intervals.insert(index, BusyInterval(start, end, owner))
         self._starts.insert(index, start)
         ends.insert(index, end)
         return start, end

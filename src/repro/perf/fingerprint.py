@@ -19,6 +19,14 @@ rescheduling.
 ASICs never serialize tasks, so sharing one does not couple graphs;
 it still shows up in the fingerprint (as the placement target) because
 it determines execution times.
+
+The fingerprint's PE and link signatures (:func:`footprint_view`) are
+also the schedule build's view of the architecture: the engine hands
+the fingerprint to the build it schedules on a miss, and
+:func:`repro.sched.scheduler.build_schedule` reads every programmable
+device's modes and boot times, and compares links with its trail's,
+through them.  A build requested without a fingerprint derives the
+same view here.
 """
 
 from __future__ import annotations
@@ -135,6 +143,33 @@ def _pe_signature(
     return (pe.id, pe.pe_type.name, modes, boots)
 
 
+def footprint_view(
+    arch: Architecture,
+    pes: Set[str],
+    boot_time_fn: Callable[[PEInstance, int], float],
+) -> Tuple[tuple, tuple]:
+    """``(PE signatures, link signatures)`` of the PE ids ``pes``.
+
+    A PE signature is :func:`_pe_signature`'s ``(id, type name, ((mode
+    index, sorted clusters), ...), boot time per mode)``, in id order; a
+    link signature is ``(id, type name, sorted ports)`` for every link
+    covering two of ``pes`` (:func:`_footprint_links`), in id order.
+    The ids are the instances' own string objects.
+    """
+    pe_sigs = tuple(
+        _pe_signature(arch.pes[pe_id], boot_time_fn) for pe_id in sorted(pes)
+    )
+    link_sigs = tuple(
+        (
+            link_id,
+            arch.links[link_id].link_type.name,
+            tuple(sorted(arch.links[link_id].attached)),
+        )
+        for link_id in sorted(_footprint_links(arch, pes))
+    )
+    return pe_sigs, link_sigs
+
+
 def component_fingerprint(
     component: List[str],
     spec: SystemSpec,
@@ -150,7 +185,8 @@ def component_fingerprint(
     Captures, per graph: copy phasing (count plus explicit arrivals),
     priority levels and cluster placements; per footprint PE: type,
     mode contents and boot times; per footprint link: type and port
-    set.  Equal fingerprints imply byte-identical fragment schedules.
+    set (:func:`footprint_view`).  Equal fingerprints imply
+    byte-identical fragment schedules.
     """
     graph_sigs = []
     pes: Set[str] = set()
@@ -170,15 +206,5 @@ def component_fingerprint(
         graph_sigs.append(
             (name, assoc.n_copies(name), copies, prio_sig, tuple(placements))
         )
-    pe_sigs = tuple(
-        _pe_signature(arch.pes[pe_id], boot_time_fn) for pe_id in sorted(pes)
-    )
-    link_sigs = tuple(
-        (
-            link_id,
-            arch.links[link_id].link_type.name,
-            tuple(sorted(arch.links[link_id].attached)),
-        )
-        for link_id in sorted(_footprint_links(arch, pes))
-    )
+    pe_sigs, link_sigs = footprint_view(arch, pes, boot_time_fn)
     return (tuple(graph_sigs), pe_sigs, link_sigs, preemption)

@@ -23,6 +23,7 @@ def _scale(width: int, span: Tuple[float, float]):
     extent = max(hi - lo, 1e-12)
 
     def to_col(t: float) -> int:
+        """Column of time ``t``, clamped to ``[0, width]``."""
         col = int((t - lo) / extent * width)
         return max(0, min(width, col))
 
@@ -77,6 +78,7 @@ def render_gantt(
     rows: Dict[str, List[str]] = {}
 
     def row_for(resource: str) -> List[str]:
+        """The resource's row, created idle on first use."""
         return rows.setdefault(resource, [_IDLE] * width)
 
     for placed in placements:

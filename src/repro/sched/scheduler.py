@@ -35,6 +35,17 @@ route and transfer-time memos, and the production timeline pair
 (:mod:`repro.perf.fasttimeline`).  Requests without a context get a
 fresh one.
 
+A build reads the architecture once, before its first decision: each
+cluster's placement (:func:`_cluster_signatures`, which also gives
+every decision its PE type name and kind), and the footprint's
+programmable devices and links from the component fingerprint the
+engine already computed for the request
+(:attr:`ScheduleRequest.fingerprint`; a request without one derives
+the same view with :func:`repro.perf.fingerprint.footprint_view`).  A
+device's modes carrying a cluster and their boot times come from its
+signature (:func:`_device_read`), so a build calls no boot-time
+function.
+
 The heap that orders the decisions -- highest priority, then earliest
 arrival, then smallest key, among the tasks whose predecessors are
 decided -- reads no placement, time or resource.  So the decision
@@ -47,14 +58,15 @@ and consecutive builds of one plan -- candidate after candidate in
 the allocation loop -- mostly differ by one cluster's placement.  A
 decision is reused only when its task, its placement and every value
 it reads equal the trail's, and the trail indexes where each input
-was first read, so the first decision that differs is found without
-walking the prefix (:func:`_resume_point`).  The schedule state as of
-that decision is restored from the trail in bulk -- slices of its
-dicts and logs (:func:`_restore_prefix`) -- and the loop schedules on
-from there.  Nothing is guessed, so the schedule, its by-products, a
-bound's abort and the tracer counters are the ones a from-scratch
-build gives; only the timeline operations of the reused decisions
-are skipped.  Its oracle is the reference loop in
+was first read and keeps its build's view, so the first decision that
+differs is found without walking the prefix, comparing each device's
+signature and the link signatures once (:func:`_resume_point`).  The
+schedule state as of that decision is restored from the trail in
+bulk -- slices of its dicts and logs (:func:`_restore_prefix`) -- and
+the loop schedules on from there.  Nothing is guessed, so the
+schedule, its by-products, a bound's abort and the tracer counters
+are the ones a from-scratch build gives; only the timeline operations
+of the reused decisions are skipped.  Its oracle is the reference loop in
 ``tests/sched/reference_scheduler.py``, which re-derives every
 decision input from the specification on every run and schedules onto
 the linear timelines of :mod:`repro.sched.timeline`; the test suites
@@ -188,6 +200,15 @@ class ScheduleRequest:
         incremental engine carries deadline misses and overloads from
         earlier schedule fragments here so the abort trigger matches
         a monolithic run.
+    fingerprint:
+        Optional component fingerprint
+        (:func:`repro.perf.fingerprint.component_fingerprint`) of
+        ``graphs`` over this request's architecture, boot-time
+        function and preemption setting, as the incremental engine
+        computed it.  Its PE and link signatures are the build's view
+        of every programmable device's modes and boot times and of the
+        links; None derives the same view from the architecture
+        (:func:`repro.perf.fingerprint.footprint_view`).
     """
 
     spec: SystemSpec
@@ -202,6 +223,7 @@ class ScheduleRequest:
     context: Optional["SchedulerContext"] = None
     bound: Optional[tuple] = None
     bound_base: int = 0
+    fingerprint: Optional[tuple] = None
 
 
 @dataclass
@@ -257,23 +279,31 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     plan, route and transfer-time memos and timeline factory pair --
     or over a fresh context when the request carries none.  The
     decisions follow the plan's decision order under the request's
-    priorities (:func:`_decision_order`).  When the context holds a
-    trail of an earlier build of the same plan, the build resumes
-    from it: the leading decisions whose every input equals the
-    trail's are copied rather than recomputed (:func:`_resume_point`,
-    :func:`_restore_prefix`), and scheduling goes on from the first
-    decision that differs.  The schedule, its by-products and the
-    tracer counters are the ones a from-scratch build produces.
+    priorities (:func:`_decision_order`).  Programmable devices and
+    links are read through the request's fingerprint, or through the
+    same view derived here when it carries none
+    (:func:`repro.perf.fingerprint.footprint_view`).  When the context
+    holds a trail of an earlier build of the same plan, the build
+    resumes from it: the leading decisions whose every input equals
+    the trail's are copied rather than recomputed
+    (:func:`_resume_point`, :func:`_restore_prefix`), and scheduling
+    goes on from the first decision that differs.  The schedule, its
+    by-products and the tracer counters are the ones a from-scratch
+    build produces.
 
-    Raises :class:`SchedulingError` on internal inconsistencies (e.g.
-    an unallocated task) and :class:`AllocationError` when two
-    communicating tasks sit on unconnected PEs.  Missed deadlines do
-    *not* raise; they are reported by finish-time evaluation (and
-    pre-computed in :attr:`Schedule.lateness` / :attr:`Schedule.demand`).
+    Tasks whose cluster is unallocated are placed virtually (see
+    :class:`ScheduledTask`).  Raises :class:`SchedulingError` on
+    internal inconsistencies (a precedence graph the decision order
+    cannot complete, or a timeline operation that would overlap) and
+    :class:`AllocationError` when two communicating tasks sit on
+    unconnected PEs.  Missed deadlines do *not* raise; they are
+    reported by finish-time evaluation (and pre-computed in
+    :attr:`Schedule.lateness` / :attr:`Schedule.demand`).
     """
     # Deferred: repro.perf imports this module, and finish_time
     # imports it.
     from repro.perf.fastsched import SchedulerContext, Trail
+    from repro.perf.fingerprint import footprint_view
     from repro.sched.finish_time import _OVERLOAD_TOLERANCE
 
     context = request.context
@@ -281,28 +311,27 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         context = SchedulerContext()
     schedule = Schedule()
     arch = request.arch
+    library = arch.library
     priorities = request.priorities
-    boot_time_fn = request.boot_time_fn or default_boot_time
     preemption = request.preemption
     tracer = request.tracer
     tracer.incr("sched.runs")
-    context._sync_library(arch.library)
+    context._sync_library(library)
+    best_comm = context._best_comm
+    comm_cache = context._comm
     timeline_cls = context.timeline_cls
     ppe_timeline_cls = context.ppe_timeline_cls
     # The architecture is frozen for the duration of one scheduler run,
     # so per-arch/per-run lookups hoist out of the task loop entirely:
-    # the route memo for the current topology, the transfer-time memo,
-    # and per-run memos for the routes and PPE placement inputs (a
-    # link's signature, a device's modes carrying a cluster, and boot
-    # times, are pure functions of the frozen architecture -- the
-    # fingerprint layer already relies on boot_time_fn purity).
+    # the route memo for the current topology, and per-run memos for
+    # the routes, the device reads and the processors' overheads.
     route_table = context.route_table(arch)
-    comm_cache = context._comm
     #: (pe id, pe id) -> route (see :func:`_route`).
     routes: Dict[tuple, tuple] = {}
-    #: (pe id, cluster) -> ({mode: boot}, sorted items) for PPE hosts.
-    allowed_memo: Dict[tuple, tuple] = {}
-    boot_memo: Dict[tuple, float] = {}
+    #: (pe id, cluster) -> :func:`_device_read` for PPE hosts.
+    device_reads: Dict[tuple, tuple] = {}
+    #: pe id -> (timeline, context switch, preemption overhead).
+    processors: Dict[str, tuple] = {}
 
     plan = context.plan_for(request)
     records = plan.records
@@ -321,10 +350,6 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     capacity = request.assoc.hyperperiod
     deadline_by_key = plan.deadline_map()
     crossed: set = set()
-
-    cluster_alloc = arch.cluster_alloc
-    pes = arch.pes
-    library = arch.library
     # Copy-0 hyperperiod demand, accumulated inline.  Per-resource
     # accumulation order equals the post-pass
     # :func:`repro.sched.finish_time.resource_demand` order (schedule
@@ -333,17 +358,30 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     # float sums are bit-identical; consumers sort the keys.
     demand: Dict[str, float] = {}
 
+    # What the decisions read about the architecture: each cluster's
+    # placement, and the footprint's devices and links.
+    pes = arch.pes
+    sigs = _cluster_signatures(plan, arch.cluster_alloc, pes)
+    fingerprint = request.fingerprint
+    if fingerprint is None:
+        pe_sigs, link_sigs = footprint_view(
+            arch, {sig[0] for sig in sigs.values() if sig is not None},
+            request.boot_time_fn or default_boot_time,
+        )
+    else:
+        pe_sigs, link_sigs = fingerprint[1], fingerprint[2]
+    devices = {sig[0]: sig for sig in pe_sigs}
+    view = (devices, link_sigs)
+
     # Resume from the plan's trail, over the production timelines only:
     # a recording factory must see every operation, so a build over one
     # neither resumes nor keeps a trail.
-    sigs = prior = None
-    if context.resumable:
-        sigs = _cluster_signatures(plan, cluster_alloc, pes)
-        prior = context.trail_for(plan)
-        if prior is not None and (
-            prior.library is not library or prior.preemption != preemption
-        ):
-            prior = None
+    resumable = context.resumable
+    prior = context.trail_for(plan) if resumable else None
+    if prior is not None and (
+        prior.library is not library or prior.preemption != preemption
+    ):
+        prior = None
     # The trail's order serves while the priority *values* equal the
     # copy it was computed from (a table edited in place must not keep
     # a stale order).
@@ -359,14 +397,14 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     # This build's record, kept as the plan's trail when the build
     # ends (only a resumable build records ``place`` outcomes).
     trail = Trail(
-        plan, library, preemption, order, snapshot, sigs,
-        None if sigs is None else {},
+        plan, library, preemption, order, snapshot, sigs, view,
+        {} if resumable else None,
     )
     reused = 0
     if prior is not None:
         reused = _resume_point(
-            prior, order, sigs, arch, route_table, routes, allowed_memo,
-            boot_memo, boot_time_fn, trail.reads,
+            prior, order, sigs, view, arch, route_table, routes,
+            device_reads, trail.reads,
         )
         if reused:
             tracer.incr("perf.resume.decisions", reused)
@@ -374,9 +412,12 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                 prior, trail, reused, schedule, demand, crossed, limit
             )
 
-    # The trail's logs (see :class:`~repro.perf.fastsched.Trail`).
     tasks = schedule.tasks
     edges = schedule.edges
+    proc_timelines = schedule.proc_timelines
+    ppe_timelines = schedule.ppe_timelines
+    link_timelines = schedule.link_timelines
+    # The trail's logs (see :class:`~repro.perf.fastsched.Trail`).
     reads = trail.reads
     places = trail.places
     declined = trail.declined
@@ -387,14 +428,13 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     keys = order[0]
     for step in range(reused, plan.total):
         key = keys[step]
-        graph_name, _, task_name = key
+        graph_name, copy, task_name = key
         arrival, preds, _, task, cluster_name = records[key]
-        placement = cluster_alloc.get(cluster_name)
-        if placement is None:
-            pe, mode, pe_id = None, -1, None
+        sig = sigs[cluster_name]
+        if sig is None:
+            pe_id, mode = None, -1
         else:
-            pe_id, mode = placement
-            pe = pes[pe_id]
+            pe_id, mode, pe_key, type_name, kind = sig
 
         # 1. Schedule incoming edges; compute data-ready time.
         ready = arrival
@@ -402,20 +442,22 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
             pred_task = tasks[pred_key]
             pred_finish = pred_task.finish
             pred_pe_id = pred_task.pe_id
-            if pe is None or pred_pe_id is None:
+            if pe_id is None or pred_pe_id is None:
                 # Virtual endpoint: best-case communication estimate,
                 # no link occupied.
-                finish = pred_finish + context.best_comm(library, bytes_)
+                comm = best_comm.get(bytes_)
+                if comm is None:
+                    comm = context.best_comm(library, bytes_)
+                finish = pred_finish + comm
                 edges[edge_key] = ScheduledEdge(
-                    key=edge_key, link_id=None, start=pred_finish, finish=finish
+                    edge_key, None, pred_finish, finish
                 )
                 if finish > ready:
                     ready = finish
                 continue
             if pred_pe_id == pe_id or bytes_ == 0:
                 edges[edge_key] = ScheduledEdge(
-                    key=edge_key, link_id=None, start=pred_finish,
-                    finish=pred_finish,
+                    edge_key, None, pred_finish, pred_finish
                 )
                 if pred_finish > ready:
                     ready = pred_finish
@@ -432,9 +474,9 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                 routes[pair] = route
                 reads.append((step, False, pair, route[:3]))
             link_id, link_type_name, ports, link = route
-            timeline = schedule.link_timelines.get(link_id)
+            timeline = link_timelines.get(link_id)
             if timeline is None:
-                timeline = schedule.link_timelines[link_id] = timeline_cls()
+                timeline = link_timelines[link_id] = timeline_cls()
             # Transfer time is a pure function of (link type, current
             # port count, payload) -- the paper's recomputed
             # communication vectors.
@@ -445,10 +487,8 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                 duration = comm_cache[ckey] = link.comm_time(bytes_)
             start = timeline.earliest_fit(pred_finish, duration)
             start, finish = timeline.occupy(start, duration, edge_key)
-            edges[edge_key] = ScheduledEdge(
-                key=edge_key, link_id=link_id, start=start, finish=finish
-            )
-            if key[1] == 0:
+            edges[edge_key] = ScheduledEdge(edge_key, link_id, start, finish)
+            if copy == 0:
                 load = demand.get(link_id, 0.0) + (
                     finish - start
                 ) * ncopies[graph_name]
@@ -467,7 +507,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
 
         # 2. Place the task on its resource.
         was_split = False
-        if pe is None:
+        if pe_id is None:
             # Virtual placement: best-case execution, no contention.
             virtual.append(step)
             tkey = id(task)
@@ -476,56 +516,90 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                 best = min_wcet_memo[tkey] = task.min_exec_time
             start, finish = ready, ready + best
         else:
-            pe_type = pe.pe_type
-            wkey = (id(task), pe_type.name)
+            wkey = (id(task), type_name)
             wcet = wcet_memo.get(wkey)
             if wcet is None:
-                wcet = wcet_memo[wkey] = task.wcet_on(pe_type.name)
-            kind = pe_type.kind
+                wcet = wcet_memo[wkey] = task.wcet_on(type_name)
             if kind is PEKind.ASIC:
                 # Independent circuit block: no contention.
                 start, finish = ready, ready + wcet
             else:
                 if kind is PEKind.PROCESSOR:
-                    start, finish, was_split = _place_on_processor(
-                        schedule, pe, key, ready, wcet, preemption,
-                        timeline_cls, declined, splits, step,
-                    )
-                else:
-                    timeline = schedule.ppe_timelines.get(pe_id)
-                    if timeline is None:
-                        timeline = schedule.ppe_timelines[pe_id] = (
-                            ppe_timeline_cls()
+                    # Non-preemptive first-fit, plus one context switch.
+                    # With preemption enabled, a task that would be
+                    # delayed behind already-reserved (higher-priority)
+                    # work may instead *split* across the free gaps --
+                    # it starts, is preempted by each reservation, and
+                    # resumes afterwards, paying the processor's
+                    # preemption overhead per resumption (Section 5's
+                    # restricted preemptive scheduling).  The split is
+                    # used only when it strictly improves the finish.
+                    entry = processors.get(pe_id)
+                    if entry is None:
+                        processor = pes[pe_id].pe_type
+                        assert isinstance(processor, ProcessorType)
+                        timeline = proc_timelines.get(pe_key)
+                        if timeline is None:
+                            timeline = proc_timelines[pe_key] = (
+                                timeline_cls()
+                            )
+                        entry = processors[pe_id] = (
+                            timeline,
+                            processor.context_switch_time,
+                            processor.preemption_overhead,
                         )
+                    timeline, switch, overhead = entry
+                    duration = wcet + switch
+                    start = timeline.earliest_fit(ready, duration)
+                    if start <= ready or not preemption:
+                        start, finish = timeline.occupy(start, duration, key)
+                    else:
+                        segments = timeline.split_fit(
+                            ready, duration, overhead
+                        )
+                        if (
+                            segments is None
+                            or len(segments) < 2
+                            or segments[-1][1] >= start + duration
+                        ):
+                            declined.append(step)
+                            start, finish = timeline.occupy(
+                                start, duration, key
+                            )
+                        else:
+                            for seg_start, seg_end in segments:
+                                timeline.occupy(
+                                    seg_start, seg_end - seg_start, key
+                                )
+                            splits.append(step)
+                            start, finish = segments[0][0], segments[-1][1]
+                            was_split = True
+                else:
+                    timeline = ppe_timelines.get(pe_id)
+                    if timeline is None:
+                        timeline = ppe_timelines[pe_id] = ppe_timeline_cls()
                         if places is not None:
                             places[pe_id] = ([], [])
                     akey = (pe_id, cluster_name)
-                    entry = allowed_memo.get(akey)
-                    first_read = entry is None
-                    if first_read:
-                        entry = allowed_memo[akey] = _device_modes(
-                            pe, cluster_name, boot_time_fn
+                    read = device_reads.get(akey)
+                    if read is None:
+                        read = device_reads[akey] = _device_read(
+                            devices[pe_id], cluster_name, mode
                         )
-                    allowed, allowed_sorted = entry
-                    bkey = (pe_id, mode)
-                    boot = boot_memo.get(bkey)
-                    if boot is None:
-                        boot = boot_memo[bkey] = boot_time_fn(pe, mode)
-                    if first_read:
                         reads.append(
-                            (step, True, (pe_id, cluster_name, mode),
-                             (allowed, boot))
+                            (step, True, (pe_id, cluster_name, mode), read)
                         )
                     if places is None:
                         record = None
                     else:
                         on_device, record = places[pe_id]
                         on_device.append(step)
+                    allowed, allowed_sorted, boot = read
                     start, finish = timeline.place(
-                        mode, ready, wcet, boot, allowed=allowed,
-                        allowed_sorted=allowed_sorted, record=record,
+                        mode, ready, wcet, boot, allowed, allowed_sorted,
+                        record,
                     )
-                if key[1] == 0:
+                if copy == 0:
                     # Serial resource (processor or PPE): the per-PE
                     # demand finish-time evaluation sums.
                     load = demand.get(pe_id, 0.0) + (
@@ -541,14 +615,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                         events.append((step, "overload", pe_id))
                         if len(events) > limit:
                             raise ScheduleAbort("overload")
-        tasks[key] = ScheduledTask(
-            key=key,
-            pe_id=pe_id,
-            mode=mode,
-            start=start,
-            finish=finish,
-            preempted=was_split,
-        )
+        tasks[key] = ScheduledTask(key, pe_id, mode, start, finish, was_split)
         absolute = deadline_by_key.get(key)
         if absolute is not None and finish - absolute > TIME_EPS:
             events.append((step, "deadline", None))
@@ -664,15 +731,23 @@ def _route(
     return (link.id, link.link_type.name, ports if ports > 2 else 2, link)
 
 
-def _device_modes(
-    pe: PEInstance, cluster_name: str, boot_time_fn: Callable
-) -> Tuple[Dict[int, float], list]:
-    """``({mode: boot time}, sorted items)`` for the modes of a
-    programmable ``pe`` whose configuration carries the cluster."""
-    allowed = {
-        m: boot_time_fn(pe, m) for m in pe.modes_of_cluster(cluster_name)
-    }
-    return allowed, sorted(allowed.items())
+def _device_read(signature: tuple, cluster_name: str, mode: int) -> tuple:
+    """What a decision on a programmable device reads about it, from
+    the device's signature (:func:`repro.perf.fingerprint.footprint_view`).
+
+    ``({mode: boot time}, its sorted items, own mode's boot time)``:
+    the modes whose configuration carries ``cluster_name`` -- its own
+    ``mode`` first, then its replicas in ascending order, as
+    ``PEInstance.modes_of_cluster`` lists them -- and the boot time of
+    ``mode``.
+    """
+    _, _, modes, boots = signature
+    boot_of = dict(zip([index for index, _ in modes], boots))
+    allowed = {mode: boot_of[mode]}
+    for index, clusters in modes:
+        if index != mode and cluster_name in clusters:
+            allowed[index] = boot_of[index]
+    return allowed, sorted(allowed.items()), allowed[mode]
 
 
 def _cluster_signatures(
@@ -720,10 +795,17 @@ def _same_signature(new: Optional[tuple], old: Optional[tuple]) -> bool:
     )
 
 
+def _same_links(new: tuple, old: tuple) -> bool:
+    """Whether two builds' link signatures are equal, each link id the
+    same string object (see :func:`_same_signature`)."""
+    return len(new) == len(old) and all(
+        link[0] is then[0] and link == then for link, then in zip(new, old)
+    )
+
+
 def _resume_point(
-    prior, order: tuple, sigs: dict, arch: Architecture, route_table: dict,
-    routes: dict, allowed_memo: dict, boot_memo: dict,
-    boot_time_fn: Callable, reads: list,
+    prior, order: tuple, sigs: dict, view: tuple, arch: Architecture,
+    route_table: dict, routes: dict, device_reads: dict, reads: list,
 ) -> int:
     """How many leading decisions this build makes exactly as the
     ``prior`` trail's build did.
@@ -744,10 +826,16 @@ def _resume_point(
     Everything else a decision reads -- arrivals, execution times,
     payloads, deadlines and best-case transfer times -- is fixed by
     the plan and the library, which the caller checked, and the
-    timelines then match by induction.  The trail's device and pair
-    reads are checked in decision order up to the first change, so
-    the route and boot-time memos fill, and ``reads`` logs, exactly
-    what the reused decisions read.
+    timelines then match by induction.  Devices and links are compared
+    through the two builds' views (``view`` and the trail's): each
+    device's signature once, and the link signatures once.  A read of
+    a device whose signature is unchanged, or of a PE pair while no
+    footprint link changed, is the trail's read; only the reads of a
+    changed device or link set are taken from the current view or
+    routes and compared one by one.  The trail's reads are walked in
+    decision order up to the first change, so the route and device
+    memos fill, and ``reads`` logs, exactly what the reused decisions
+    read.
     """
     keys = order[0]
     reused = len(keys)
@@ -763,22 +851,32 @@ def _resume_point(
             step = first_step[name]
             if step < reused:
                 reused = step
-    pes = arch.pes
+    devices, link_sigs = view
+    old_devices, old_link_sigs = prior.view
+    same_links = _same_links(link_sigs, old_link_sigs)
+    same_devices: Dict[str, bool] = {}
+    links = arch.links
     for step, device, key, then in prior.reads:
         if step >= reused:
             break
         if device:
             pe_id, cluster_name, mode = key
-            pe = pes[pe_id]
-            entry = allowed_memo[(pe_id, cluster_name)] = _device_modes(
-                pe, cluster_name, boot_time_fn
-            )
-            bkey = (pe_id, mode)
-            boot = boot_memo.get(bkey)
-            if boot is None:
-                boot = boot_memo[bkey] = boot_time_fn(pe, mode)
-            now = (entry[0], boot)
-            same = now == then
+            signature = devices[pe_id]
+            same = same_devices.get(pe_id)
+            if same is None:
+                same = same_devices[pe_id] = (
+                    signature == old_devices[pe_id]
+                )
+            if same:
+                now = then
+            else:
+                now = _device_read(signature, cluster_name, mode)
+                same = now == then
+            device_reads[(pe_id, cluster_name)] = now
+        elif same_links:
+            now = then
+            same = True
+            routes[key] = then + (links[then[0]],)
         else:
             route = _route(arch, route_table, key)
             if route is None:
@@ -864,56 +962,3 @@ def _restore_prefix(
             outcomes = outcomes[:count]
             places[pe_id] = (on_device[:count], outcomes)
             schedule.ppe_timelines[pe_id] = replay_mode_timeline(outcomes)
-
-
-def _place_on_processor(
-    schedule: Schedule,
-    pe: PEInstance,
-    key: TaskKey,
-    ready: float,
-    wcet: float,
-    preemption: bool,
-    timeline_cls: type,
-    declined: list,
-    splits: list,
-    step: int,
-) -> Tuple[float, float, bool]:
-    """Place a task on a processor.
-
-    Non-preemptive first-fit by default.  With preemption enabled, a
-    task that would be delayed behind already-reserved (higher-
-    priority) work may instead *split* across the free gaps -- it
-    starts, is preempted by each reservation, and resumes afterwards,
-    paying the processor's preemption overhead per resumption
-    (Section 5's restricted preemptive scheduling).  The split is used
-    only when it strictly improves the task's finish time.
-
-    ``timeline_cls`` builds the processor's timeline on first use.  A
-    split taken appends the decision index ``step`` to ``splits``, a
-    split declined appends it to ``declined``.
-    """
-    processor = pe.pe_type
-    assert isinstance(processor, ProcessorType)
-    duration = wcet + processor.context_switch_time
-    timeline = schedule.proc_timelines.get(pe.id)
-    if timeline is None:
-        timeline = schedule.proc_timelines[pe.id] = timeline_cls()
-    start = timeline.earliest_fit(ready, duration)
-    if start <= ready or not preemption:
-        return timeline.occupy(start, duration, key) + (False,)
-
-    segments = timeline.split_fit(
-        ready, duration, processor.preemption_overhead
-    )
-    if segments is None or len(segments) < 2:
-        declined.append(step)
-        return timeline.occupy(start, duration, key) + (False,)
-    contiguous_finish = start + duration
-    split_finish = segments[-1][1]
-    if split_finish >= contiguous_finish:
-        declined.append(step)
-        return timeline.occupy(start, duration, key) + (False,)
-    for seg_start, seg_end in segments:
-        timeline.occupy(seg_start, seg_end - seg_start, key)
-    splits.append(step)
-    return segments[0][0], split_finish, True

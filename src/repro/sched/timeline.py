@@ -139,6 +139,7 @@ class IntervalTimeline(Timeline):
     """
 
     def __init__(self) -> None:
+        """Empty timeline: no busy interval."""
         self._intervals: List[BusyInterval] = []
         self._starts: List[float] = []
 
@@ -278,6 +279,7 @@ class ModeWindow:
 
     @property
     def duration(self) -> float:
+        """Length of the window's busy span."""
         return self.end - self.start
 
 
@@ -295,6 +297,7 @@ class PpeModeTimeline(ModeTimeline):
     """
 
     def __init__(self) -> None:
+        """Empty timeline: the device has no mode window yet."""
         self.windows: List[ModeWindow] = []
 
     def _needs_boot(self, index: int) -> bool:
@@ -357,6 +360,8 @@ class PpeModeTimeline(ModeTimeline):
         best: Optional[Tuple[float, float, str, int, int]] = None
 
         def consider(finish: float, start: float, how: str, index: int, m: int) -> None:
+            """Keep the candidate when it finishes strictly earlier
+            (then starts earlier) than the best so far."""
             nonlocal best
             if best is None or (finish, start) < (best[0], best[1]):
                 best = (finish, start, how, index, m)

@@ -52,9 +52,11 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
+        """True when no violation was found."""
         return not self.violations
 
     def add(self, message: str) -> None:
+        """Record one violation."""
         self.violations.append(message)
 
     def __repr__(self) -> str:

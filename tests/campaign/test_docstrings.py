@@ -1,8 +1,9 @@
 """Docstring coverage gate for the documented packages and the API.
 
-Gated packages: repro.perf, repro.campaign, the synthesis service
-(repro.service plus its repro.io.service_json schemas), and the
-staged synthesis pipeline (repro.core plus repro.core.stages).  CI
+Gated packages: repro.perf, repro.campaign, repro.exec, the synthesis
+service (repro.service plus its repro.io.service_json schemas), the
+staged synthesis pipeline (repro.core plus repro.core.stages), and
+the scheduler (repro.sched).  CI
 enforces the same contract with ruff's pydocstyle D1 rules (see
 pyproject.toml); this AST-based test keeps the gate verifiable in
 environments without ruff installed.
@@ -18,7 +19,9 @@ import pytest
 import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
-GATED_PACKAGES = ("perf", "campaign", "core", "core/stages", "exec", "service")
+GATED_PACKAGES = (
+    "perf", "campaign", "core", "core/stages", "exec", "service", "sched",
+)
 GATED_MODULES = ("io/service_json.py",)
 
 

@@ -18,8 +18,11 @@ trail's:
 * for every incoming edge routed between two PEs, the link's id, type
   and port bucket.
 
-:func:`checked_resume_points` holds the two to the same answer on
-every resumed build made inside it.
+The replay reads devices the way the reference scheduler does, from
+``PEInstance.modes_of_cluster`` and the request's boot-time function
+(:func:`_device_modes`), never through the fingerprint view the build
+reads them from.  :func:`checked_resume_points` holds the two to the
+same answer on every resumed build made inside it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,15 @@ from repro.perf import engine as engine_module
 from repro.reconfig.reboot import default_boot_time
 from repro.resources.pe import PEKind
 from repro.sched import scheduler
-from repro.sched.scheduler import _device_modes, _route, _same_signature
+from repro.sched.scheduler import _route, _same_signature
+
+
+def _device_modes(pe, cluster_name, boot_time_fn) -> dict:
+    """``{mode: boot time}`` for the modes of a programmable ``pe``
+    whose configuration carries the cluster."""
+    return {
+        m: boot_time_fn(pe, m) for m in pe.modes_of_cluster(cluster_name)
+    }
 
 
 def replay_prefix(prior, priorities, sigs, arch, boot_time_fn) -> int:
@@ -56,7 +67,7 @@ def replay_prefix(prior, priorities, sigs, arch, boot_time_fn) -> int:
         if device:
             pe_id, cluster_name, mode = key
             old_allowed[(pe_id, cluster_name)] = then[0]
-            old_boots[(pe_id, mode)] = then[1]
+            old_boots[(pe_id, mode)] = then[2]
         else:
             old_routes[key] = then
     replaced = {
@@ -89,7 +100,7 @@ def replay_prefix(prior, priorities, sigs, arch, boot_time_fn) -> int:
                 same = device_verdicts.get(akey)
                 if same is None:
                     pe = pes[pe_id]
-                    allowed, _ = _device_modes(pe, cluster_name, boot_time_fn)
+                    allowed = _device_modes(pe, cluster_name, boot_time_fn)
                     same = device_verdicts[akey] = (
                         old_allowed.get(akey) == allowed
                         and old_boots.get((pe_id, mode))
@@ -146,13 +157,13 @@ def checked_resume_points():
         finally:
             building.pop()
 
-    def point(prior, order, sigs, arch, *memos):
+    def point(prior, order, sigs, *rest):
         request = building[-1]
         expected = replay_prefix(
-            prior, request.priorities, sigs, arch,
+            prior, request.priorities, sigs, request.arch,
             request.boot_time_fn or default_boot_time,
         )
-        reused = real_point(prior, order, sigs, arch, *memos)
+        reused = real_point(prior, order, sigs, *rest)
         assert reused == expected, (reused, expected)
         checked[0] += 1
         return reused

@@ -10,7 +10,9 @@ Two layers of defense beyond the end-to-end equivalence suite:
   schedule the reference loop
   (``tests/sched/reference_scheduler.py``) produces, on synthesized
   workloads whose architectures exercise processors, links, and
-  programmable devices.
+  programmable devices;
+* the plans a context stamps out of its per-graph rows hold what the
+  graph queries give, down to the string objects.
 """
 
 import pytest
@@ -234,3 +236,113 @@ def test_route_cache_tracks_topology_version(seed=5):
     rerouted = build_schedule(ScheduleRequest(context=context, **base))
     reference = build_reference_schedule(ScheduleRequest(**base))
     assert _schedule_dump(rerouted) == _schedule_dump(reference)
+
+
+# -- plans from per-graph rows ------------------------------------------
+def _query_plan(request):
+    """``(records, roots, indegree, deadline rows)`` of a request,
+    derived with the graph's own queries for every task of every
+    explicit copy."""
+    spec, clustering = request.spec, request.clustering
+    records, roots, indegree = {}, [], {}
+    for instance in request.assoc.iter_explicit():
+        if request.graphs is not None and instance.graph not in request.graphs:
+            continue
+        graph = spec.graph(instance.graph)
+        for task_name in graph.topological_order():
+            key = (instance.graph, instance.copy, task_name)
+            preds = tuple(
+                (
+                    (instance.graph, instance.copy, pred),
+                    graph.edge(pred, task_name).bytes_,
+                    (instance.graph, instance.copy, pred, task_name),
+                )
+                for pred in graph.predecessors(task_name)
+            )
+            records[key] = (
+                instance.arrival,
+                preds,
+                tuple(
+                    ((instance.graph, instance.copy, succ), succ)
+                    for succ in graph.successors(task_name)
+                ),
+                graph.task(task_name),
+                clustering.cluster_of(instance.graph, task_name).name,
+            )
+            indegree[key] = len(preds)
+            if not preds:
+                roots.append(key)
+    deadline_rows = {}
+    for name in spec.graph_names():
+        if request.graphs is not None and name not in request.graphs:
+            continue
+        graph = spec.graph(name)
+        deadline_rows[name] = tuple(
+            ((name, instance.copy, task), instance.arrival
+             + graph.effective_deadline(task))
+            for instance in request.assoc.explicit_copies(name)
+            for task in graph.deadline_tasks()
+        )
+    return records, roots, indegree, deadline_rows
+
+
+def _assert_same_objects(new, old):
+    """``new == old``, with every string the same object: plans reach
+    the schedule, and a pickle writes one copy per string object."""
+    assert type(new) is type(old)
+    if isinstance(new, str):
+        assert new is old
+    elif isinstance(new, (tuple, list)):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            _assert_same_objects(a, b)
+    elif isinstance(new, dict):
+        assert list(new) == list(old)
+        for (ka, va), (kb, vb) in zip(new.items(), old.items()):
+            _assert_same_objects(ka, kb)
+            _assert_same_objects(va, vb)
+    else:
+        assert new == old
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+def test_plan_rows_equal_the_graph_queries(seed):
+    """A plan stamped out of the context's per-graph rows holds the
+    records, roots, in-degrees and deadline rows the graph queries
+    give, down to the string objects, with and without a graph filter
+    and from a second context sharing nothing."""
+    spec, assoc, clustering, arch, priorities = _workload(seed)
+    context = SchedulerContext()
+    for graphs in (None, frozenset(spec.graph_names()[1:2])):
+        request = ScheduleRequest(
+            spec=spec, assoc=assoc, clustering=clustering, arch=arch,
+            priorities=priorities, graphs=graphs,
+        )
+        for plan in (context.plan_for(request),
+                     SchedulerContext().plan_for(request)):
+            records, roots, indegree, deadline_rows = _query_plan(request)
+            _assert_same_objects(plan.records, records)
+            _assert_same_objects(plan.roots, roots)
+            _assert_same_objects(plan.indegree, indegree)
+            _assert_same_objects(plan.deadline_rows, deadline_rows)
+
+
+def test_plan_rows_follow_a_changed_graph():
+    """The rows of a graph are derived once per clustering, and again
+    after ``add_edge`` changed the graph."""
+    spec, assoc, clustering, arch, priorities = _workload(5)
+    graph = spec.graph(spec.graph_names()[0])
+    context = SchedulerContext()
+    rows = context.graph_rows(graph, clustering)
+    assert context.graph_rows(graph, clustering) is rows
+    order = graph.topological_order()
+    src, dst = next(
+        (a, b) for i, a in enumerate(order) for b in order[i + 1:]
+        if b not in graph.successors(a)
+    )
+    graph.add_edge(src, dst, bytes_=64)
+    changed = context.graph_rows(graph, clustering)
+    assert changed is not rows
+    task_rows = {row[0]: row for row in changed[0]}
+    assert dst in task_rows[src][2]
+    assert (src, 64) in task_rows[dst][1]

@@ -19,6 +19,9 @@ request:
   each other's trails;
 * the decision order reads no placement, and a priority table edited
   in place never keeps a stale order;
+* the build's view of devices and links is compared with the trail's
+  exactly: boot times that alone changed, and a link re-created under
+  an equal but new id string, stop the reuse at their first read;
 * nothing resumes from a build whose timelines degraded, or while
   the context's timeline factories are recording proxies;
 * the fast timelines pickle exactly the attributes they always had.
@@ -40,6 +43,7 @@ from repro.core.stages.support import allocation_aware_context, compute_prioriti
 from repro.graph.association import AssociationArray
 from repro.perf import engine as engine_module
 from repro.perf.engine import IncrementalEngine
+from repro.perf.cow import undo_journal
 from repro.perf.fastsched import SchedulerContext
 from repro.perf.fasttimeline import (
     FastPpeModeTimeline,
@@ -47,6 +51,7 @@ from repro.perf.fasttimeline import (
     replay_mode_timeline,
     restore_timeline,
 )
+from repro.reconfig.reboot import default_boot_time
 from repro.resources.catalog import default_library
 from repro.resources.pe import PEKind
 from repro.sched import scheduler
@@ -426,6 +431,117 @@ def test_an_equal_but_new_pe_id_string_is_not_resumed():
     fresh = build_schedule(ScheduleRequest(**base))
     assert all(t.pe_id is new_id for t in resumed.tasks.values())
     assert pickle.dumps((resumed, arch)) == pickle.dumps((fresh, arch))
+
+
+# -- the build's view of devices and links ----------------------------
+def _device_workload():
+    """A synthesized architecture whose programmable devices carry
+    several modes and reconfigure, with no ASIC."""
+    spec = generate_spec(GeneratorConfig(
+        seed=0, n_graphs=3, tasks_per_graph=8, compat_group_size=3,
+        utilization=0.6, hw_only_fraction=0.6, mixed_fraction=0.2,
+        asic_eligible_fraction=0.0,
+    ))
+    result = crusade(spec, config=CrusadeConfig(max_explicit_copies=2))
+    arch = result.arch
+    priorities = compute_priorities(
+        spec, allocation_aware_context(
+            PriorityContext.pessimistic(arch.library), arch,
+            result.clustering,
+        )
+    )
+    return dict(
+        spec=spec, assoc=AssociationArray(spec, max_explicit_copies=2),
+        clustering=result.clustering, arch=arch, priorities=priorities,
+    )
+
+
+def test_changed_boot_times_alone_are_not_resumed():
+    """Between two builds of one plan only the devices' boot times
+    change (another boot-time function): every placement, mode and
+    link is the same, so only the device signatures' boot times tell
+    the builds apart.  The resumed build re-makes every decision from
+    the first one on a device whose boot times changed, and equals a
+    fresh build."""
+    base = _device_workload()
+    arch = base["arch"]
+    context = SchedulerContext()
+    first = build_schedule(ScheduleRequest(context=context, **base))
+
+    def slower(pe, mode):
+        return 2.0 * default_boot_time(pe, mode)
+
+    changed = {
+        pe.id for pe in arch.pes.values()
+        if any(
+            slower(pe, mode.index) != default_boot_time(pe, mode.index)
+            for mode in pe.modes
+        )
+    }
+    first_read = next(
+        step for step, placed in enumerate(first.tasks.values())
+        if placed.pe_id in changed
+    )
+    resumed, reused = _resumed_outcome(ScheduleRequest(
+        context=context, boot_time_fn=slower, **base
+    ))
+    fresh = _outcome(ScheduleRequest(boot_time_fn=slower, **base))
+    assert first.reconfigurations > 0
+    assert _snapshot(fresh[0]) != _snapshot(first)
+    assert 0 < reused == first_read
+    _assert_same_outcome(resumed, fresh)
+
+
+def _linked_workload():
+    """:func:`_one_processor_workload`'s clusters spread over two
+    processors, joined by one link made under a copy-on-write journal;
+    returns the request fields, the two PE ids, the link type and the
+    journal."""
+    base = _one_processor_workload()
+    arch = base["arch"]
+    (first,) = arch.pes.values()
+    second = arch.new_pe(first.pe_type)
+    for index, name in enumerate(sorted(arch.cluster_alloc)):
+        if index % 2:
+            arch.deallocate_cluster(name)
+            arch.allocate_cluster(name, second.id, 0)
+    link_type = arch.library.links_by_cost()[0]
+    journal = []
+    arch.connect(first.id, second.id, link_type, journal)
+    return base, (first.id, second.id), link_type, journal
+
+
+def test_a_link_recreated_under_its_id_is_not_resumed():
+    """A link deleted and re-created under the same id (as a reverted
+    candidate's link is) equals the old one in value, but its id is a
+    new string.  The resumed build must re-make every decision from
+    the first transfer on it, or the schedule would carry the trail's
+    string beside the architecture's, and a pickle of the two would
+    hold the id twice."""
+    base, (pe_a, pe_b), link_type, journal = _linked_workload()
+    arch = base["arch"]
+    context = SchedulerContext()
+    first = build_schedule(ScheduleRequest(context=context, **base))
+    steps = {key: step for step, key in enumerate(first.tasks)}
+    first_transfer = min(
+        steps[edge.key[:2] + edge.key[3:]]
+        for edge in first.edges.values() if edge.link_id is not None
+    )
+    (old_id,) = arch.links
+    undo_journal(arch, journal)
+    link = arch.connect(pe_a, pe_b, link_type)
+    assert link.id == old_id and link.id is not old_id
+    resumed, reused = _resumed_outcome(ScheduleRequest(
+        context=context, **base
+    ))
+    fresh = _outcome(ScheduleRequest(**base))
+    assert 0 < reused == first_transfer
+    _assert_same_outcome(resumed, fresh)
+    assert all(
+        edge.link_id is link.id for edge in resumed[0].edges.values()
+        if edge.link_id is not None
+    )
+    assert pickle.dumps((resumed[0], arch)) == pickle.dumps((fresh[0], arch))
 
 
 # -- where no build resumes -------------------------------------------

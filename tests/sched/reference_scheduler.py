@@ -72,7 +72,9 @@ def build_reference_schedule(request: ScheduleRequest) -> Schedule:
 
     Same contract as :func:`repro.sched.scheduler.build_schedule`
     (including ``graphs``, ``bound`` and ``bound_base``); the
-    request's ``context`` is ignored.  The returned schedule carries
+    request's ``context`` and ``fingerprint`` are ignored: devices are
+    read through ``PEInstance.modes_of_cluster`` and the boot-time
+    function on every decision.  The returned schedule carries
     no ``lateness``/``demand`` by-products -- callers recompute them
     with :mod:`repro.sched.finish_time`.
     """
