@@ -77,6 +77,9 @@ class AllocationOption:
 
     @property
     def sort_key(self) -> tuple:
+        """The array's order: cheapest estimated cost first, then less
+        pollution, higher preference, and joining an existing PE or
+        mode before a new mode before a new PE."""
         order = {
             AllocationKind.EXISTING_PE: 0,
             AllocationKind.EXISTING_MODE: 0,

@@ -32,39 +32,23 @@ from repro.sched.finish_time import DeadlineReport
 from repro.sched.scheduler import Schedule
 from repro.alloc.array import AllocationKind, AllocationOption
 
-#: (library id, strategy) -> (library n_links, chosen LinkType).  The
-#: library is immutable during a synthesis run; keying by identity and
-#: double-checking the link count keeps a mutated-library test honest.
-_link_type_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_link_type_lock = threading.Lock()
-
-
 def choose_link_type(arch: Architecture, strategy: str = "cheapest") -> LinkType:
     """The link type new connections use, by one of
     :data:`~repro.resources.link.LINK_STRATEGIES`.  The CRUSADE driver
     retries a failed cluster with the fastest strategy before giving
     up.
 
-    Memoized per (library, strategy): the choice depends only on the
-    link library, and the innermost loop used to re-sort it for every
-    applied option.
+    The minimum of the library's ``links_by_cost()`` under the
+    strategy's key (:data:`~repro.resources.link.LINK_STRATEGY_KEYS`),
+    computed on every call: a library holds a handful of link types.
     """
-    library = arch.library
-    links = library.links_by_cost()
-    with _link_type_lock:
-        per_library = _link_type_cache.setdefault(library, {})
-        cached = per_library.get(strategy)
-        if cached is not None and cached[0] == len(links):
-            return cached[1]
+    links = arch.library.links_by_cost()
     if not links:
         raise AllocationError("resource library has no link types")
     key = LINK_STRATEGY_KEYS.get(strategy)
     if key is None:
         raise AllocationError("unknown link strategy %r" % (strategy,))
-    chosen = min(links, key=key)
-    with _link_type_lock:
-        per_library[strategy] = (len(links), chosen)
-    return chosen
+    return min(links, key=key)
 
 
 def _connect_cluster_edges(

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.bench.examples import example_profile
 from repro.core.config import CrusadeConfig
 from repro.errors import SpecificationError
 from repro.io.campaign_json import CAMPAIGN_SCHEMA_VERSION
@@ -147,7 +148,9 @@ class CampaignSpec:
     synthesis-free ``selftest`` used by the fault-injection tests);
     ``params`` carries kind-specific extras keyed by job id --
     notably ``inject`` maps for the fault-injection hook (see
-    :mod:`repro.campaign.jobs`).
+    :mod:`repro.campaign.jobs`).  A table campaign names only paper
+    examples (:data:`repro.bench.examples.EXAMPLE_NAMES`) at scales in
+    (0, 1]; a ``selftest`` campaign's examples and scales are free.
     """
 
     name: str
@@ -171,6 +174,16 @@ class CampaignSpec:
             raise SpecificationError("a campaign needs at least one scale")
         if not self.variants:
             raise SpecificationError("a campaign needs at least one variant")
+        if self.kind in ("table2", "table3"):
+            # Refused here, not after a job's retries: build_example
+            # refuses each of these every time.
+            for example in self.examples:
+                example_profile(example)
+            for scale in self.scales:
+                if not 0.0 < scale <= 1.0:
+                    raise SpecificationError(
+                        "scale %r must be in (0, 1]" % (scale,)
+                    )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -220,7 +220,7 @@ def _score_cow(
                 if fast
                 else None
             )
-            cut = pruner.bound(ctx.arch, option, graphs, ctx.tracer)
+            cut = pruner.bound(ctx.arch, graphs, ctx.tracer)
             if cut is not None:
                 ctx.tracer.incr("prune.cut")
                 ctx.tracer.incr("prune.cut." + cut.reason)

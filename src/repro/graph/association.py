@@ -57,6 +57,7 @@ class CopyInstance:
 
     @property
     def key(self) -> tuple:
+        """``(graph name, copy index)``: the copy's identity."""
         return (self.graph, self.copy)
 
 
@@ -75,6 +76,8 @@ class AssociationArray:
     def __init__(
         self, spec: SystemSpec, max_explicit_copies: Optional[int] = 4
     ) -> None:
+        """Enumerate every graph's copies over the hyperperiod; a cap
+        below 1 raises :class:`SpecificationError`."""
         if max_explicit_copies is not None and max_explicit_copies < 1:
             raise SpecificationError(
                 "max_explicit_copies must be at least 1, got %r"

@@ -48,6 +48,10 @@ class SystemSpec:
         boot_time_requirement: float = 0.2,
         unavailability: Optional[Mapping[str, float]] = None,
     ) -> None:
+        """Hold the graphs and constraints; an empty name or graph
+        list, a duplicate graph name, or a constraint that names an
+        unknown graph or is out of range raises
+        :class:`SpecificationError`."""
         if not name:
             raise SpecificationError("system name must be non-empty")
         self.name = name

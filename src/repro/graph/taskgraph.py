@@ -8,12 +8,13 @@ structure; sorted predecessor and successor lists and the deterministic
 topological order are derived from it on first use.
 
 :class:`GraphTables` holds the rows the estimators read on every pass
--- the priority pass, the finish-time floor and its deadline check --
-derived once from that cache, and :class:`GraphTableCache` keeps one
-per graph for as long as its owner (a synthesis run's priority
-context) lives, next to the run's demand-floor totals.  Neither is
-stored on the graph, so specifications and results pickle exactly as
-before.
+-- the priority pass, the finish-time floor and its deadline check,
+and the scheduler's plans -- derived once from that cache, and
+:class:`GraphTableCache` keeps one per graph for as long as its owner
+(a synthesis run's priority context, or an incremental engine's
+scheduler context) lives, next to the run's demand-floor totals.
+Neither is stored on the graph, so specifications and results pickle
+exactly as before.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ class TaskGraph:
         deadline: Optional[float] = None,
         est: float = 0.0,
     ) -> None:
+        """Validate the rate constraints and start with no tasks or
+        edges; an empty name, a period or deadline that is not positive
+        and finite, or an EST that is negative or infinite, raises
+        :class:`SpecificationError`."""
         if not name:
             raise SpecificationError("task graph name must be non-empty")
         if not 0 < period < math.inf:
@@ -271,7 +276,7 @@ class GraphTables:
 
     __slots__ = (
         "graph", "derived", "priority_rows", "topo_rows", "deadline_rows",
-        "_min_wcet",
+        "_plan_rows", "_min_wcet",
     )
 
     def __init__(self, graph: TaskGraph) -> None:
@@ -305,7 +310,33 @@ class GraphTables:
             (name, graph.effective_deadline(name))
             for name in graph.deadline_tasks()
         )
+        self._plan_rows: Optional[tuple] = None
         self._min_wcet: Dict[str, float] = {}
+
+    @property
+    def plan_rows(self) -> tuple:
+        """``(name, ((predecessor, edge bytes), ...), successor names,
+        task)`` in topological order: the scheduler plan's rows
+        (:mod:`repro.perf.fastsched`), derived on first use.  Every
+        name is the string object the graph's own queries return, so a
+        plan holds the key strings those queries would give it."""
+        rows = self._plan_rows
+        if rows is None:
+            preds, succs, order = self.derived
+            tasks, edges = self.graph._tasks, self.graph._edges
+            rows = self._plan_rows = tuple(
+                (
+                    name,
+                    tuple(
+                        (pred, edges[(pred, name)].bytes_)
+                        for pred in preds[name]
+                    ),
+                    tuple(succs[name]),
+                    tasks[name],
+                )
+                for name in order
+            )
+        return rows
 
     def min_wcet(self, task: Task) -> float:
         """``task.min_exec_time``, computed on first use (a task no PE

@@ -46,6 +46,9 @@ fingerprints never repeat.
 
 Every synthesis evaluates through an engine: ``crusade()`` and
 ``evaluate_architecture`` create one when the caller donates none.
+An engine takes no options: it keeps the
+:data:`FRAGMENT_CACHE_MAX_ENTRIES` most recently used fragments, a
+module constant beside the scheduler context's plan and trail bounds.
 All cache traffic is reported through the tracer as
 ``perf.schedule.hits`` / ``perf.schedule.misses`` /
 ``perf.schedule.evictions`` and ``perf.plan.hits`` /
@@ -82,6 +85,12 @@ from repro.sched.scheduler import (
 from repro.perf.fastsched import SchedulerContext
 from repro.perf.fingerprint import component_fingerprint, partition_components
 from repro.units import TIME_EPS
+
+#: Schedule fragments kept per engine, least recently used evicted
+#: first (next to :data:`repro.perf.fastsched.PLAN_CACHE_MAX_ENTRIES`
+#: and :data:`~repro.perf.fastsched.TRAIL_CACHE_MAX_ENTRIES`).
+FRAGMENT_CACHE_MAX_ENTRIES = 32
+
 
 class Fragment:
     """Cached verdict for one resource-coupled component."""
@@ -121,17 +130,15 @@ class IncrementalEngine:
     consumers), so sharing them across evaluations is safe.
     """
 
-    def __init__(self, max_entries: int = 32) -> None:
-        """Create an empty engine holding up to ``max_entries``
-        cached fragments (LRU beyond that)."""
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
+        """Create an empty engine holding up to
+        :data:`FRAGMENT_CACHE_MAX_ENTRIES` cached fragments (LRU beyond
+        that)."""
         self._fragments: "OrderedDict[tuple, Fragment]" = OrderedDict()
-        #: Cross-run scheduler caches (plans, routes, transfer times)
-        #: plus the timeline factory pair -- the engine's second, and
-        #: on workloads whose graphs all couple through shared
-        #: resources its main, source of reuse.
+        #: Cross-run scheduler caches (plans, routes, transfer times,
+        #: trails) -- the engine's second, and on workloads whose
+        #: graphs all couple through shared resources its main, source
+        #: of reuse.
         self.context = SchedulerContext()
         self._lock = threading.Lock()
         self._cluster_map: Optional[
@@ -259,7 +266,7 @@ class IncrementalEngine:
         with self._lock:
             self._fragments[key] = fragment
             self._fragments.move_to_end(key)
-            while len(self._fragments) > self.max_entries:
+            while len(self._fragments) > FRAGMENT_CACHE_MAX_ENTRIES:
                 self._fragments.popitem(last=False)
                 tracer.incr("perf.schedule.evictions")
 
@@ -356,7 +363,7 @@ class IncrementalEngine:
         with self._lock:
             return {
                 "entries": len(self._fragments),
-                "max_entries": self.max_entries,
+                "max_entries": FRAGMENT_CACHE_MAX_ENTRIES,
                 "hits": self._hits,
                 "misses": self._misses,
                 "disk_hits": self._disk_hits,

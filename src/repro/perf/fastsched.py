@@ -18,19 +18,18 @@ above across runs:
   instance records, seed order, and in-degree template, plus each
   task's execution times as first read: on each PE type it is placed
   on, and its smallest one, which a virtual (not yet allocated)
-  placement runs for.  Plans are stamped out of **per-graph rows**
-  (each task's predecessors with edge bytes, successors, task object
-  and cluster), derived once per (graph, clustering) and again only
-  when the graph changes;
+  placement runs for.  Plans are stamped out of each graph's
+  :class:`~repro.graph.taskgraph.GraphTables` (its plan rows -- each
+  task's predecessors with edge bytes, successors and task object --
+  and its deadline rows), which the context's
+  :class:`~repro.graph.taskgraph.GraphTableCache` derives once and
+  again only when the graph changes; a plan looks up each task's
+  cluster name once per graph;
 * a **route table** per architecture, invalidated exactly by
   ``Architecture.topo_version`` (bumped on every link attach/detach/
   create/delete, including copy-on-write reverts);
 * **transfer-time memos** for ``LinkType.comm_time`` and the
   best-case estimator used for virtually placed endpoints;
-* the timeline factory pair every schedule it builds uses:
-  :class:`~repro.perf.fasttimeline.FastTimeline` for processors and
-  links and :class:`~repro.perf.fasttimeline.FastPpeModeTimeline`
-  for programmable devices;
 * a **trail** of the last finished build of each of the
   :data:`TRAIL_CACHE_MAX_ENTRIES` most recently built plans: the
   schedule itself; its decision order with the priority values it
@@ -56,17 +55,19 @@ device or PE pair -- found by comparing each device's signature and
 the link signatures with the trail's view once, and the single reads
 only of what changed.  Everything before it is restored by slicing the
 trail's dicts and logs, and the build schedules on from there.
-Trails are kept only while the context builds onto the production
-timeline pair, and never from a build whose timelines degraded.  A
+A trail is never kept from a build whose timelines degraded.  A
 trail copies every value it compares as its build reads it (the
 allocation loop reverts the live architecture afterwards) and pins its
 plan, whose cache key is made of ``id()`` values.
 
-The scheduler makes every decision -- decision order, iteration
-orders, epsilon comparisons, tie-breaks -- exactly as the reference
-loop in ``tests/sched/reference_scheduler.py`` does over the linear
-reference timelines; the equivalence suites pin the two to
-byte-identical schedules and results.
+Every schedule is built onto the production timeline pair,
+:class:`~repro.perf.fasttimeline.FastTimeline` for processors and
+links and :class:`~repro.perf.fasttimeline.FastPpeModeTimeline` for
+programmable devices.  The scheduler makes every decision -- decision
+order, iteration orders, epsilon comparisons, tie-breaks -- exactly
+as the reference loop in ``tests/sched/reference_scheduler.py`` does
+over the linear reference timelines; the equivalence suites pin the
+two to byte-identical schedules and results.
 """
 
 from __future__ import annotations
@@ -76,16 +77,11 @@ import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
+from repro.graph.taskgraph import GraphTableCache
 
 #: Plans are tiny next to schedule fragments, but the scoped sub-spec
 #: cache they key off is itself LRU-bounded -- keep a little headroom.
 PLAN_CACHE_MAX_ENTRIES = 128
-
-#: Per-graph plan rows kept per context, least recently used evicted
-#: first: one entry per (graph, clustering), so one per graph of a
-#: synthesis.
-GRAPH_ROWS_MAX_ENTRIES = 1024
 
 #: Trails kept per context, least recently built plan evicted first.
 #: On NGXM@0.05 eight reuse as many decisions as an unbounded cache
@@ -158,55 +154,31 @@ class _Plan:
         return flat
 
 
-def _graph_rows(graph, clustering) -> tuple:
-    """``(task rows, deadline rows)`` of one graph under one clustering.
-
-    A task row is ``(name, ((predecessor, edge bytes), ...),
-    (successor, ...), task, cluster name)`` in topological order; a
-    deadline row is ``(name, effective deadline)`` of each deadline
-    task, sorted by name.  Every name is the string object the graph's
-    own queries return, so plans built from the rows hold the same
-    key strings as the queries would give them.
-    """
-    order = graph.topological_order()  # a cyclic graph raises here
-    preds, succs, _ = graph._adjacency()
-    tasks, edges = graph._tasks, graph._edges
-    graph_name = graph.name
-    task_rows = tuple(
-        (
-            name,
-            tuple(
-                (pred, edges[(pred, name)].bytes_) for pred in preds[name]
-            ),
-            tuple(succs[name]),
-            tasks[name],
-            clustering.cluster_of(graph_name, name).name,
-        )
-        for name in order
-    )
-    deadline_rows = tuple(
-        (name, graph.effective_deadline(name))
-        for name in graph.deadline_tasks()
-    )
-    return task_rows, deadline_rows
-
-
-def _build_plan(request, graph_rows) -> _Plan:
-    """The plan of ``request``, from ``graph_rows(graph, clustering)``
-    (:meth:`SchedulerContext.graph_rows`)."""
+def _build_plan(request, tables: GraphTableCache) -> _Plan:
+    """The plan of ``request``, stamped out of each graph's
+    :attr:`~repro.graph.taskgraph.GraphTables.plan_rows` and
+    ``deadline_rows`` in ``tables``, with each task's cluster name
+    looked up once per graph."""
     spec = request.spec
     clustering = request.clustering
     graphs = request.graphs
     records: Dict[tuple, tuple] = {}
     roots: List[tuple] = []
     indegree: Dict[tuple, int] = {}
+    #: graph name -> plan rows, each with its task's cluster name.
+    rows_of: Dict[str, tuple] = {}
     for instance in request.assoc.iter_explicit():
         name = instance.graph
         if graphs is not None and name not in graphs:
             continue
         copy = instance.copy
         arrival = instance.arrival
-        task_rows = graph_rows(spec.graph(name), clustering)[0]
+        task_rows = rows_of.get(name)
+        if task_rows is None:
+            task_rows = rows_of[name] = tuple(
+                row + (clustering.cluster_of(name, row[0]).name,)
+                for row in tables(spec.graph(name)).plan_rows
+            )
         for task_name, preds, succs, task, cluster_name in task_rows:
             key = (name, copy, task_name)
             records[key] = (
@@ -233,7 +205,7 @@ def _build_plan(request, graph_rows) -> _Plan:
     for name in spec.graph_names():
         if graphs is not None and name not in graphs:
             continue
-        deadline_tasks = graph_rows(spec.graph(name), clustering)[1]
+        deadline_tasks = tables(spec.graph(name)).deadline_rows
         rows = []
         for instance in request.assoc.explicit_copies(name):
             arrival = instance.arrival
@@ -271,7 +243,6 @@ class Trail:
 
     def __init__(
         self, plan, library, preemption, order, priorities, sigs, view,
-        places,
     ) -> None:
         """Start one build's record (see the attribute comments)."""
         #: the plan built (pinned: plan keys are made of ``id()``s).
@@ -302,7 +273,7 @@ class Trail:
         self.reads: List[tuple] = []
         #: programmable PE id -> (decision indices, ``record``
         #: outcomes) of its mode timeline's ``place`` calls.
-        self.places = places
+        self.places: Dict[str, tuple] = {}
         #: decision indices that declined / took a preemptive split,
         #: and of virtual placements.
         self.declined: List[int] = []
@@ -317,26 +288,15 @@ class Trail:
 
 
 class SchedulerContext:
-    """Cross-run scheduler caches owned by one incremental engine.
-
-    Every schedule built over a context uses its timeline factory
-    pair, :attr:`timeline_cls` / :attr:`ppe_timeline_cls`; an instance
-    attribute overrides either (the test suite's timeline op recorder
-    does, to capture traces for the differential oracle).  Builds
-    resume from trails only over the production pair, so an override
-    sees every operation.
-    """
-
-    timeline_cls = FastTimeline
-    ppe_timeline_cls = FastPpeModeTimeline
+    """Cross-run scheduler caches owned by one incremental engine."""
 
     def __init__(self) -> None:
         """Create empty plan/route/transfer-time/trail caches."""
         self._plans: "OrderedDict[tuple, _Plan]" = OrderedDict()
-        #: (id(graph), id(clustering)) -> (the graph's adjacency cache
-        #: the rows were derived from, graph, clustering, rows); the
-        #: entry pins its graph and clustering, so the ids stay unique.
-        self._rows: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: Each graph's plan and deadline rows, derived once and again
+        #: only after the graph changed; held for the engine's lifetime
+        #: and read under the lock.
+        self._tables = GraphTableCache()
         self._lock = threading.Lock()
         #: Architecture -> [topo_version, {(pe_a, pe_b): link | None}].
         self._routes: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -348,15 +308,6 @@ class SchedulerContext:
         self._trails: "OrderedDict[int, Trail]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    @property
-    def resumable(self) -> bool:
-        """Whether builds keep and resume trails: only over the
-        production timeline pair."""
-        return (
-            self.timeline_cls is FastTimeline
-            and self.ppe_timeline_cls is FastPpeModeTimeline
-        )
-
     def trail_for(self, plan) -> "Optional[Trail]":
         """The trail of ``plan``'s last finished build, if kept."""
         with self._lock:
@@ -400,32 +351,12 @@ class SchedulerContext:
             request.tracer.incr("perf.plan.hits")
             return plan
         request.tracer.incr("perf.plan.misses")
-        plan = _build_plan(request, self.graph_rows)
         with self._lock:
+            plan = _build_plan(request, self._tables)
             self._plans[key] = plan
             while len(self._plans) > PLAN_CACHE_MAX_ENTRIES:
                 self._plans.popitem(last=False)
         return plan
-
-    def graph_rows(self, graph, clustering) -> tuple:
-        """:func:`_graph_rows` of ``graph`` under ``clustering``, derived
-        once and again only after the graph changed (``add_task`` and
-        ``add_edge`` drop its adjacency cache, the staleness test
-        :class:`repro.graph.taskgraph.GraphTableCache` uses too)."""
-        key = (id(graph), id(clustering))
-        derived = graph._adjacency()
-        with self._lock:
-            entry = self._rows.get(key)
-            if entry is not None:
-                self._rows.move_to_end(key)
-        if entry is None or entry[0] is not derived:
-            rows = _graph_rows(graph, clustering)
-            entry = (derived, graph, clustering, rows)
-            with self._lock:
-                self._rows[key] = entry
-                while len(self._rows) > GRAPH_ROWS_MAX_ENTRIES:
-                    self._rows.popitem(last=False)
-        return entry[3]
 
     # ------------------------------------------------------------------
     def route_table(self, arch) -> dict:

@@ -26,6 +26,12 @@ Two bounds cut allocation candidates:
 Repair re-homings are checked against :class:`RepairBound`, the
 demand floor over every PE of the full-scope architecture.
 
+Neither bound memoizes a verdict: each call prices the architecture
+it is handed, so a verdict never answers for another link strategy's
+links or another architecture's cost.  What is static for the run --
+each graph's rows and the demand floor's per-cluster totals -- comes
+from the run's :class:`~repro.graph.taskgraph.GraphTableCache`.
+
 Pruning is always on.  The exhaustive evaluation the identity suites,
 CI and the inner-loop benchmark compare against is the test oracle
 ``tests.sched.reference_scheduler.exhaustive``, which makes both
@@ -38,7 +44,7 @@ reconstruction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.arch.architecture import Architecture
 from repro.cluster.clustering import Cluster, ClusteringResult
@@ -85,11 +91,9 @@ class CandidatePruner:
     Built once per cluster iteration (the placements of every *other*
     cluster are fixed for its lifetime); ``bound`` is called with the
     architecture *after* the candidate option was applied and with the
-    same ``graphs`` scope the evaluation would use, and memoizes per
-    option identity -- the same option re-tried under another link
-    strategy lands on the same placement, and link choices affect
-    neither bound (the finish-time floor prices communication at zero
-    and demand ignores links).
+    same ``graphs`` scope the evaluation would use.  Every call prices
+    the architecture it is given, so a verdict is always the floor of
+    the candidate actually applied, whichever link strategy built it.
     """
 
     def __init__(
@@ -117,37 +121,15 @@ class CandidatePruner:
         else:
             self.tables = tables(self.graph)
             self.demand_totals = tables.demand_totals(clustering)
-        self._memo: Dict[tuple, Optional[PruneVerdict]] = {}
-
-    @staticmethod
-    def _option_key(option) -> tuple:
-        return (
-            option.kind,
-            option.pe_id,
-            option.pe_type_name,
-            option.mode_index,
-            option.replicate,
-        )
 
     def bound(
         self,
         arch: Architecture,
-        option,
         graphs: Optional[List[str]],
         tracer: Tracer = NULL_TRACER,
     ) -> Optional[PruneVerdict]:
         """A :class:`PruneVerdict` when the applied candidate is
         provably infeasible, else None (evaluate it)."""
-        key = self._option_key(option)
-        if key in self._memo:
-            return self._memo[key]
-        verdict = self._compute(arch, graphs, tracer)
-        self._memo[key] = verdict
-        return verdict
-
-    def _compute(
-        self, arch: Architecture, graphs: Optional[List[str]], tracer: Tracer
-    ) -> Optional[PruneVerdict]:
         if graphs is None:
             scoped_spec, scoped_assoc = self.spec, self.assoc
         else:
@@ -205,16 +187,10 @@ class RepairBound:
     feasibility too), so it is skipped without scheduling.
 
     The floor counts the PEs whose demand floor overloads them, with
-    their summed excess utilization.  Repair moves one cluster at a
-    time and revisits the same placements, so the pair is memoized
-    under the exact (cluster -> PE, PE type) map the demand floor
-    reads (copy counts, context-switch times and WCETs are fixed for
-    the bound's lifetime; the type name determines the rest).
+    their summed excess utilization.  The per-cluster busy-time totals
+    the demand floor sums are memoized for the run; the floor itself
+    is summed afresh for every re-homing.
     """
-
-    #: Memo ceiling; repair sweeps revisit a few hundred placement
-    #: maps at most, this is a runaway guard.
-    _MEMO_MAX = 8192
 
     def __init__(
         self,
@@ -223,7 +199,7 @@ class RepairBound:
         clustering: ClusteringResult,
         tables: Optional[GraphTableCache] = None,
     ) -> None:
-        """Hold the synthesis inputs and reset the demand memo.
+        """Hold the synthesis inputs.
 
         ``tables`` is the run's graph table cache, whose demand-floor
         totals the bound shares; without one it keeps its own.
@@ -234,30 +210,19 @@ class RepairBound:
         self._totals = (
             {} if tables is None else tables.demand_totals(clustering)
         )
-        self._memo: Dict[tuple, Tuple[int, float]] = {}
 
     def badness_floor(self, arch: Architecture) -> Tuple[float, float, float]:
         """A valid lower bound of ``EvalResult.badness()`` for any
         full-scope evaluation of ``arch``."""
-        key = tuple(sorted(
-            (cname, placement[0], arch.pe(placement[0]).pe_type.name)
-            for cname, placement in arch.cluster_alloc.items()
-        ))
-        stats = self._memo.get(key)
-        if stats is None:
-            overloads = 0
-            excess = 0.0
-            demand = demand_floor(
-                arch, self.clustering, self.spec, self.assoc,
-                totals=self._totals,
-            )
-            capacity = self.assoc.hyperperiod
-            threshold = capacity * _OVERLOAD_TOLERANCE * (1.0 + DEMAND_MARGIN)
-            for pe_id in sorted(demand):
-                if demand[pe_id] > threshold:
-                    overloads += 1
-                    excess += demand[pe_id] / capacity - 1.0
-            if len(self._memo) >= self._MEMO_MAX:
-                self._memo.clear()
-            stats = self._memo[key] = (overloads, excess)
-        return (stats[0], stats[1] * _SUM_DEFLATE, arch.cost)
+        overloads = 0
+        excess = 0.0
+        demand = demand_floor(
+            arch, self.clustering, self.spec, self.assoc, totals=self._totals,
+        )
+        capacity = self.assoc.hyperperiod
+        threshold = capacity * _OVERLOAD_TOLERANCE * (1.0 + DEMAND_MARGIN)
+        for pe_id in sorted(demand):
+            if demand[pe_id] > threshold:
+                overloads += 1
+                excess += demand[pe_id] / capacity - 1.0
+        return (overloads, excess * _SUM_DEFLATE, arch.cost)

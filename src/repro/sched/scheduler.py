@@ -31,9 +31,9 @@ whole periods (see :mod:`repro.graph.association`).
 :func:`build_schedule` is the one scheduling loop.  It runs over a
 :class:`repro.perf.fastsched.SchedulerContext` -- the cross-run caches
 the incremental engine owns: a per-spec plan of instance records,
-route and transfer-time memos, and the production timeline pair
-(:mod:`repro.perf.fasttimeline`).  Requests without a context get a
-fresh one.
+route and transfer-time memos, and trails -- and builds every schedule
+onto the production timeline pair (:mod:`repro.perf.fasttimeline`).
+Requests without a context get a fresh one.
 
 A build reads the architecture once, before its first decision: each
 cluster's placement (:func:`_cluster_signatures`, which also gives
@@ -183,9 +183,9 @@ class ScheduleRequest:
         to schedule one resource-coupled component at a time.
     context:
         Optional :class:`repro.perf.fastsched.SchedulerContext` whose
-        cached plan, memos and timeline factory pair the run uses;
-        the incremental engine passes its own so the caches persist
-        across runs.  None schedules over a fresh context.
+        cached plan, memos and trails the run uses; the incremental
+        engine passes its own so the caches persist across runs.  None
+        schedules over a fresh context.
     bound:
         Optional incumbent badness tuple (as returned by
         ``DeadlineReport.badness()`` or ``EvalResult.badness()``;
@@ -276,8 +276,9 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
 
     Scheduling runs over the request's
     :class:`~repro.perf.fastsched.SchedulerContext` -- its cached
-    plan, route and transfer-time memos and timeline factory pair --
-    or over a fresh context when the request carries none.  The
+    plan, route and transfer-time memos and trails -- or over a fresh
+    context when the request carries none, onto the production
+    timeline pair (:mod:`repro.perf.fasttimeline`).  The
     decisions follow the plan's decision order under the request's
     priorities (:func:`_decision_order`).  Programmable devices and
     links are read through the request's fingerprint, or through the
@@ -303,6 +304,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     # Deferred: repro.perf imports this module, and finish_time
     # imports it.
     from repro.perf.fastsched import SchedulerContext, Trail
+    from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
     from repro.perf.fingerprint import footprint_view
     from repro.sched.finish_time import _OVERLOAD_TOLERANCE
 
@@ -319,8 +321,6 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     context._sync_library(library)
     best_comm = context._best_comm
     comm_cache = context._comm
-    timeline_cls = context.timeline_cls
-    ppe_timeline_cls = context.ppe_timeline_cls
     # The architecture is frozen for the duration of one scheduler run,
     # so per-arch/per-run lookups hoist out of the task loop entirely:
     # the route memo for the current topology, and per-run memos for
@@ -373,11 +373,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     devices = {sig[0]: sig for sig in pe_sigs}
     view = (devices, link_sigs)
 
-    # Resume from the plan's trail, over the production timelines only:
-    # a recording factory must see every operation, so a build over one
-    # neither resumes nor keeps a trail.
-    resumable = context.resumable
-    prior = context.trail_for(plan) if resumable else None
+    prior = context.trail_for(plan)
     if prior is not None and (
         prior.library is not library or prior.preemption != preemption
     ):
@@ -394,12 +390,8 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         order = _decision_order(plan, priorities)
         snapshot = {name: dict(priorities[name]) for name in plan.graphs}
         tracer.incr("perf.resume.orders")
-    # This build's record, kept as the plan's trail when the build
-    # ends (only a resumable build records ``place`` outcomes).
-    trail = Trail(
-        plan, library, preemption, order, snapshot, sigs, view,
-        {} if resumable else None,
-    )
+    # This build's record, kept as the plan's trail when the build ends.
+    trail = Trail(plan, library, preemption, order, snapshot, sigs, view)
     reused = 0
     if prior is not None:
         reused = _resume_point(
@@ -476,7 +468,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
             link_id, link_type_name, ports, link = route
             timeline = link_timelines.get(link_id)
             if timeline is None:
-                timeline = link_timelines[link_id] = timeline_cls()
+                timeline = link_timelines[link_id] = FastTimeline()
             # Transfer time is a pure function of (link type, current
             # port count, payload) -- the paper's recomputed
             # communication vectors.
@@ -541,7 +533,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                         timeline = proc_timelines.get(pe_key)
                         if timeline is None:
                             timeline = proc_timelines[pe_key] = (
-                                timeline_cls()
+                                FastTimeline()
                             )
                         entry = processors[pe_id] = (
                             timeline,
@@ -577,9 +569,10 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                 else:
                     timeline = ppe_timelines.get(pe_id)
                     if timeline is None:
-                        timeline = ppe_timelines[pe_id] = ppe_timeline_cls()
-                        if places is not None:
-                            places[pe_id] = ([], [])
+                        timeline = ppe_timelines[pe_id] = (
+                            FastPpeModeTimeline()
+                        )
+                        places[pe_id] = ([], [])
                     akey = (pe_id, cluster_name)
                     read = device_reads.get(akey)
                     if read is None:
@@ -589,11 +582,8 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                         reads.append(
                             (step, True, (pe_id, cluster_name, mode), read)
                         )
-                    if places is None:
-                        record = None
-                    else:
-                        on_device, record = places[pe_id]
-                        on_device.append(step)
+                    on_device, record = places[pe_id]
+                    on_device.append(step)
                     allowed, allowed_sorted, boot = read
                     start, finish = timeline.place(
                         mode, ready, wcet, boot, allowed, allowed_sorted,
@@ -649,9 +639,8 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         lateness[name] = per_graph
     schedule.lateness = lateness
     schedule.demand = demand
-    if places is not None:
-        trail.schedule = schedule
-        context.keep_trail(trail)
+    trail.schedule = schedule
+    context.keep_trail(trail)
     return schedule
 
 

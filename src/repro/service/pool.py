@@ -32,6 +32,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional
 
+from repro.errors import SpecificationError
 from repro.obs.trace import Tracer, resolve_tracer
 from repro.exec import ERROR, OK, PipeTransport, SupervisedWorker
 
@@ -63,11 +64,20 @@ class ShardPool:
         timeout_s: Optional[float] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        """Configure the pool; processes spawn in :meth:`start`."""
+        """Configure the pool; processes spawn in :meth:`start`.  A
+        setting no pool can run with raises
+        :class:`~repro.errors.SpecificationError` here, before any
+        worker exists."""
         if workers < 1:
-            raise ValueError("a shard pool needs >= 1 worker")
+            raise SpecificationError(
+                "a shard pool needs >= 1 worker, got %r" % (workers,)
+            )
         if retries < 0:
-            raise ValueError("retries must be >= 0")
+            raise SpecificationError("retries must be >= 0, got %r" % (retries,))
+        if timeout_s is not None and not timeout_s > 0:
+            raise SpecificationError(
+                "timeout must be positive, got %r" % (timeout_s,)
+            )
         self.workers = workers
         self.retries = retries
         self.timeout_s = timeout_s

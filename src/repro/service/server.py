@@ -93,7 +93,13 @@ class SynthesisServer:
     ) -> None:
         """Configure the server; nothing binds or spawns until
         :meth:`start`.  ``pool`` substitutes a pre-built (or fake)
-        shard pool -- the test seam."""
+        shard pool -- the test seam.  A port outside 0-65535, or a
+        pool setting :class:`ShardPool` refuses, raises
+        :class:`~repro.errors.SpecificationError` here."""
+        if not 0 <= port <= 65535:
+            raise SpecificationError(
+                "port must be in 0-65535, got %r" % (port,)
+            )
         self.host = host
         self.port = port
         self.cache_dir = cache_dir

@@ -1,9 +1,10 @@
 """Docstring coverage gate for the documented packages and the API.
 
 Gated packages: repro.perf, repro.campaign, repro.exec, the synthesis
-service (repro.service plus its repro.io.service_json schemas), the
-staged synthesis pipeline (repro.core plus repro.core.stages), and
-the scheduler (repro.sched).  CI
+service (repro.service), every reader and writer in repro.io, the
+staged synthesis pipeline (repro.core plus repro.core.stages), the
+scheduler (repro.sched), allocation (repro.alloc) and the task-graph
+model (repro.graph).  CI
 enforces the same contract with ruff's pydocstyle D1 rules (see
 pyproject.toml); this AST-based test keeps the gate verifiable in
 environments without ruff installed.
@@ -21,15 +22,14 @@ import repro
 SRC = pathlib.Path(repro.__file__).resolve().parent
 GATED_PACKAGES = (
     "perf", "campaign", "core", "core/stages", "exec", "service", "sched",
+    "io", "alloc", "graph",
 )
-GATED_MODULES = ("io/service_json.py",)
 
 
 def _gated_modules():
     files = [SRC / "__init__.py"]
     for package in GATED_PACKAGES:
         files.extend(sorted((SRC / package).glob("*.py")))
-    files.extend(SRC / module for module in GATED_MODULES)
     return files
 
 

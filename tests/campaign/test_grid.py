@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.errors import SpecificationError
 from repro.io.campaign_json import canonical_dumps
 from repro.campaign import (
@@ -79,6 +80,58 @@ def test_unknown_kind_and_empty_axes_are_rejected():
         _spec(examples=())
     with pytest.raises(SpecificationError, match="at least one scale"):
         _spec(scales=())
+
+
+@pytest.mark.parametrize("kind", ["table2", "table3"])
+@pytest.mark.parametrize(
+    "axes, match",
+    [
+        pytest.param({"examples": ("NOPE",)}, "unknown example 'NOPE'",
+                     id="unknown-example"),
+        pytest.param({"examples": ("A1TR", "a1tr")}, "unknown example 'a1tr'",
+                     id="lower-case-example"),
+        pytest.param({"scales": (0.0,)}, r"scale 0\.0 must be in \(0, 1\]",
+                     id="scale-0"),
+        pytest.param({"scales": (0.05, 2.0)},
+                     r"scale 2\.0 must be in \(0, 1\]", id="scale-2"),
+        pytest.param({"scales": (-0.5,)}, "must be in", id="negative-scale"),
+        pytest.param({"scales": (float("nan"),)}, "must be in",
+                     id="nan-scale"),
+    ],
+)
+def test_table_campaign_refuses_inputs_its_jobs_cannot_run(kind, axes, match):
+    """``build_example`` refuses these every time, so a table grid
+    naming them is refused when it is built, not after each job's
+    retries (the CLI then exits 2)."""
+    fields = dict(kind=kind, examples=("A1TR",), scales=(0.05,))
+    fields.update(axes)
+    with pytest.raises(SpecificationError, match=match):
+        _spec(**fields)
+    with pytest.raises(SpecificationError, match=match):
+        CampaignSpec.from_dict(dict(_spec().to_dict(), **fields))
+
+
+def test_selftest_campaign_keeps_free_examples_and_scales():
+    spec = _spec(examples=("NOPE",), scales=(2.0,))
+    assert [j.id for j in expand_jobs(spec)] == [
+        "selftest:NOPE@2:default", "selftest:NOPE@2:no-reconfig",
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--examples", "NOPE"], ["--examples", "A1TR", "--scales", "0"],
+     ["--examples", "A1TR", "--scales", "2"]],
+    ids=["unknown-example", "scale-0", "scale-2"],
+)
+def test_cli_refuses_a_table_campaign_it_cannot_run(tmp_path, capsys, flags):
+    directory = tmp_path / "c"
+    code = main(["campaign", "run", "--kind", "table2", "--dir",
+                 str(directory)] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not directory.exists()
 
 
 def test_retry_policy_backoff_is_bounded_exponential():

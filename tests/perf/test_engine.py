@@ -16,6 +16,7 @@ from repro.graph.association import AssociationArray
 from repro.obs.trace import NULL_TRACER
 from repro.resources.catalog import default_library
 from repro.alloc.evaluate import evaluate_architecture
+from repro.perf import engine as engine_mod
 from repro.perf.engine import IncrementalEngine
 from tests.sched.reference_scheduler import ReferenceEngine
 
@@ -76,8 +77,9 @@ def test_engine_verdict_matches_from_scratch(workload):
     assert wanted == got
 
 
-def test_lru_bound_is_enforced(workload):
-    engine = IncrementalEngine(max_entries=1)
+def test_lru_bound_is_enforced(workload, monkeypatch):
+    monkeypatch.setattr(engine_mod, "FRAGMENT_CACHE_MAX_ENTRIES", 1)
+    engine = IncrementalEngine()
     tracer = Tracer()
     evaluate(workload, engine, tracer)
     info = engine.cache_info()
@@ -89,6 +91,11 @@ def test_lru_bound_is_enforced(workload):
         assert counters.get("perf.schedule.evictions", 0) == misses - 1
 
 
-def test_max_entries_validated():
-    with pytest.raises(ValueError):
-        IncrementalEngine(max_entries=0)
+def test_engine_takes_no_options():
+    """The fragment cache's bound is a module constant, not a setting:
+    the engine's constructor takes no argument, and ``cache_info``
+    reports the constant."""
+    with pytest.raises(TypeError):
+        IncrementalEngine(max_entries=1)
+    info = IncrementalEngine().cache_info()
+    assert info["max_entries"] == engine_mod.FRAGMENT_CACHE_MAX_ENTRIES

@@ -11,8 +11,8 @@ Two layers of defense beyond the end-to-end equivalence suite:
   (``tests/sched/reference_scheduler.py``) produces, on synthesized
   workloads whose architectures exercise processors, links, and
   programmable devices;
-* the plans a context stamps out of its per-graph rows hold what the
-  graph queries give, down to the string objects.
+* the plans a context stamps out of its graphs' table rows hold what
+  the graph queries give, down to the string objects.
 """
 
 import pytest
@@ -24,6 +24,7 @@ from repro.cluster.priority import PriorityContext
 from repro.core.stages.support import allocation_aware_context, compute_priorities
 from repro.errors import SchedulingError
 from repro.graph.association import AssociationArray
+from repro.graph.taskgraph import GraphTableCache
 from repro.resources.catalog import default_library
 from repro.sched.scheduler import ScheduleRequest, build_schedule
 from repro.sched.timeline import IntervalTimeline, PpeModeTimeline
@@ -307,7 +308,7 @@ def _assert_same_objects(new, old):
 
 @pytest.mark.parametrize("seed", [1, 9])
 def test_plan_rows_equal_the_graph_queries(seed):
-    """A plan stamped out of the context's per-graph rows holds the
+    """A plan stamped out of its graphs' table rows holds the
     records, roots, in-degrees and deadline rows the graph queries
     give, down to the string objects, with and without a graph filter
     and from a second context sharing nothing."""
@@ -328,21 +329,21 @@ def test_plan_rows_equal_the_graph_queries(seed):
 
 
 def test_plan_rows_follow_a_changed_graph():
-    """The rows of a graph are derived once per clustering, and again
-    after ``add_edge`` changed the graph."""
-    spec, assoc, clustering, arch, priorities = _workload(5)
+    """A graph's plan rows are derived once, and again after
+    ``add_edge`` changed the graph."""
+    spec, *_ = _workload(5)
     graph = spec.graph(spec.graph_names()[0])
-    context = SchedulerContext()
-    rows = context.graph_rows(graph, clustering)
-    assert context.graph_rows(graph, clustering) is rows
+    tables = GraphTableCache()
+    rows = tables(graph).plan_rows
+    assert tables(graph).plan_rows is rows
     order = graph.topological_order()
     src, dst = next(
         (a, b) for i, a in enumerate(order) for b in order[i + 1:]
         if b not in graph.successors(a)
     )
     graph.add_edge(src, dst, bytes_=64)
-    changed = context.graph_rows(graph, clustering)
+    changed = tables(graph).plan_rows
     assert changed is not rows
-    task_rows = {row[0]: row for row in changed[0]}
+    task_rows = {row[0]: row for row in changed}
     assert dst in task_rows[src][2]
     assert (src, 64) in task_rows[dst][1]

@@ -12,14 +12,18 @@ bound aborts, must equal the exhaustive search
 (:func:`tests.sched.reference_scheduler.exhaustive`, both cuts off)
 byte for byte, and the independent schedule and architecture
 validators must report nothing.  Across the corpus both cuts must
-fire, so the identity is not vacuous.  One PPE-heavy member is also
-synthesized with every schedule build checked against a fresh build
-and every resume point against the heap replay.
+fire, so the identity is not vacuous.  Beyond the fixed seeds,
+Hypothesis draws the family, a seed, the utilization (0.8-1.0) and
+the deadline slack (0.2-0.6) and checks the same identity and
+validators.  One PPE-heavy member is also synthesized with every
+schedule build checked against a fresh build and every resume point
+against the heap replay.
 """
 
 import functools
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     CrusadeConfig,
@@ -58,11 +62,11 @@ CASES = [
 ]
 
 
-def hostile_spec(family, seed):
+def hostile_spec(family, seed, utilization=1.0, deadline_slack=0.4):
     """The corpus spec of ``family`` under ``seed``."""
     return generate_spec(GeneratorConfig(
-        seed=seed, utilization=1.0, deadline_slack=0.4, periods=PERIODS,
-        **FAMILIES[family]
+        seed=seed, utilization=utilization, deadline_slack=deadline_slack,
+        periods=PERIODS, **FAMILIES[family]
     ))
 
 
@@ -87,21 +91,50 @@ def test_default_search_equals_exhaustive(family, seed):
     assert full_counters.get("sched.abort", 0) == 0
 
 
-@pytest.mark.parametrize("family, seed", CASES)
-def test_validators_report_nothing(family, seed):
-    spec, default, _, _, _ = synthesized(family, seed)
+def assert_valid(spec, result):
+    """Both independent validators accept ``result``."""
     assoc = AssociationArray(
         spec, max_explicit_copies=CONFIG.max_explicit_copies
     )
     schedule = validate_schedule(
-        default.schedule, spec, assoc, default.clustering, default.arch
+        result.schedule, spec, assoc, result.clustering, result.arch
     )
     assert schedule.ok, schedule.violations[:3]
     arch = validate_architecture(
-        default.arch, default.clustering, spec=spec,
+        result.arch, result.clustering, spec=spec,
         policy=CONFIG.delay_policy,
     )
     assert arch.ok, arch.violations[:3]
+
+
+@pytest.mark.parametrize("family, seed", CASES)
+def test_validators_report_nothing(family, seed):
+    spec, default, _, _, _ = synthesized(family, seed)
+    assert_valid(spec, default)
+
+
+@settings(
+    max_examples=12, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    seed=st.integers(min_value=max(SEEDS) + 1, max_value=10_000),
+    utilization=st.floats(min_value=0.8, max_value=1.0),
+    deadline_slack=st.floats(min_value=0.2, max_value=0.6),
+)
+def test_drawn_hostile_specs_search_exhaustively_and_validate(
+    family, seed, utilization, deadline_slack
+):
+    """On drawn members of every family, too, the default search
+    equals the exhaustive one byte for byte and its result
+    validates."""
+    spec = hostile_spec(family, seed, utilization, deadline_slack)
+    default = crusade(spec, config=CONFIG)
+    with exhaustive():
+        full = crusade(spec, config=CONFIG)
+    assert canonical_result_json(default) == canonical_result_json(full)
+    assert_valid(spec, default)
 
 
 def test_both_cuts_fire_in_the_corpus():

@@ -8,13 +8,12 @@ Pinned counts hold the cuts the two floors make on benchmark inputs.
 Unit tests pin the bound primitives: a deliberately deadline-infeasible
 candidate is cut without any scheduler call, the finish-time floor
 never exceeds the real schedule, the repair floor never exceeds a
-full evaluation, a pruner's memo answers as a fresh pruner does, and
+full evaluation, a reused pruner answers as a fresh pruner does, and
 the demand floor's memo ends with its run.
 """
 
 import gc
 import json
-import types
 import weakref
 
 import pytest
@@ -176,7 +175,7 @@ def _late_chain_setup(small_library, deadline=0.0008):
 def test_deadline_infeasible_candidate_cut_without_scheduling(
     small_library, monkeypatch
 ):
-    spec, assoc, clustering, arch, pe = _late_chain_setup(small_library)
+    spec, assoc, clustering, arch, _ = _late_chain_setup(small_library)
 
     def boom(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("the pruner must not invoke the scheduler")
@@ -189,31 +188,25 @@ def test_deadline_infeasible_candidate_cut_without_scheduling(
         clustering.task_to_cluster[("late", "c")]
     ]
     pruner = CandidatePruner(spec, assoc, clustering, cluster)
-    option = types.SimpleNamespace(
-        kind="existing", pe_id=pe.id, pe_type_name="CPU",
-        mode_index=0, replicate=(),
-    )
-    verdict = pruner.bound(arch, option, graphs=None)
+    verdict = pruner.bound(arch, graphs=None)
     assert verdict is not None
     assert verdict.reason == "deadline"
     assert verdict.floor[0] >= 1
     assert verdict.floor[1] > 0.0
-    # Memoized second call, still no scheduler.
-    assert pruner.bound(arch, option, graphs=None) is verdict
+    # A second call prices the same architecture again, still with no
+    # scheduler.
+    again = pruner.bound(arch, graphs=None)
+    assert (again.reason, again.floor) == (verdict.reason, verdict.floor)
 
 
 def test_feasible_candidate_is_not_cut(small_library):
     # Same chain with a comfortable deadline: no cut.
-    spec, assoc, clustering, arch, pe = _late_chain_setup(
+    spec, assoc, clustering, arch, _ = _late_chain_setup(
         small_library, deadline=0.008
     )
     cluster = clustering.clusters[clustering.task_to_cluster[("late", "a")]]
     pruner = CandidatePruner(spec, assoc, clustering, cluster)
-    option = types.SimpleNamespace(
-        kind="existing", pe_id=pe.id, pe_type_name="CPU",
-        mode_index=0, replicate=(),
-    )
-    assert pruner.bound(arch, option, graphs=None) is None
+    assert pruner.bound(arch, graphs=None) is None
 
 
 def test_finish_time_floor_is_dominated_by_real_schedule(small_library):
@@ -315,26 +308,22 @@ def _two_link_setup(link_name):
     arch.connect(pes["a"].id, pes["b"].id, lib.link_type(link_name))
     assoc = AssociationArray(spec, max_explicit_copies=2)
     cluster = clustering.clusters[clustering.task_to_cluster[("g", "b")]]
-    option = types.SimpleNamespace(
-        kind="existing", pe_id=pes["b"].id, pe_type_name="CPU",
-        mode_index=0, replicate=(),
-    )
-    return spec, assoc, clustering, cluster, arch, option
+    return spec, assoc, clustering, cluster, arch
 
 
-def test_pruner_memo_answers_as_a_fresh_pruner_across_link_strategies():
+def test_pruner_answers_as_a_fresh_pruner_across_link_strategies():
     """Allocation reuses one pruner across link strategies, so the
     same option lands on a slow-link and then a fast-link
-    architecture; the memoized answer must be the one a fresh pruner
-    gives for the fast link."""
-    spec, assoc, clustering, cluster, slow_arch, option = \
-        _two_link_setup("slow")
-    *_, fast_arch, _ = _two_link_setup("fast")
+    architecture; the reused pruner's answer must be the one a fresh
+    pruner gives for the fast link (a verdict kept per option would
+    answer with the slow link's)."""
+    spec, assoc, clustering, cluster, slow_arch = _two_link_setup("slow")
+    *_, fast_arch = _two_link_setup("fast")
     fresh = CandidatePruner(spec, assoc, clustering, cluster)
-    expected = fresh.bound(fast_arch, option, graphs=None)
+    expected = fresh.bound(fast_arch, graphs=None)
     reused = CandidatePruner(spec, assoc, clustering, cluster)
-    reused.bound(slow_arch, option, graphs=None)
-    answer = reused.bound(fast_arch, option, graphs=None)
+    reused.bound(slow_arch, graphs=None)
+    answer = reused.bound(fast_arch, graphs=None)
     assert (answer is None) == (expected is None)
     assert expected is None
 

@@ -1,10 +1,10 @@
-"""The two small inner-loop memoizations: scope cache and link-type
+"""Two small inner-loop helpers: the scope cache and the link-type
 choice.
 
 The sub-specification (scope) cache must report hits/misses, respect
-its LRU bound, and key per specification object; the link-type memo
-must return the same choice the unmemoized search would and notice a
-library whose link set changed size.
+its LRU bound, and key per specification object; the link-type choice
+must be each strategy's minimum over the library's current link
+types, including one added after an earlier choice.
 """
 
 from repro import SystemSpec, Task, TaskGraph, Tracer
@@ -72,7 +72,7 @@ def test_scope_cache_lru_bound():
         assert len(evaluate_mod._scope_cache[spec]) == SCOPE_CACHE_MAX_ENTRIES
 
 
-def test_choose_link_type_memoized_and_correct():
+def test_choose_link_type_is_the_strategy_minimum():
     library = default_library()
     arch = Architecture(library)
     for strategy in ("cheapest", "fastest"):
@@ -89,8 +89,7 @@ def test_choose_link_type_notices_grown_library():
     library = default_library()
     arch = Architecture(library)
     before = choose_link_type(arch, "cheapest")
-    # A dirt-cheap new link type invalidates the memo (link count
-    # changed), so the fresh minimum is found.
+    # A dirt-cheap new link type is the new minimum.
     library.add_link_type(LinkType(
         name="freebie",
         cost=0.001,

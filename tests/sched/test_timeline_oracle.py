@@ -28,6 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 from repro import GeneratorConfig, crusade, generate_spec
 from repro.io.result_json import canonical_result_json
 from repro.perf.engine import IncrementalEngine
+from repro.perf import fasttimeline
 from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
 from repro.units import TIME_EPS
 from tests.sched.oracle import (
@@ -303,8 +304,8 @@ class TestTraceReplay:
 
     def test_recorder_round_trip(self, tmp_path):
         """Recording leaves the result byte-identical, restores the
-        engine's factories, closes its file, and the capture replays
-        through the oracle."""
+        production timeline classes and the engine's trails, closes its
+        file, and the capture replays through the oracle."""
         spec = generate_spec(GeneratorConfig(
             seed=11, n_graphs=2, tasks_per_graph=6,
         ))
@@ -313,8 +314,10 @@ class TestTraceReplay:
         with record_timelines(engine, str(path)) as recorder:
             traced = crusade(spec, engine=engine)
         assert recorder._fh.closed
-        assert engine.context.timeline_cls is FastTimeline
-        assert engine.context.ppe_timeline_cls is FastPpeModeTimeline
+        assert fasttimeline.FastTimeline is FastTimeline
+        assert fasttimeline.FastPpeModeTimeline is FastPpeModeTimeline
+        assert "trail_for" not in vars(engine.context)
+        assert "keep_trail" not in vars(engine.context)
         assert canonical_result_json(traced) == canonical_result_json(
             crusade(spec)
         )

@@ -23,12 +23,17 @@ replay_trace`` -- against every registered implementation
 simultaneously, turning one NGXM run into a permanent deterministic
 regression case (see ``tests/sched/traces/``).
 
-Recording points the engine's
-:class:`~repro.perf.fastsched.SchedulerContext` timeline factories
-(``timeline_cls`` / ``ppe_timeline_cls``) at recording wrappers for
-the duration of the ``with`` block.  Proxies delegate everything and
-record only the scheduler-facing mutations and queries, so a traced
-run still produces byte-identical results.
+Recording works from the test side alone: for the duration of the
+``with`` block it replaces the two production classes in
+:mod:`repro.perf.fasttimeline`, which
+:func:`repro.sched.scheduler.build_schedule` looks up on every build,
+with factories of recording proxies over them, and turns off the
+engine's trails (a resumed build skips the operations of the
+decisions it reuses, so a trace would miss them).  Proxies delegate
+everything and record only the scheduler-facing mutations and
+queries, so a traced run still produces byte-identical results.
+Every build in the block is recorded, so donate ``engine`` to every
+synthesis the block runs.
 
 ``limit`` caps the recorded operation count (default 500000 -- about
 60 MB of JSONL, gzipping ~20x) so tracing a full-scale run cannot
@@ -124,19 +129,27 @@ def record_timelines(
 ) -> Iterator[TimelineRecorder]:
     """Record every timeline ``engine`` schedules onto into ``path``.
 
-    Points the engine's scheduler context at recording factories for
-    the duration of the block, then restores the previous factories
-    and closes the file.
+    For the duration of the block the scheduler builds recording
+    proxies over the production timeline classes, and ``engine``'s
+    scheduler context neither resumes from nor keeps a trail; on exit
+    the classes and the context are restored and the file closed.
     """
+    from repro.perf import fasttimeline
+
+    serial = fasttimeline.FastTimeline
+    ppe = fasttimeline.FastPpeModeTimeline
     context = engine.context
-    serial, ppe = context.timeline_cls, context.ppe_timeline_cls
     recorder = TimelineRecorder(path, limit)
-    context.timeline_cls = recorder.wrap_serial(serial)
-    context.ppe_timeline_cls = recorder.wrap_ppe(ppe)
+    fasttimeline.FastTimeline = recorder.wrap_serial(serial)
+    fasttimeline.FastPpeModeTimeline = recorder.wrap_ppe(ppe)
+    context.trail_for = lambda plan: None
+    context.keep_trail = lambda trail: None
     try:
         yield recorder
     finally:
-        context.timeline_cls, context.ppe_timeline_cls = serial, ppe
+        fasttimeline.FastTimeline = serial
+        fasttimeline.FastPpeModeTimeline = ppe
+        del context.trail_for, context.keep_trail
         recorder.close()
 
 

@@ -3,11 +3,14 @@
 The in-process harness (``conftest.ServerHarness``) never runs the
 CLI's own event loop, so this is the one test of ``_cmd_serve``'s
 signal handling and graceful drain, driven through ``repro submit``
-exactly as an operator would.
+exactly as an operator would.  The settings ``repro serve`` refuses
+are checked in-process, with worker spawning and socket binding
+made to fail the test.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import pathlib
@@ -18,10 +21,14 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import repro
+from repro.cli import main
 from repro.io.service_json import result_bytes
 from repro.io.spec_json import save_spec_file
 from repro.service.client import stats
+from repro.service.pool import ShardPool
 
 from tests.service.conftest import service_spec
 
@@ -106,3 +113,35 @@ def test_serve_caches_counts_and_drains_on_sigterm(tmp_path):
         except ProcessLookupError:
             pass  # drained: the whole group already exited
         proc.communicate()
+
+
+REFUSED_SETTINGS = [
+    (["--workers", "0"], "needs >= 1 worker"),
+    (["--workers", "-1"], "needs >= 1 worker"),
+    (["--retries", "-1"], "retries must be >= 0"),
+    (["--timeout", "-5"], "timeout must be positive"),
+    (["--timeout", "0"], "timeout must be positive"),
+    (["--port", "70000"], "port must be in 0-65535"),
+    (["--port", "-1"], "port must be in 0-65535"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message", REFUSED_SETTINGS,
+    ids=[" ".join(flags) for flags, _ in REFUSED_SETTINGS],
+)
+def test_serve_refuses_bad_settings_before_starting(
+    flags, message, monkeypatch, capsys
+):
+    """A setting no server can run with is one ``error:`` line and
+    exit 2, before any shard worker is spawned or socket bound."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("serve started with a refused setting")
+
+    monkeypatch.setattr(ShardPool, "start", must_not_run)
+    monkeypatch.setattr(asyncio, "start_server", must_not_run)
+    assert main(["serve"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1

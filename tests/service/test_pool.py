@@ -13,6 +13,7 @@ import asyncio
 import pytest
 
 from repro.campaign.jobs import Job
+from repro.errors import SpecificationError
 from repro.obs.trace import Tracer
 from repro.service.pool import PoolClosed, ShardPool
 
@@ -146,12 +147,16 @@ def test_unstarted_pool_refuses_jobs():
 
 
 def test_constructor_rejects_nonsense():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecificationError):
         ShardPool(workers=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecificationError):
         ShardPool(workers=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecificationError):
         ShardPool(retries=-1)
+    with pytest.raises(SpecificationError):
+        ShardPool(timeout_s=0.0)
+    with pytest.raises(SpecificationError):
+        ShardPool(timeout_s=-5.0)
 
 
 def test_worker_info_reports_shard_health():
