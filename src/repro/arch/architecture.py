@@ -35,7 +35,14 @@ class Architecture:
         :mod:`repro.reconfig.interface` after allocation.
     """
 
+    #: ``(topo_version, {(pe id, pe id): link or None})``: the answers
+    #: :meth:`link_between` gave for one topology.  Never pickled or
+    #: cloned: every instance starts from this default, whose version
+    #: no topology has.
+    _link_memo: Tuple[int, Optional[dict]] = (-1, None)
+
     def __init__(self, library: ResourceLibrary) -> None:
+        """An empty architecture over ``library``: no PE, no link."""
         self.library = library
         self.pes: Dict[str, PEInstance] = {}
         self.links: Dict[str, LinkInstance] = {}
@@ -43,8 +50,8 @@ class Architecture:
         self.interface_cost: float = 0.0
         self._counters: Dict[str, int] = {}
         #: Bumped on every change to link connectivity (new/removed
-        #: links, port attach/detach) -- lets route caches keyed on it
-        #: (see :mod:`repro.perf.fastsched`) invalidate exactly.
+        #: links, port attach/detach, copy-on-write reverts), so the
+        #: link memo is dropped exactly when it goes stale.
         self.topo_version: int = 0
 
     # ------------------------------------------------------------------
@@ -196,6 +203,19 @@ class Architecture:
         candidates.sort(key=lambda l: (l.ports_used, l.id))
         return candidates[0]
 
+    def link_between(self, pe_a: str, pe_b: str) -> Optional[LinkInstance]:
+        """:meth:`find_link_between`, memoized for the current
+        ``topo_version`` (independent checkers call the scan itself)."""
+        version, memo = self._link_memo
+        if version != self.topo_version:
+            memo = {}
+            self._link_memo = (self.topo_version, memo)
+        try:
+            return memo[pe_a, pe_b]
+        except KeyError:
+            link = memo[pe_a, pe_b] = self.find_link_between(pe_a, pe_b)
+            return link
+
     def connect(
         self,
         pe_a: str,
@@ -296,6 +316,12 @@ class Architecture:
         duplicate._counters = dict(self._counters)
         duplicate.topo_version = self.topo_version
         return duplicate
+
+    def __getstate__(self) -> dict:
+        """Pickled state: everything but the link memo."""
+        state = dict(self.__dict__)
+        state.pop("_link_memo", None)
+        return state
 
     def summary(self) -> str:
         """One-line human-readable summary."""

@@ -17,6 +17,8 @@ class LinkInstance:
     """One instantiated link in the architecture."""
 
     def __init__(self, instance_id: str, link_type: LinkType) -> None:
+        """An instance of ``link_type`` with no PE attached yet; the id
+        must be non-empty."""
         if not instance_id:
             raise AllocationError("link instance id must be non-empty")
         self.id = instance_id

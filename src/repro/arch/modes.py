@@ -26,6 +26,7 @@ class Mode:
     """
 
     def __init__(self, index: int) -> None:
+        """An empty mode at ``index`` (non-negative)."""
         if index < 0:
             raise AllocationError("mode index must be non-negative")
         self.index = index

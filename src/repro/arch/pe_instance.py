@@ -29,6 +29,8 @@ class PEInstance:
     """
 
     def __init__(self, instance_id: str, pe_type: PEType) -> None:
+        """An instance of ``pe_type`` with one empty mode and no
+        cluster; the id must be non-empty."""
         if not instance_id:
             raise AllocationError("PE instance id must be non-empty")
         self.id = instance_id

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Dict, List, Optional, Union
 
+from repro.errors import SpecificationError
 from repro.obs import JsonlSink, Tracer
 from repro.obs.trace import resolve_tracer
 from repro.exec import PipeTransport, SupervisedWorker
@@ -107,6 +108,7 @@ def run_campaign(
     tracer: Optional[Tracer] = None,
     stop_after: Optional[int] = None,
     policy_override=None,
+    cache_dir: Optional[str] = None,
 ) -> CampaignOutcome:
     """Run (or resume) a campaign; returns what this invocation did.
 
@@ -122,7 +124,16 @@ def run_campaign(
     substitutes the retry policy for *this invocation only* -- the
     stored spec, and therefore the manifest, keep the original, so
     resuming with a different timeout cannot change the final bytes.
+    ``cache_dir`` names a store all jobs share; it joins the
+    ``config`` of each dispatched payload only, never the stored spec,
+    the checkpoint records or the manifest.  ``workers`` or
+    ``stop_after`` below 1 raises :class:`SpecificationError`.
     """
+    for name, value in (("workers", workers), ("stop_after", stop_after)):
+        if value is not None and value < 1:
+            raise SpecificationError(
+                "%s must be at least 1, got %r" % (name, value)
+            )
     cdir = CampaignDir(directory)
     if resume:
         spec = cdir.load_spec()
@@ -170,14 +181,15 @@ def run_campaign(
     slots: List[_Slot] = []
     try:
         if pending:
-            n_workers = max(1, min(workers, len(pending)))
+            n_workers = min(workers, len(pending))
             slots = [
                 _Slot(SupervisedWorker(PipeTransport(JOB_TARGET),
                                        tracer=tracer))
                 for _ in range(n_workers)
             ]
             interrupted = not _supervise(
-                slots, pending, policy, cdir, tracer, counts, stop_after
+                slots, pending, policy, cdir, tracer, counts, stop_after,
+                cache_dir,
             )
     except KeyboardInterrupt:
         interrupted = True
@@ -221,6 +233,7 @@ def _supervise(
     tracer: Tracer,
     counts: Dict[str, int],
     stop_after: Optional[int],
+    cache_dir: Optional[str],
 ) -> bool:
     """The dispatch/supervision loop; False if stopped early."""
     terminal_this_run = 0
@@ -248,7 +261,10 @@ def _supervise(
             slot.deadline = (
                 now + policy.timeout_s if policy.timeout_s else None
             )
-            slot.worker.submit(job.id, attempt, job.to_dict())
+            payload = job.to_dict()
+            if cache_dir:
+                payload["config"]["cache_dir"] = cache_dir
+            slot.worker.submit(job.id, attempt, payload)
             tracer.event("campaign.job.start", job=job.id, attempt=attempt)
 
         busy = [s for s in slots if s.busy]

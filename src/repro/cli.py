@@ -75,7 +75,7 @@ def _add_synthesize(subparsers) -> None:
                         "exact resubmissions return the cached result, "
                         "near-hits warm-start from cached schedule "
                         "fragments (results are byte-identical either "
-                        "way); REPRO_CACHE_DIR is the env fallback")
+                        "way)")
 
 
 def _add_generate(subparsers) -> None:
@@ -155,9 +155,10 @@ def _add_campaign(subparsers) -> None:
                             help="persistent worker processes (default 1)")
         target.add_argument("--cache-dir", metavar="DIR", default=None,
                             help="shared synthesis store for all campaign "
-                                 "workers (exported as REPRO_CACHE_DIR so "
-                                 "job configs -- and the manifest -- stay "
-                                 "byte-identical with or without it)")
+                                 "workers (added to each dispatched job's "
+                                 "config only, so the stored spec and the "
+                                 "manifest stay byte-identical with or "
+                                 "without it)")
         target.add_argument("--retries", type=int, default=None, metavar="K",
                             help="per-job re-attempts before recording failure")
         target.add_argument("--timeout", type=float, default=None, metavar="S",
@@ -396,22 +397,6 @@ def _campaign_policy(args, base):
     )
 
 
-def _export_cache_dir(args) -> None:
-    """Hand ``--cache-dir`` to campaign workers via the environment.
-
-    Injecting the store into job configs would change the stored
-    campaign spec (and so the manifest) byte-for-byte; the
-    ``REPRO_CACHE_DIR`` fallback consulted by
-    :func:`repro.perf.store.resolve_store` keeps checkpoints and
-    manifests identical with or without a shared store.  Worker
-    processes inherit the parent environment at spawn.
-    """
-    if getattr(args, "cache_dir", None):
-        from repro.perf.store import ENV_CACHE_DIR
-
-        os.environ[ENV_CACHE_DIR] = os.path.abspath(args.cache_dir)
-
-
 def _campaign_exit(outcome) -> int:
     """0 = complete and clean, 1 = complete with failed jobs,
     3 = interrupted/incomplete.
@@ -441,8 +426,6 @@ def _report_outcome(outcome) -> None:
 
 
 def _cmd_campaign_run(args) -> int:
-    import os.path
-
     from repro.campaign.grid import CampaignSpec, RetryPolicy, spec_from_flags
     from repro.campaign.runner import run_campaign
 
@@ -469,10 +452,9 @@ def _cmd_campaign_run(args) -> int:
             variant_names=args.variants,
             policy=_campaign_policy(args, RetryPolicy()),
         )
-    _export_cache_dir(args)
     outcome = run_campaign(
         args.dir, spec=spec, workers=args.workers,
-        stop_after=args.stop_after,
+        stop_after=args.stop_after, cache_dir=args.cache_dir,
     )
     _report_outcome(outcome)
     return _campaign_exit(outcome)
@@ -484,10 +466,10 @@ def _cmd_campaign_resume(args) -> int:
 
     stored = CampaignDir(args.dir).load_spec()
     policy = _campaign_policy(args, stored.policy)
-    _export_cache_dir(args)
     outcome = run_campaign(
         args.dir, workers=args.workers, resume=True,
         retry_failed=not args.keep_failed, stop_after=args.stop_after,
+        cache_dir=args.cache_dir,
         # Overrides apply to this invocation only; the stored spec
         # (and so the manifest) keeps the original campaign.
         policy_override=policy if policy != stored.policy else None,

@@ -92,11 +92,8 @@ class CrusadeConfig:
         catalog, same semantic config) returns the cached result in
         milliseconds, and near-hit resubmissions reuse still-valid
         per-component schedule fragments across runs.  Warm-started
-        results are byte-identical to cold ones.  The
-        ``REPRO_CACHE_DIR`` environment variable is the fallback when
-        this field is ``None`` (how campaign workers share one store).
-        A configured store is always read and written; to run cold,
-        run without one.
+        results are byte-identical to cold ones.  A configured store
+        is always read and written; to run cold, run without one.
     """
 
     reconfiguration: bool = True

@@ -92,8 +92,8 @@ def crusade(
     order (cheapest first) and merge acceptance (every deadline holds
     and the cost strictly falls) are the paper's fixed rules.
 
-    ``config.cache_dir`` (or the ``REPRO_CACHE_DIR`` environment
-    variable) opens the persistent content-addressed synthesis store
+    ``config.cache_dir`` opens the persistent content-addressed
+    synthesis store
     (:mod:`repro.perf.store`): an exact resubmission returns the
     cached result without synthesizing, a near-hit resubmission
     warm-starts the engine's fragment cache from disk, and either way

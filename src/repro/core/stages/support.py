@@ -29,9 +29,9 @@ def allocation_aware_context(
     clustering step).  The context shares ``pessimistic``'s graph
     tables.
 
-    ``arch`` must not change while the context is in use: each
-    cluster's PE type and each PE pair's link are looked up once and
-    then read back.
+    ``arch``'s placements must not change while the context is in
+    use: each cluster's PE type is looked up once and then read back
+    (links go through ``Architecture.link_between``).
     """
     pessimistic_exec = pessimistic.exec_time
     pessimistic_comm = pessimistic.comm_time
@@ -40,8 +40,6 @@ def allocation_aware_context(
     pes = arch.pes
     #: cluster name -> PE type name of its host (None: unallocated).
     hosts: Dict[str, Optional[str]] = {}
-    #: (pe id, pe id) -> the link ``find_link_between`` returns.
-    links: Dict[tuple, object] = {}
 
     def exec_time(graph, task):
         """Placement-aware execution time for one task."""
@@ -73,11 +71,7 @@ def allocation_aware_context(
                 dst_pe = dst[0]
                 if src_pe == dst_pe or edge.bytes_ == 0:
                     return 0.0
-                pair = (src_pe, dst_pe)
-                try:
-                    link = links[pair]
-                except KeyError:
-                    link = links[pair] = arch.find_link_between(src_pe, dst_pe)
+                link = arch.link_between(src_pe, dst_pe)
                 if link is not None:
                     return link.comm_time(edge.bytes_)
         return pessimistic_comm(graph, edge)

@@ -10,7 +10,7 @@ tracer counters:
   (:class:`IncrementalEngine`) every ``evaluate_architecture`` call
   schedules through;
 * :mod:`repro.perf.fastsched` -- the scheduler's cross-run caches
-  (plans, routes, transfer times) and its timeline factory pair;
+  (plans, transfer times) and the trails its builds resume from;
 * :mod:`repro.perf.cow` -- copy-on-write application of allocation
   options (undo journals instead of architecture clones);
 * :mod:`repro.perf.prune` -- admissible candidate pruning: per-

@@ -5,9 +5,8 @@ Every candidate evaluation re-runs the list scheduler
 needs never changes across a synthesis: the explicit task instances
 and their arrival times, the per-instance predecessor/successor keys
 with edge payloads, each task's cluster, and the initial in-degrees.
-PE-to-PE routes (``Architecture.find_link_between`` sorts the link
-list per call) and link transfer times are pure functions of the link
-topology and of (link type, payload).
+Link transfer times are pure functions of (link type, port count,
+payload).
 
 :class:`SchedulerContext` -- owned by the
 :class:`repro.perf.engine.IncrementalEngine` and threaded into
@@ -25,9 +24,6 @@ above across runs:
   :class:`~repro.graph.taskgraph.GraphTableCache` derives once and
   again only when the graph changes; a plan looks up each task's
   cluster name once per graph;
-* a **route table** per architecture, invalidated exactly by
-  ``Architecture.topo_version`` (bumped on every link attach/detach/
-  create/delete, including copy-on-write reverts);
 * **transfer-time memos** for ``LinkType.comm_time`` and the
   best-case estimator used for virtually placed endpoints;
 * a **trail** of the last finished build of each of the
@@ -35,14 +31,17 @@ above across runs:
   schedule itself; its decision order with the priority values it
   was computed from; its view of the devices and links (the PE and
   link signatures of the component fingerprint,
-  :func:`repro.perf.fingerprint.footprint_view`); the inputs its
-  decisions read, each at the decision that first read it (each
-  cluster's placement and PE type, each routed PE pair's link
-  signature, the programmable devices' mode and boot-time maps); and,
-  indexed by decision, what the schedule alone cannot tell (the
+  :func:`repro.perf.fingerprint.footprint_view`); each cluster's
+  placement and PE type; its memo of the programmable devices' mode
+  and boot-time maps, one per device and cluster; each routed PE
+  pair's link signature, logged at the decision that first read it;
+  and, indexed by decision, what the schedule alone cannot tell (the
   outcomes of every mode-timeline ``place``, the decisions that
   declined or took a preemptive split or placed a task virtually, the
   running copy-0 demand and the violations a bound counts).
+
+PE-pair links are memoized by the architecture itself
+(``Architecture.link_between``).
 
 Consecutive builds of one plan usually differ by one cluster's
 placement, so the scheduler resumes each build from its plan's trail
@@ -50,11 +49,11 @@ placement, so the scheduler resumes each build from its plan's trail
 depends only on the plan and its priorities, so a build under the
 trail's priority values reuses the trail's order.  The first decision
 that differs is the earliest of: where the two orders part, the first
-decision of a re-placed cluster, and the first read of a changed
-device or PE pair -- found by comparing each device's signature and
-the link signatures with the trail's view once, and the single reads
-only of what changed.  Everything before it is restored by slicing the
-trail's dicts and logs, and the build schedules on from there.
+decision of a re-placed cluster or of one whose device read changed,
+and the first read of a changed PE pair; the trail's device memo
+carries over to the new build for every cluster placed alike.
+Everything before that decision is restored by slicing the trail's
+dicts and logs, and the build schedules on from there.
 A trail is never kept from a build whose timelines degraded.  A
 trail copies every value it compares as its build reads it (the
 allocation loop reverts the live architecture afterwards) and pins its
@@ -73,7 +72,6 @@ two to byte-identical schedules and results.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -237,8 +235,8 @@ class Trail:
 
     __slots__ = (
         "plan", "library", "preemption", "order", "priorities", "sigs",
-        "view", "schedule", "reads", "places", "declined", "splits",
-        "virtual", "demand_log", "events",
+        "view", "schedule", "device_reads", "reads", "places", "declined",
+        "splits", "virtual", "demand_log", "events",
     )
 
     def __init__(
@@ -265,11 +263,14 @@ class Trail:
         self.view = view
         #: the finished schedule.
         self.schedule = None
-        #: the device and PE-pair inputs the decisions read, each at
-        #: its first read: ``(step, True, (pe id, cluster, mode),
-        #: ({mode: boot time}, its sorted items, own mode's boot
-        #: time))`` or ``(step, False, (pe id, pe id), (link id, link
-        #: type name, port bucket))``.
+        #: (pe id, cluster) -> ``({mode: boot time}, its sorted items,
+        #: own mode's boot time)``: the build's memo of
+        #: :func:`repro.sched.scheduler._device_read`, one entry per
+        #: programmable device and cluster its decisions placed.
+        self.device_reads: Dict[tuple, tuple] = {}
+        #: the PE pairs the decisions routed, each at its first read:
+        #: ``(step, (pe id, pe id), (link id, link type name, port
+        #: bucket))``.
         self.reads: List[tuple] = []
         #: programmable PE id -> (decision indices, ``record``
         #: outcomes) of its mode timeline's ``place`` calls.
@@ -291,15 +292,13 @@ class SchedulerContext:
     """Cross-run scheduler caches owned by one incremental engine."""
 
     def __init__(self) -> None:
-        """Create empty plan/route/transfer-time/trail caches."""
+        """Create empty plan/transfer-time/trail caches."""
         self._plans: "OrderedDict[tuple, _Plan]" = OrderedDict()
         #: Each graph's plan and deadline rows, derived once and again
         #: only after the graph changed; held for the engine's lifetime
         #: and read under the lock.
         self._tables = GraphTableCache()
         self._lock = threading.Lock()
-        #: Architecture -> [topo_version, {(pe_a, pe_b): link | None}].
-        self._routes: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._library = None
         self._comm: Dict[Tuple[str, int], float] = {}
         self._best_comm: Dict[int, float] = {}
@@ -357,19 +356,6 @@ class SchedulerContext:
             while len(self._plans) > PLAN_CACHE_MAX_ENTRIES:
                 self._plans.popitem(last=False)
         return plan
-
-    # ------------------------------------------------------------------
-    def route_table(self, arch) -> dict:
-        """The (pe_a, pe_b) -> link memo for ``arch``'s *current* link
-        topology, invalidated by ``Architecture.topo_version``.  The
-        scheduler never mutates the architecture, so one lookup per run
-        suffices -- callers index the returned dict directly."""
-        entry = self._routes.get(arch)
-        if entry is None or entry[0] != arch.topo_version:
-            entry = [arch.topo_version, {}]
-            with self._lock:
-                self._routes[arch] = entry
-        return entry[1]
 
     # ------------------------------------------------------------------
     def _sync_library(self, library) -> None:

@@ -4,8 +4,8 @@ Cross-run warm starts: the perf engine is incremental *within* a run,
 but production traffic is incremental *between* runs -- a user tweaks
 one deadline or swaps one catalog part and resubmits.  This package
 persists synthesis artifacts on disk under a cache directory
-(``CrusadeConfig.cache_dir`` / ``--cache-dir`` / ``REPRO_CACHE_DIR``)
-in two content-addressed tiers:
+(``CrusadeConfig.cache_dir``, which ``--cache-dir`` sets) in two
+content-addressed tiers:
 
 * a **full-result tier** keyed on (spec digest, catalog digest,
   semantic config digest): an exact resubmission returns the cached
@@ -47,7 +47,6 @@ from repro.perf.store.digests import (
     value_digest,
 )
 from repro.perf.store.disk import (
-    ENV_CACHE_DIR,
     StoreFormatError,
     SynthesisStore,
     join_result_key,
@@ -56,7 +55,6 @@ from repro.perf.store.disk import (
 from repro.perf.store.encode import canonical_encode, encoded_digest
 
 __all__ = [
-    "ENV_CACHE_DIR",
     "STORE_SCHEMA_VERSION",
     "StoreFormatError",
     "SynthesisStore",

@@ -39,7 +39,6 @@ a run that must not trust a store simply runs without one.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import pickle
 from typing import Any, Dict, Optional, Union
@@ -53,10 +52,6 @@ from repro.perf.store.digests import (
     spec_digest,
     value_digest,
 )
-
-#: Environment fallback for ``CrusadeConfig.cache_dir`` -- how campaign
-#: workers inherit one shared store without touching job configs.
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Name and expected content of the store's version stamp.
 FORMAT_FILE = "FORMAT"
@@ -91,17 +86,11 @@ class StoreFormatError(RuntimeError):
 def resolve_store(config) -> Optional["SynthesisStore"]:
     """The store a ``crusade`` call should use, or ``None``.
 
-    ``CrusadeConfig.cache_dir`` wins; the ``REPRO_CACHE_DIR``
-    environment variable is the fallback (campaign workers inherit it
-    from ``repro campaign run --cache-dir``).  No directory configured
-    means no store -- synthesis untouched.
+    ``CrusadeConfig.cache_dir`` is the one source: no directory
+    configured means no store -- synthesis untouched.
     """
     cache_dir = getattr(config, "cache_dir", None)
-    if not cache_dir:
-        cache_dir = os.environ.get(ENV_CACHE_DIR) or None
-    if not cache_dir:
-        return None
-    return SynthesisStore(cache_dir)
+    return SynthesisStore(cache_dir) if cache_dir else None
 
 
 def join_result_key(spec: str, catalog: str, config: str) -> str:

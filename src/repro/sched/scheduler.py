@@ -31,7 +31,7 @@ whole periods (see :mod:`repro.graph.association`).
 :func:`build_schedule` is the one scheduling loop.  It runs over a
 :class:`repro.perf.fastsched.SchedulerContext` -- the cross-run caches
 the incremental engine owns: a per-spec plan of instance records,
-route and transfer-time memos, and trails -- and builds every schedule
+transfer-time memos, and trails -- and builds every schedule
 onto the production timeline pair (:mod:`repro.perf.fasttimeline`).
 Requests without a context get a fresh one.
 
@@ -44,7 +44,8 @@ engine already computed for the request
 the same view with :func:`repro.perf.fingerprint.footprint_view`).  A
 device's modes carrying a cluster and their boot times come from its
 signature (:func:`_device_read`), so a build calls no boot-time
-function.
+function.  The link joining two PEs is read through the
+architecture's own memo (:meth:`Architecture.link_between`).
 
 The heap that orders the decisions -- highest priority, then earliest
 arrival, then smallest key, among the tasks whose predecessors are
@@ -59,8 +60,10 @@ the allocation loop -- mostly differ by one cluster's placement.  A
 decision is reused only when its task, its placement and every value
 it reads equal the trail's, and the trail indexes where each input
 was first read and keeps its build's view, so the first decision that
-differs is found without walking the prefix, comparing each device's
-signature and the link signatures once (:func:`_resume_point`).  The
+differs is found without walking the prefix (:func:`_resume_point`):
+the trail's device reads carry over wherever the device's signature
+or the read itself is unchanged, and its PE-pair reads are walked
+only up to the first change.  The
 schedule state as of that decision is restored from the trail in
 bulk -- slices of its dicts and logs (:func:`_restore_prefix`) -- and
 the loop schedules on from there.  Nothing is guessed, so the
@@ -276,7 +279,7 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
 
     Scheduling runs over the request's
     :class:`~repro.perf.fastsched.SchedulerContext` -- its cached
-    plan, route and transfer-time memos and trails -- or over a fresh
+    plan, transfer-time memos and trails -- or over a fresh
     context when the request carries none, onto the production
     timeline pair (:mod:`repro.perf.fasttimeline`).  The
     decisions follow the plan's decision order under the request's
@@ -322,14 +325,11 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
     best_comm = context._best_comm
     comm_cache = context._comm
     # The architecture is frozen for the duration of one scheduler run,
-    # so per-arch/per-run lookups hoist out of the task loop entirely:
-    # the route memo for the current topology, and per-run memos for
-    # the routes, the device reads and the processors' overheads.
-    route_table = context.route_table(arch)
+    # so per-run memos hoist lookups out of the task loop: the routes
+    # and the processors' overheads here, the device reads in the
+    # trail.
     #: (pe id, pe id) -> route (see :func:`_route`).
     routes: Dict[tuple, tuple] = {}
-    #: (pe id, cluster) -> :func:`_device_read` for PPE hosts.
-    device_reads: Dict[tuple, tuple] = {}
     #: pe id -> (timeline, context switch, preemption overhead).
     processors: Dict[str, tuple] = {}
 
@@ -392,11 +392,13 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
         tracer.incr("perf.resume.orders")
     # This build's record, kept as the plan's trail when the build ends.
     trail = Trail(plan, library, preemption, order, snapshot, sigs, view)
+    #: (pe id, cluster) -> :func:`_device_read` for PPE hosts.
+    device_reads = trail.device_reads
     reused = 0
     if prior is not None:
         reused = _resume_point(
-            prior, order, sigs, view, arch, route_table, routes,
-            device_reads, trail.reads,
+            prior, order, sigs, view, arch, routes, device_reads,
+            trail.reads,
         )
         if reused:
             tracer.incr("perf.resume.decisions", reused)
@@ -457,14 +459,14 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
             pair = (pred_pe_id, pe_id)
             route = routes.get(pair)
             if route is None:
-                route = _route(arch, route_table, pair)
+                route = _route(arch, pair)
                 if route is None:
                     raise AllocationError(
                         "no link connects %r and %r for edge %s->%s"
                         % (pred_pe_id, pe_id, pred_key[2], task_name)
                     )
                 routes[pair] = route
-                reads.append((step, False, pair, route[:3]))
+                reads.append((step, pair, route[:3]))
             link_id, link_type_name, ports, link = route
             timeline = link_timelines.get(link_id)
             if timeline is None:
@@ -578,9 +580,6 @@ def build_schedule(request: ScheduleRequest) -> Schedule:
                     if read is None:
                         read = device_reads[akey] = _device_read(
                             devices[pe_id], cluster_name, mode
-                        )
-                        reads.append(
-                            (step, True, (pe_id, cluster_name, mode), read)
                         )
                     on_device, record = places[pe_id]
                     on_device.append(step)
@@ -700,9 +699,7 @@ def _decision_order(plan, priorities: Dict[str, Dict[str, float]]) -> tuple:
     return keys, first_step, cum_edges
 
 
-def _route(
-    arch: Architecture, route_table: dict, pair: tuple
-) -> Optional[tuple]:
+def _route(arch: Architecture, pair: tuple) -> Optional[tuple]:
     """``(link id, link type name, port bucket, link)`` of the link
     joining a PE pair, or None when none does.
 
@@ -710,10 +707,7 @@ def _route(
     reads: its timeline, and the type and port count (below two
     ports counts as two) its transfer time depends on.
     """
-    try:
-        link = route_table[pair]
-    except KeyError:
-        link = route_table[pair] = arch.find_link_between(*pair)
+    link = arch.link_between(*pair)
     if link is None:
         return None
     ports = link.ports_used
@@ -794,7 +788,7 @@ def _same_links(new: tuple, old: tuple) -> bool:
 
 def _resume_point(
     prior, order: tuple, sigs: dict, view: tuple, arch: Architecture,
-    route_table: dict, routes: dict, device_reads: dict, reads: list,
+    routes: dict, device_reads: dict, reads: list,
 ) -> int:
     """How many leading decisions this build makes exactly as the
     ``prior`` trail's build did.
@@ -815,16 +809,15 @@ def _resume_point(
     Everything else a decision reads -- arrivals, execution times,
     payloads, deadlines and best-case transfer times -- is fixed by
     the plan and the library, which the caller checked, and the
-    timelines then match by induction.  Devices and links are compared
-    through the two builds' views (``view`` and the trail's): each
-    device's signature once, and the link signatures once.  A read of
-    a device whose signature is unchanged, or of a PE pair while no
-    footprint link changed, is the trail's read; only the reads of a
-    changed device or link set are taken from the current view or
-    routes and compared one by one.  The trail's reads are walked in
-    decision order up to the first change, so the route and device
-    memos fill, and ``reads`` logs, exactly what the reused decisions
-    read.
+    timelines then match by induction.
+
+    A device read is a pure function of the device's signature, the
+    cluster and its mode, so the trail's device memo carries over to
+    ``device_reads`` for every cluster placed alike, re-derived only on
+    a device whose signature changed.  The trail's PE-pair reads are
+    walked up to the first change (routed again only while the link
+    signatures differ), so ``routes`` fills, and ``reads`` logs,
+    exactly the pairs the reused decisions read.
     """
     keys = order[0]
     reused = len(keys)
@@ -835,48 +828,47 @@ def _resume_point(
                 break
     first_step = prior.order[1]
     old_sigs = prior.sigs
+    replaced = set()
     for name, sig in sigs.items():
         if not _same_signature(sig, old_sigs[name]):
+            replaced.add(name)
             step = first_step[name]
             if step < reused:
                 reused = step
     devices, link_sigs = view
     old_devices, old_link_sigs = prior.view
+    for akey, then in prior.device_reads.items():
+        pe_id, cluster_name = akey
+        if cluster_name in replaced:
+            # Its first decision already bounds the resume point.
+            continue
+        signature = devices[pe_id]
+        if signature != old_devices[pe_id]:
+            now = _device_read(signature, cluster_name, sigs[cluster_name][1])
+            if now != then:
+                step = first_step[cluster_name]
+                if step < reused:
+                    reused = step
+            then = now
+        device_reads[akey] = then
     same_links = _same_links(link_sigs, old_link_sigs)
-    same_devices: Dict[str, bool] = {}
     links = arch.links
-    for step, device, key, then in prior.reads:
+    for step, pair, then in prior.reads:
         if step >= reused:
             break
-        if device:
-            pe_id, cluster_name, mode = key
-            signature = devices[pe_id]
-            same = same_devices.get(pe_id)
-            if same is None:
-                same = same_devices[pe_id] = (
-                    signature == old_devices[pe_id]
-                )
-            if same:
-                now = then
-            else:
-                now = _device_read(signature, cluster_name, mode)
-                same = now == then
-            device_reads[(pe_id, cluster_name)] = now
-        elif same_links:
-            now = then
-            same = True
-            routes[key] = then + (links[then[0]],)
-        else:
-            route = _route(arch, route_table, key)
-            if route is None:
-                return step
-            routes[key] = route
-            now = route[:3]
-            # The link id must be the trail's string object (see
-            # :func:`_same_signature`).
-            same = now[0] is then[0] and now == then
-        reads.append((step, device, key, now))
-        if not same:
+        if same_links:
+            routes[pair] = then + (links[then[0]],)
+            reads.append((step, pair, then))
+            continue
+        route = _route(arch, pair)
+        if route is None:
+            return step
+        routes[pair] = route
+        now = route[:3]
+        reads.append((step, pair, now))
+        # The link id must be the trail's string object (see
+        # :func:`_same_signature`).
+        if now[0] is not then[0] or now != then:
             return step
     return reused
 

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 from typing import Any, Dict, Optional, Tuple
+
+from repro.errors import SpecificationError
 
 
 class ServiceUnreachable(ConnectionError):
@@ -29,7 +32,18 @@ def _request(
     payload: Optional[Dict[str, Any]] = None,
     timeout_s: float = 600.0,
 ) -> Tuple[int, Dict[str, Any]]:
-    """One request/response exchange: ``(status, decoded body)``."""
+    """One request/response exchange: ``(status, decoded body)``.
+
+    A port outside 1-65535, or a timeout that is not a positive finite
+    number, raises :class:`SpecificationError` before connecting.
+    """
+    if not 1 <= port <= 65535:
+        raise SpecificationError("port must be in 1-65535, got %r" % (port,))
+    if not (timeout_s > 0 and math.isfinite(timeout_s)):
+        raise SpecificationError(
+            "timeout must be a positive finite number of seconds, got %r"
+            % (timeout_s,)
+        )
     body = None
     headers = {}
     if payload is not None:

@@ -173,6 +173,68 @@ class TestConnectivity:
         assert arch.find_link_between(a.id, b.id) is not None
 
 
+class TestLinkMemo:
+    """``link_between`` answers as a fresh ``find_link_between`` scan
+    whatever changed the topology since the memo was filled."""
+
+    @staticmethod
+    def _agree(arch, ids):
+        """Fill the memo with every ordered pair and compare each
+        answer with a fresh scan."""
+        for a in ids:
+            for b in ids:
+                if a != b:
+                    assert arch.link_between(a, b) is (
+                        arch.find_link_between(a, b)
+                    ), (a, b)
+
+    def test_memo_answers_as_a_fresh_scan(self, arch, small_library):
+        from repro.perf.cow import undo_journal
+
+        bus = small_library.link_type("bus")
+        ids = [arch.new_pe(small_library.pe_type("CPU")).id for _ in range(4)]
+        a, b, c, d = ids
+        self._agree(arch, ids)
+        arch.connect(a, b, bus)
+        self._agree(arch, ids)
+        # A new link, then a port on the older one: (a, c) and (c, d)
+        # change answers, and (c, d) picks between two links by ports.
+        journal = []
+        arch.connect(c, d, bus, journal=journal)
+        arch.connect(a, c, bus, journal=journal)
+        assert [entry[0] for entry in journal] == ["new_link", "attach"]
+        self._agree(arch, ids)
+        undo_journal(arch, journal)
+        assert arch.find_link_between(a, c) is None
+        self._agree(arch, ids)
+        arch.remove_pe(b)
+        assert arch.find_link_between(a, b) is None
+        self._agree(arch, ids)
+
+    def test_clones_and_pickles_do_not_carry_the_memo(
+        self, arch, small_library
+    ):
+        import pickle
+
+        bus = small_library.link_type("bus")
+        ids = [arch.new_pe(small_library.pe_type("CPU")).id for _ in range(3)]
+        a, b, c = ids
+        arch.connect(a, b, bus)
+        self._agree(arch, ids)
+        clone = arch.clone()
+        self._agree(clone, ids)
+        clone.connect(b, c, bus)
+        self._agree(clone, ids)
+        # The original neither sees the clone's link nor lost its own.
+        self._agree(arch, ids)
+        assert arch.link_between(b, c) is None
+        blob = pickle.dumps(arch)
+        assert b"_link_memo" not in blob
+        restored = pickle.loads(blob)
+        assert restored.link_between(a, b).id == arch.link_between(a, b).id
+        self._agree(restored, ids)
+
+
 class TestCost:
     def test_pe_and_link_costs_sum(self, arch, small_library):
         cpu = arch.new_pe(small_library.pe_type("CPU"))

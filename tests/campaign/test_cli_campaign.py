@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
+from repro.errors import SpecificationError
+from repro.exec import SupervisedWorker
 from repro.io.campaign_json import dump_canonical
-from repro.campaign import CampaignSpec, RetryPolicy
+from repro.campaign import CampaignSpec, RetryPolicy, run_campaign
 from repro.campaign.checkpoint import CampaignDir
 from repro.campaign.grid import job_id
 
@@ -166,3 +169,112 @@ def test_campaign_json_that_is_not_json_is_one_line_and_exit_2(
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert line.startswith("error: ")
     assert "campaign.json is not a JSON document" in line
+
+
+def test_cache_dir_fills_the_store_and_leaves_the_manifest_alone(
+    tmp_path, capsys
+):
+    """``--cache-dir`` reaches the workers in their job configs: the
+    store's results tier fills, the manifest is byte-identical to the
+    same campaign's without a store, and the environment is
+    unchanged."""
+    flags = [
+        "--name", "store", "--kind", "table2", "--examples", "A1TR",
+        "--scales", "0.03",
+    ]
+    environment = dict(os.environ)
+    store = tmp_path / "store"
+    assert main([
+        "campaign", "run", "--dir", str(tmp_path / "with"),
+        "--cache-dir", str(store),
+    ] + flags) == 0
+    assert dict(os.environ) == environment
+    assert list((store / "results").iterdir())
+    assert main(["campaign", "run", "--dir", str(tmp_path / "without")]
+                + flags) == 0
+    assert (tmp_path / "with" / "manifest.json").read_bytes() == (
+        tmp_path / "without" / "manifest.json"
+    ).read_bytes()
+
+
+def test_resume_hands_the_store_to_dispatched_jobs_only(
+    tmp_path, monkeypatch
+):
+    """``campaign resume --cache-dir`` adds the directory to the config
+    of each payload it dispatches; the stored spec does not name it."""
+    spec_path = _selftest_spec_file(tmp_path)
+    assert main([
+        "campaign", "run", str(spec_path), "--dir", str(tmp_path / "c"),
+        "--stop-after", "1",
+    ]) == 3
+    payloads = []
+    real_submit = SupervisedWorker.submit
+
+    def spy(self, job, attempt, payload):
+        payloads.append(payload)
+        return real_submit(self, job, attempt, payload)
+
+    monkeypatch.setattr(SupervisedWorker, "submit", spy)
+    store = tmp_path / "store"
+    assert main([
+        "campaign", "resume", str(tmp_path / "c"), "--cache-dir", str(store),
+    ]) == 0
+    assert payloads
+    for payload in payloads:
+        assert payload["config"] == {"cache_dir": str(store)}
+    stored = json.loads((tmp_path / "c" / "campaign.json").read_text())
+    assert "cache_dir" not in json.dumps(stored)
+
+
+REFUSED_COUNTS = [
+    (["--workers", "0"], "workers must be at least 1"),
+    (["--workers", "-3"], "workers must be at least 1"),
+    (["--stop-after", "0"], "stop_after must be at least 1"),
+    (["--stop-after", "-1"], "stop_after must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message", REFUSED_COUNTS,
+    ids=[" ".join(flags) for flags, _ in REFUSED_COUNTS],
+)
+@pytest.mark.parametrize("command", ["run", "resume"])
+def test_campaign_refuses_counts_below_one(
+    tmp_path, capsys, monkeypatch, command, flags, message
+):
+    """A worker or stop count below 1 is one ``error:`` line and exit
+    2, before any job is dispatched or any file written."""
+    spec_path = _selftest_spec_file(tmp_path)
+    cdir = tmp_path / "c"
+    if command == "resume":
+        assert main([
+            "campaign", "run", str(spec_path), "--dir", str(cdir),
+            "--stop-after", "1",
+        ]) == 3
+        argv = ["campaign", "resume", str(cdir)]
+    else:
+        argv = ["campaign", "run", str(spec_path), "--dir", str(cdir)]
+    capsys.readouterr()
+    files = sorted(cdir.rglob("*")) if cdir.exists() else []
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a job was dispatched")
+
+    monkeypatch.setattr(SupervisedWorker, "submit", must_not_run)
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert (sorted(cdir.rglob("*")) if cdir.exists() else []) == files
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"workers": 0}, {"workers": -3}, {"stop_after": 0}, {"stop_after": -1},
+])
+def test_run_campaign_refuses_counts_below_one(tmp_path, kwargs):
+    spec = CampaignSpec(
+        name="counts", kind="selftest", examples=("a",), scales=(0.05,),
+    )
+    with pytest.raises(SpecificationError):
+        run_campaign(tmp_path / "c", spec=spec, **kwargs)
+    assert not (tmp_path / "c").exists()

@@ -1,10 +1,11 @@
 """Docstring coverage gate for the documented packages and the API.
 
-Gated packages: repro.perf, repro.campaign, repro.exec, the synthesis
-service (repro.service), every reader and writer in repro.io, the
-staged synthesis pipeline (repro.core plus repro.core.stages), the
-scheduler (repro.sched), allocation (repro.alloc) and the task-graph
-model (repro.graph).  CI
+Gated packages: repro.perf and its persistent store (repro.perf.store),
+repro.campaign, repro.exec, the synthesis service (repro.service),
+every reader and writer in repro.io, the staged synthesis pipeline
+(repro.core plus repro.core.stages), the scheduler (repro.sched),
+allocation (repro.alloc), the task-graph model (repro.graph) and the
+architecture model (repro.arch).  CI
 enforces the same contract with ruff's pydocstyle D1 rules (see
 pyproject.toml); this AST-based test keeps the gate verifiable in
 environments without ruff installed.
@@ -21,8 +22,8 @@ import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 GATED_PACKAGES = (
-    "perf", "campaign", "core", "core/stages", "exec", "service", "sched",
-    "io", "alloc", "graph",
+    "perf", "perf/store", "campaign", "core", "core/stages", "exec",
+    "service", "sched", "io", "alloc", "graph", "arch",
 )
 
 

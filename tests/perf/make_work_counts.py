@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import platform
 import sys
@@ -72,7 +71,6 @@ def main(argv=None) -> int:
     parser.add_argument("--reason", required=True,
                         help="why the committed work counts change")
     args = parser.parse_args(argv)
-    os.environ.pop("REPRO_CACHE_DIR", None)
     record = {
         "reason": args.reason,
         "python": platform.python_version(),

@@ -21,7 +21,9 @@ trail's:
 The replay reads devices the way the reference scheduler does, from
 ``PEInstance.modes_of_cluster`` and the request's boot-time function
 (:func:`_device_modes`), never through the fingerprint view the build
-reads them from.  :func:`checked_resume_points` holds the two to the
+reads them from, and links with ``Architecture.find_link_between``
+(:func:`_pair_read`), never through the architecture's link memo the
+build reads them from.  :func:`checked_resume_points` holds the two to the
 same answer on every resumed build made inside it.
 """
 
@@ -36,7 +38,7 @@ from repro.perf import engine as engine_module
 from repro.reconfig.reboot import default_boot_time
 from repro.resources.pe import PEKind
 from repro.sched import scheduler
-from repro.sched.scheduler import _route, _same_signature
+from repro.sched.scheduler import _same_signature
 
 
 def _device_modes(pe, cluster_name, boot_time_fn) -> dict:
@@ -47,11 +49,20 @@ def _device_modes(pe, cluster_name, boot_time_fn) -> dict:
     }
 
 
+def _pair_read(arch, pair):
+    """``(link id, link type name, port bucket)`` of the link joining
+    a PE pair, found by a fresh scan, or None when none does."""
+    link = arch.find_link_between(*pair)
+    if link is None:
+        return None
+    return (link.id, link.link_type.name, max(link.ports_used, 2))
+
+
 def replay_prefix(prior, priorities, sigs, arch, boot_time_fn) -> int:
     """How many leading decisions a build under ``priorities`` over
     ``arch`` makes exactly as the ``prior`` trail's build did.
 
-    ``sigs`` are the build's cluster signatures.  Routes and boot
+    ``sigs`` are the build's cluster signatures.  Links and boot
     times are computed here, into memos of the replay's own.
     """
     plan = prior.plan
@@ -60,16 +71,12 @@ def replay_prefix(prior, priorities, sigs, arch, boot_time_fn) -> int:
     steps = list(trail_tasks)
     total = len(steps)
     old_sigs = prior.sigs
-    old_routes = {}
+    old_routes = {pair: then for _, pair, then in prior.reads}
     old_allowed = {}
     old_boots = {}
-    for _, device, key, then in prior.reads:
-        if device:
-            pe_id, cluster_name, mode = key
-            old_allowed[(pe_id, cluster_name)] = then[0]
-            old_boots[(pe_id, mode)] = then[2]
-        else:
-            old_routes[key] = then
+    for (pe_id, cluster_name), then in prior.device_reads.items():
+        old_allowed[(pe_id, cluster_name)] = then[0]
+        old_boots[(pe_id, old_sigs[cluster_name][1])] = then[2]
     replaced = {
         name for name, sig in sigs.items()
         if not _same_signature(sig, old_sigs[name])
@@ -82,7 +89,6 @@ def replay_prefix(prior, priorities, sigs, arch, boot_time_fn) -> int:
         )
     device_verdicts = {}
     pair_verdicts = {}
-    route_table = {}
     pes = arch.pes
     step = 0
     while heap:
@@ -116,13 +122,13 @@ def replay_prefix(prior, priorities, sigs, arch, boot_time_fn) -> int:
                 pair = (pred_pe_id, pe_id)
                 same = pair_verdicts.get(pair)
                 if same is None:
-                    route = _route(arch, route_table, pair)
+                    route = _pair_read(arch, pair)
                     old = old_routes.get(pair)
                     same = pair_verdicts[pair] = (
                         route is not None
                         and old is not None
                         and route[0] is old[0]
-                        and route[1:3] == old[1:3]
+                        and route[1:] == old[1:]
                     )
                 if not same:
                     diverged = True

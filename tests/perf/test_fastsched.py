@@ -212,33 +212,6 @@ def test_planned_schedule_is_byte_identical(seed):
     assert counters["perf.plan.hits"] == 1
 
 
-def test_route_cache_tracks_topology_version(seed=5):
-    spec, assoc, clustering, arch, priorities = _workload(seed)
-    pes = sorted(arch.pes)
-    if len(pes) < 2:
-        pytest.skip("workload produced a single-PE architecture")
-    base = dict(
-        spec=spec, assoc=assoc, clustering=clustering, arch=arch,
-        priorities=priorities,
-    )
-    context = SchedulerContext()
-    build_schedule(ScheduleRequest(context=context, **base))
-    table = context.route_table(arch)
-    assert context.route_table(arch) is table
-    a, b = pes[0], pes[1]
-    before = arch.topo_version
-    # A fresh link between the pair must invalidate the memo, and the
-    # next run over the same context must route as the reference loop
-    # does on the new topology.
-    link_type = arch.library.links_by_cost()[0]
-    arch.connect(a, b, link_type)
-    assert arch.topo_version > before
-    assert context.route_table(arch) is not table
-    rerouted = build_schedule(ScheduleRequest(context=context, **base))
-    reference = build_reference_schedule(ScheduleRequest(**base))
-    assert _schedule_dump(rerouted) == _schedule_dump(reference)
-
-
 # -- plans from per-graph rows ------------------------------------------
 def _query_plan(request):
     """``(records, roots, indegree, deadline rows)`` of a request,

@@ -346,13 +346,12 @@ def test_demand_floor_cuts_pinned_on_a1tr():
     assert kept == 314
 
 
-def test_a_finished_synthesis_is_freed(monkeypatch):
+def test_a_finished_synthesis_is_freed():
     """The demand floor's per-cluster totals live with their run: once
     a synthesis's spec and result are dropped, the spec, clustering
     and architecture are freed, with no module state cleared."""
     from repro.bench.examples import build_example
 
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     spec = build_example("A1TR", 0.05)
     tracer = Tracer()
     result = crusade(spec, tracer=tracer)

@@ -208,10 +208,9 @@ def test_a_synthesis_resumes_most_decisions(monkeypatch):
     assert 0 < checked.resumed_ops < 0.7 * checked.fresh_ops
 
 
-def test_resume_points_equal_the_replay_on_a1tr(monkeypatch):
+def test_resume_points_equal_the_replay_on_a1tr():
     """A1TR@0.05: every resumed build of a cold synthesis resumes at
     the decision the heap replay finds, and most builds resume."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     tracer = Tracer()
     with checked_resume_points() as points:
         crusade(build_example("A1TR", scale=0.05), tracer=tracer)

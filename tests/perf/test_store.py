@@ -29,7 +29,7 @@ from repro.perf.store import (
     resolve_store,
     spec_digest,
 )
-from repro.perf.store.disk import ENV_CACHE_DIR, FORMAT_FILE
+from repro.perf.store.disk import FORMAT_FILE
 from repro.resources.catalog import default_library
 
 
@@ -135,7 +135,6 @@ class TestDigests:
         from repro.obs.trace import Tracer
         from repro.perf.store import digests
 
-        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
         config = CrusadeConfig(cache_dir=str(tmp_path))
         spec = _spec()
         first = crusade(spec, config=config)
@@ -290,23 +289,31 @@ class TestDisk:
 # resolution
 # ----------------------------------------------------------------------
 class TestResolution:
-    """``resolve_store`` precedence."""
+    """``CrusadeConfig.cache_dir`` is the one source of a store."""
 
-    def test_no_cache_dir_means_no_store(self, monkeypatch):
-        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    def test_no_cache_dir_means_no_store(self):
         assert resolve_store(CrusadeConfig()) is None
 
-    def test_config_cache_dir_wins(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    def test_config_cache_dir_wins(self, tmp_path):
         store = resolve_store(CrusadeConfig(cache_dir=str(tmp_path / "a")))
         assert store is not None
         assert store.root == tmp_path / "a"
 
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "b"))
-        store = resolve_store(CrusadeConfig())
-        assert store is not None
-        assert store.root == tmp_path / "b"
+    def test_environment_names_no_store(self, tmp_path, monkeypatch):
+        """A ``crusade()`` whose config names no store opens none, even
+        with the retired ``REPRO_CACHE_DIR`` variable set."""
+        from repro.core.crusade import crusade
+
+        ambient = tmp_path / "ambient"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(ambient))
+
+        def no_store(self, root):
+            raise AssertionError("a store was opened at %s" % (root,))
+
+        monkeypatch.setattr(SynthesisStore, "__init__", no_store)
+        assert resolve_store(CrusadeConfig()) is None
+        crusade(_spec())
+        assert not ambient.exists()
 
 
 # ----------------------------------------------------------------------

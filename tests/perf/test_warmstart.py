@@ -43,15 +43,6 @@ def _cold(spec, **config_kwargs):
     return crusade(spec, config=CrusadeConfig(**config_kwargs))
 
 
-@pytest.fixture
-def no_env_store(monkeypatch):
-    """Keep an ambient ``REPRO_CACHE_DIR`` out of the cold oracles."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-
-
-pytestmark = pytest.mark.usefixtures("no_env_store")
-
-
 # ----------------------------------------------------------------------
 # full-result tier
 # ----------------------------------------------------------------------

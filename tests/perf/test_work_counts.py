@@ -23,12 +23,6 @@ RECORD = json.loads(
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_store(monkeypatch):
-    """An ambient ``REPRO_CACHE_DIR`` would turn the run into a hit."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-
-
 def test_record_states_its_reason_and_prefixes():
     """The committed record says why it was made and what it covers."""
     assert RECORD["reason"].strip()

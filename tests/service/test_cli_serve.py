@@ -3,14 +3,15 @@
 The in-process harness (``conftest.ServerHarness``) never runs the
 CLI's own event loop, so this is the one test of ``_cmd_serve``'s
 signal handling and graceful drain, driven through ``repro submit``
-exactly as an operator would.  The settings ``repro serve`` refuses
-are checked in-process, with worker spawning and socket binding
-made to fail the test.
+exactly as an operator would.  The settings ``repro serve`` and
+``repro submit`` refuse are checked in-process, with worker spawning,
+socket binding and connecting made to fail the test.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import os
 import pathlib
@@ -142,6 +143,39 @@ def test_serve_refuses_bad_settings_before_starting(
     monkeypatch.setattr(ShardPool, "start", must_not_run)
     monkeypatch.setattr(asyncio, "start_server", must_not_run)
     assert main(["serve"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+REFUSED_SUBMITS = [
+    (["--timeout", "-1"], "timeout must be a positive finite number"),
+    (["--timeout", "0"], "timeout must be a positive finite number"),
+    (["--timeout", "inf"], "timeout must be a positive finite number"),
+    (["--timeout", "nan"], "timeout must be a positive finite number"),
+    (["--port", "0"], "port must be in 1-65535"),
+    (["--port", "65536"], "port must be in 1-65535"),
+    (["--port", "-1"], "port must be in 1-65535"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message", REFUSED_SUBMITS,
+    ids=[" ".join(flags) for flags, _ in REFUSED_SUBMITS],
+)
+def test_submit_refuses_bad_settings_before_connecting(
+    flags, message, tmp_path, monkeypatch, capsys
+):
+    """A timeout or port no exchange can use is one ``error:`` line
+    and exit 2, before any connection is made."""
+
+    def must_not_connect(*args, **kwargs):
+        raise AssertionError("submit connected with a refused setting")
+
+    monkeypatch.setattr(http.client, "HTTPConnection", must_not_connect)
+    spec_path = tmp_path / "spec.json"
+    save_spec_file(service_spec(), spec_path)
+    assert main(["submit", str(spec_path)] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
