@@ -529,10 +529,6 @@ def _cmd_serve(args) -> int:
             cache_dir=args.cache_dir, retries=args.retries,
             timeout_s=args.timeout, tracer=tracer,
         )
-        await server.start()
-        print("serving on http://%s:%d  (workers=%d, cache=%s)"
-              % (server.host, server.port, args.workers,
-                 args.cache_dir or "off"), flush=True)
         loop = asyncio.get_running_loop()
         stop = loop.create_future()
 
@@ -540,11 +536,18 @@ def _cmd_serve(args) -> int:
             if not stop.done():
                 stop.set_result(None)
 
+        # Installed before the start, so a signal that arrives while
+        # the shard workers start drains the server instead of killing
+        # it by the default action.
         for sig in (signal.SIGINT, signal.SIGTERM):
             try:
                 loop.add_signal_handler(sig, _request_stop)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # platform without loop signal handlers
+        await server.start()
+        print("serving on http://%s:%d  (workers=%d, cache=%s)"
+              % (server.host, server.port, args.workers,
+                 args.cache_dir or "off"), flush=True)
         try:
             await stop
             print("draining...", flush=True)

@@ -95,9 +95,10 @@ def crusade(
     ``config.cache_dir`` opens the persistent content-addressed
     synthesis store
     (:mod:`repro.perf.store`): an exact resubmission returns the
-    cached result without synthesizing, a near-hit resubmission
-    warm-starts the engine's fragment cache from disk, and either way
-    the returned result is byte-identical to a cold run.  Calls
+    cached result, bound to the caller's ``spec`` object, without
+    synthesizing, a near-hit resubmission warm-starts the engine's
+    fragment cache from disk, and either way the returned result is
+    byte-identical to a cold run.  Calls
     donating a ``clustering``, ``baseline`` or ``engine`` bypass the
     full-result tier -- their inputs are not captured by its key --
     but still share fragments through the donated or created engine.
@@ -113,7 +114,9 @@ def crusade(
         # No library named: the key uses the default catalog's digest,
         # memoized per process, so an exact hit builds no library.
         exact_key = store.result_key(spec, library, config)
-        cached = store.load_result(exact_key, tracer=resolved_tracer)
+        cached = store.load_result(
+            exact_key, tracer=resolved_tracer, spec=spec
+        )
         if cached is not None:
             resolved_tracer.incr("perf.store.hit")
             elapsed = time.perf_counter() - started
@@ -144,16 +147,9 @@ def crusade(
     if exact_key is not None:
         from repro.perf.warmstart import index_record
 
-        # Persist run-neutral: the stats block is the one legitimately
-        # run-varying field, so a cached result should not carry the
-        # warming run's counters into a later hit (the hit path
-        # snapshots its own stats when traced).
-        stashed_stats = result.stats
-        result.stats = None
-        try:
-            store.save_result(exact_key, result, tracer=resolved_tracer)
-        finally:
-            result.stats = stashed_stats
+        # The entry leaves out the spec and the run-varying stats (a
+        # traced hit snapshots its own).
+        store.save_result(exact_key, result, tracer=resolved_tracer)
         store.save_index(
             spec.name, index_record(spec, ctx.library, config, exact_key)
         )

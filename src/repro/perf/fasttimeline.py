@@ -40,7 +40,14 @@ a build from the previous build of the same plan
 :func:`restore_timeline` takes a prefix of the intervals in their
 stored order, and :func:`replay_mode_timeline` re-applies the outcomes
 ``place`` appended to its optional ``record`` list.  Neither adds an
-instance attribute, so pickled timelines stay as they were.
+instance attribute.
+
+Both classes pickle as rows of primitives -- one ``(start, end,
+owner)`` row per interval, one ``(mode, start, end, boot_time)`` row
+per window, in list order -- plus the degraded flag, and unpickling
+rebuilds the bisect lists from the rows as :func:`restore_timeline`
+does.  Store entries written before the rows (an attribute dict)
+still load.
 """
 
 from __future__ import annotations
@@ -66,6 +73,27 @@ class FastTimeline(IntervalTimeline):
         super().__init__()
         self._ends: List[float] = []
         self._degraded = False
+
+    def __getstate__(self) -> tuple:
+        """Pickled state: ``(start, end, owner)`` rows in list order and
+        the degraded flag; the bisect lists are rebuilt on load."""
+        return (
+            [(iv.start, iv.end, iv.owner) for iv in self._intervals],
+            self._degraded,
+        )
+
+    def __setstate__(self, state) -> None:
+        """Rebuild from :meth:`__getstate__`'s rows, or from the
+        attribute dict that store entries written before the rows
+        hold."""
+        if isinstance(state, dict):
+            self.__dict__.update(state)
+            return
+        rows, degraded = state
+        self._intervals = [BusyInterval(*row) for row in rows]
+        self._starts = [row[0] for row in rows]
+        self._ends = [row[1] for row in rows]
+        self._degraded = degraded
 
     # ------------------------------------------------------------------
     def _insert(self, interval: BusyInterval) -> None:
@@ -236,6 +264,28 @@ class FastPpeModeTimeline(PpeModeTimeline):
         self._starts: List[float] = []
         self._wends: List[float] = []
         self._degraded = False
+
+    def __getstate__(self) -> tuple:
+        """Pickled state: ``(mode, start, end, boot_time)`` rows in
+        window order and the degraded flag; the bisect lists are
+        rebuilt on load (a degraded timeline never reads them)."""
+        return (
+            [(w.mode, w.start, w.end, w.boot_time) for w in self.windows],
+            self._degraded,
+        )
+
+    def __setstate__(self, state) -> None:
+        """Rebuild from :meth:`__getstate__`'s rows, or from the
+        attribute dict that store entries written before the rows
+        hold."""
+        if isinstance(state, dict):
+            self.__dict__.update(state)
+            return
+        rows, degraded = state
+        self.windows = [ModeWindow(*row) for row in rows]
+        self._starts = [row[1] for row in rows]
+        self._wends = [row[2] for row in rows]
+        self._degraded = degraded
 
     def place(
         self,

@@ -18,6 +18,17 @@ holds one canonical-JSON record per spec *name* -- the newest run's
 digests -- which is what :mod:`repro.perf.warmstart` diffs a
 resubmission against.
 
+An entry holds only what its reader lacks.  A result entry leaves out
+the result's ``spec`` and ``stats``: the key is the spec's digest, so
+every reader already holds the spec, and :meth:`SynthesisStore.
+load_result` binds the caller's own object; stats are the one
+run-varying field.  Schedules and their timelines, in result and
+fragment entries alike, pickle as rows of primitives and rebuild their
+bisect lists on load (:class:`~repro.sched.scheduler.Schedule`,
+:mod:`repro.perf.fasttimeline`).  Entries written before this layout
+-- the spec inside, schedules as attribute dicts -- still load, under
+the same keys and FORMAT stamp.
+
 Every write goes through :func:`repro.io.campaign_json.write_atomic`:
 a same-directory temp file (suffixed with the writer's pid so
 concurrent campaign workers never share one), flushed and fsynced
@@ -39,6 +50,7 @@ a run that must not trust a store simply runs without one.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import pickle
 from typing import Any, Dict, Optional, Union
@@ -204,12 +216,24 @@ class SynthesisStore:
     def _result_path(self, key: str) -> pathlib.Path:
         return self.results_dir / (key + ".pkl")
 
-    def load_result(self, key: str, tracer=None):
-        """The cached result for ``key``, or ``None``."""
-        return self._load(self._result_path(key), RESULT_TAG, tracer)
+    def load_result(self, key: str, tracer=None, spec=None):
+        """The cached result for ``key``, or ``None``.
+
+        ``spec`` is the specification whose digest formed ``key``; the
+        result is returned bound to it, the caller's own object, as a
+        cold run's is.  An entry written with its spec inside gets the
+        caller's spec too.
+        """
+        result = self._load(self._result_path(key), RESULT_TAG, tracer)
+        if spec is not None and result is not None:
+            result.spec = spec
+        return result
 
     def save_result(self, key: str, result, tracer=None) -> None:
-        """Persist a finished run's result under ``key``."""
+        """Persist a finished run's result under ``key``, without its
+        ``spec`` (the key names it) and its ``stats`` (run-varying)."""
+        if dataclasses.is_dataclass(result):
+            result = dataclasses.replace(result, spec=None, stats=None)
         self._dump(self._result_path(key), RESULT_TAG, result)
         _incr(tracer, "perf.store.results_saved")
 

@@ -273,6 +273,41 @@ class Schedule:
             return 0.0
         return max(t.finish for t in self.tasks.values())
 
+    def __getstate__(self) -> tuple:
+        """Pickled state: tasks and edges as rows of their fields, in
+        dict order (each keyed by its own ``key``); the timelines pack
+        themselves (:mod:`repro.perf.fasttimeline`)."""
+        return (
+            [(t.key, t.pe_id, t.mode, t.start, t.finish, t.preempted)
+             for t in self.tasks.values()],
+            [(e.key, e.link_id, e.start, e.finish)
+             for e in self.edges.values()],
+            self.proc_timelines,
+            self.ppe_timelines,
+            self.link_timelines,
+            self.preemptions,
+            self.lateness,
+            self.demand,
+        )
+
+    def __setstate__(self, state) -> None:
+        """Rebuild from :meth:`__getstate__`'s rows, or from the
+        attribute dict that store entries written before the rows
+        hold."""
+        if isinstance(state, dict):
+            self.__dict__.update(state)
+            return
+        (task_rows, edge_rows, proc, ppe, link, preemptions, lateness,
+         demand) = state
+        self.tasks = {row[0]: ScheduledTask(*row) for row in task_rows}
+        self.edges = {row[0]: ScheduledEdge(*row) for row in edge_rows}
+        self.proc_timelines = proc
+        self.ppe_timelines = ppe
+        self.link_timelines = link
+        self.preemptions = preemptions
+        self.lateness = lateness
+        self.demand = demand
+
 
 def build_schedule(request: ScheduleRequest) -> Schedule:
     """Run the list scheduler over all explicit copy instances.

@@ -313,7 +313,9 @@ class SynthesisServer:
         # -- station 2: exact-hit probe ------------------------------
         probe_started = time.perf_counter()
         if self.store is not None:
-            cached = self.store.load_result(key, tracer=self.tracer)
+            cached = self.store.load_result(
+                key, tracer=self.tracer, spec=spec
+            )
             probe_s = time.perf_counter() - probe_started
             if cached is not None:
                 self.tracer.incr("service.cache.hit")

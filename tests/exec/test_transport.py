@@ -8,6 +8,8 @@ per pool.
 
 from __future__ import annotations
 
+import asyncio
+import signal
 import time
 from multiprocessing.connection import wait
 
@@ -73,6 +75,32 @@ def test_kill_escalates_to_sigkill_on_a_wedged_worker(tmp_path, monkeypatch):
     transport.kill()
     assert not proc.is_alive()
     assert transport._proc is None and not transport.alive
+
+
+def test_worker_forked_under_loop_signal_handlers_dies_by_sigterm():
+    """``repro serve`` installs its loop's SIGTERM handler before its
+    shard workers fork.  A worker must not keep it: its SIGTERM ends it
+    without escalation, and never reaches the parent's handler through
+    the inherited wakeup fd."""
+    seen = []
+
+    async def kill_one_worker():
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, seen.append, "parent")
+        try:
+            transport = PipeTransport(JOB_TARGET)
+            transport.spawn()
+            transport.send(("job", "j", 1, selftest_job("j")))
+            assert recv(transport)[0] == "ok"
+            proc = transport._proc
+            transport.kill()
+            await asyncio.sleep(0.2)  # the loop reads any wakeup byte
+            return proc.exitcode
+        finally:
+            loop.remove_signal_handler(signal.SIGTERM)
+
+    assert asyncio.run(kill_one_worker()) == -signal.SIGTERM
+    assert seen == []
 
 
 def test_terminate_process_is_safe_on_dead_and_none():

@@ -190,11 +190,12 @@ class TestDisk:
         result = crusade(spec, config=CrusadeConfig())
         store = SynthesisStore(tmp_path)
         key = store.result_key(spec, default_library(), CrusadeConfig())
-        assert store.load_result(key) is None
+        assert store.load_result(key, spec=spec) is None
         store.save_result(key, result)
-        loaded = store.load_result(key)
+        loaded = store.load_result(key, spec=spec)
         from repro.io.result_json import canonical_result_json
 
+        assert loaded.spec is spec
         assert canonical_result_json(loaded) == canonical_result_json(result)
 
     def test_fragment_round_trip(self, tmp_path):

@@ -116,6 +116,50 @@ def test_serve_caches_counts_and_drains_on_sigterm(tmp_path):
         proc.communicate()
 
 
+_SIGTERM_DURING_START = """
+import os, signal, sys
+from repro.cli import main
+from repro.service.server import SynthesisServer
+
+started = SynthesisServer.start
+
+
+async def start(self):
+    await started(self)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+
+SynthesisServer.start = start
+sys.exit(main(["serve", "--port", "0", "--workers", "1"]))
+"""
+
+
+def test_serve_drains_a_sigterm_sent_during_start():
+    """A SIGTERM that arrives while the server starts -- its shard
+    worker already forked, "serving on" not yet printed -- drains the
+    server like a later one.  The signal is sent from inside
+    ``SynthesisServer.start``, so the order is forced, not raced."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SIGTERM_DURING_START],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        env=_env(), start_new_session=True,
+    )
+    try:
+        output = proc.communicate(timeout=60)[0].decode("utf-8", "replace")
+        assert proc.returncode == 0, output
+        assert "drained; bye" in output, output
+        # The shard worker stays in the server's process group; none
+        # of the group outlives the server.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+
+
 REFUSED_SETTINGS = [
     (["--workers", "0"], "needs >= 1 worker"),
     (["--workers", "-1"], "needs >= 1 worker"),
